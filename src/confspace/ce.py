@@ -221,12 +221,6 @@ class GMLie:
                             raise AlgebraError(
                                 "Jacobi fails: [[%s,%s],%s] nonzero" % (x, y, w))
 
-    def with_bracket_sign(self, sign):
-        """Copy with every bracket scaled; Betti numbers must not change."""
-        flipped = {key: {z: sign * c for z, c in res.items()}
-                   for key, res in self.bracket.items()}
-        return GMLie(self.algebra, self.slots, flipped)
-
     def block(self, k):
         if k not in self._blocks:
             self._blocks[k] = ce_block(self, k)
@@ -271,9 +265,21 @@ class CEComplexBlock:
                       for i, ms in bases.items()}
         self.diffs = diffs    # degree i -> SparseMatrix C_i -> C_{i-1}
         self.slots = slots
+        self._ranks = {}
 
     def dim(self, i):
         return len(self.bases.get(i, ()))
+
+    def diff_rank(self, i):
+        """Rank of d_i: C_i -> C_{i-1} (0 where there is none), computed once."""
+        if i not in self._ranks:
+            d = self.diffs.get(i)
+            self._ranks[i] = rank(d) if d is not None else 0
+        return self._ranks[i]
+
+    def homology(self, i):
+        """dim H_i = dim C_i - rank d_i - rank d_{i+1}."""
+        return self.dim(i) - self.diff_rank(i) - self.diff_rank(i + 1)
 
     def degrees(self):
         return sorted(self.bases)
@@ -387,47 +393,7 @@ def ce_block(g, k):
 def betti(g, k):
     """Homology dimensions of the weight-k block over Q."""
     block = g.block(k)
-    out = {}
-    for i in block.degrees():
-        dim = block.dim(i)
-        r_in = rank(block.diffs[i])
-        d_up = block.diffs.get(i + 1)
-        r_out = rank(d_up) if d_up is not None else 0
-        h = dim - r_in - r_out
-        if h:
-            out[i] = h
-    return GradedDims(out)
-
-
-class BettiTable:
-    """Map (weight k, degree i) -> dimension over Q."""
-
-    def __init__(self, dims=None):
-        self.dims = {}
-        if dims:
-            for (k, i), v in dims.items():
-                if v:
-                    self.dims[(k, i)] = v
-
-    @classmethod
-    def compute(cls, g, k_max):
-        dims = {}
-        for k in range(k_max + 1):
-            for i, v in betti(g, k).items():
-                dims[(k, i)] = v
-        return cls(dims)
-
-    def rows(self):
-        return [(k, i, v) for (k, i), v in sorted(self.dims.items())]
-
-    def weight_slice(self, k):
-        return GradedDims({i: v for (kk, i), v in self.dims.items() if kk == k})
-
-    def to_json_obj(self):
-        return {"entries": [[k, i, v] for k, i, v in self.rows()]}
-
-    def __eq__(self, other):
-        return isinstance(other, BettiTable) and self.dims == other.dims
+    return GradedDims({i: h for i in block.degrees() if (h := block.homology(i))})
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +417,8 @@ class StabilizationMap:
         for i in src.degrees():
             phi = self.maps[i]
             cycles = kernel_basis(src.diffs[i])
-            h_s = src.dim(i) - rank(src.diffs[i]) - (
-                rank(src.diffs[i + 1]) if (i + 1) in src.diffs else 0)
-            h_t = tgt.dim(i) - (rank(tgt.diffs[i]) if i in tgt.diffs else 0) - (
-                rank(tgt.diffs[i + 1]) if (i + 1) in tgt.diffs else 0)
+            h_s = src.homology(i)
+            h_t = tgt.homology(i)
             b_t = tgt.diffs.get(i + 1)
             if b_t is None:
                 b_t = SparseMatrix.zero(tgt.dim(i), 0, QQ)
@@ -464,8 +428,7 @@ class StabilizationMap:
                 for r, v in image.items():
                     img_entries[(r, c)] = v
             img = SparseMatrix(tgt.dim(i), len(cycles), QQ, img_entries)
-            r_b = rank(b_t)
-            r_ind = rank(SparseMatrix.hstack([img, b_t])) - r_b
+            r_ind = rank(SparseMatrix.hstack([img, b_t])) - tgt.diff_rank(i + 1)
             out[i] = (r_ind == h_s == h_t)
         return out
 
@@ -497,9 +460,10 @@ def stabilization_map(g, x_name, k):
             new[xi] -= 1
             entries[(tgt_index[tuple(new)], col)] = Fraction(e)
         m = SparseMatrix(len(tgt_index), src.dim(i), QQ, entries)
-        if rank(m) != len(tgt_index):
+        r = rank(m)
+        if r != len(tgt_index):
             raise AssertionError("derivative not surjective in degree %d" % i)
-        if src.dim(i) - rank(m) != kernel_count:
+        if src.dim(i) - r != kernel_count:
             raise AssertionError("kernel is not spanned by x-free monomials")
         maps[i] = m
     for i in src.degrees():

@@ -30,7 +30,7 @@ from . import forests
 from . import modp
 from . import presets
 from . import selftest
-from .linalg import QQ, rank, smith_normal_form
+from .linalg import QQ, smith_normal_form
 
 
 class CliError(Exception):
@@ -325,11 +325,7 @@ def cmd_ce_stress(cfg):
     for d in degrees:
         dim = block.dim(d)
         _progress("degree %d: %d chains" % (d, dim))
-        d_in = block.diffs.get(d)
-        d_up = block.diffs.get(d + 1)
-        r_in = rank(d_in) if d_in is not None else 0
-        r_out = rank(d_up) if d_up is not None else 0
-        rows.append((d, dim, dim - r_in - r_out))
+        rows.append((d, dim, block.homology(d)))
     _emit_rows(cfg, ("degree", "chains", "dim"), rows, {
         "algebra": a.name, "k": cfg.k,
         "rows": [{"degree": d, "chains": c, "dim": h} for d, c, h in rows],

@@ -4,22 +4,35 @@ Every computation in this package reduces to rank, kernel, or Smith normal
 form of a sparse matrix over an exact coefficient domain.  No floating point
 is used anywhere.
 
-Elimination strategy: fraction-free (Bareiss-style) cross-multiplication with
-content stripping over Z and Q (rows are kept as primitive integer vectors),
-straightforward row reduction over F_p.  Pivots are chosen Markowitz-style,
-minimizing (row fill - 1) * (column fill - 1), with a deterministic tie-break
-on the lowest row index, then the lowest column index, so results and
-orderings are reproducible across runs.
+One eliminator serves rank, kernel_basis and invert over the fields.  A row
+update is a*row - b*prow, which clears the pivot column.  Over Q rows are
+primitive integer vectors: the update is fraction-free (Bareiss-style
+cross-multiplication), then the content is stripped.  Over F_p each pivot
+row is first scaled so its pivot entry is 1, so a = 1.  Pivots are chosen
+Markowitz-style: a row of fewest entries, then its column with the fewest
+active rows, with a deterministic tie-break on the lowest row index, then
+the lowest column index, so results and orderings are reproducible across
+runs.  rank counts the pivots.  For kernel_basis and invert a
+back-substitution pass then clears every pivot column outside its own row;
+the kernel basis is indexed by the non-pivot columns, and the inverse is
+read off the reduced [A | I] with pivots restricted to the columns of A.
+Smith normal form over Z is a separate algorithm (it also needs column
+operations and a divisibility fix-up).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 
 class DomainError(Exception):
     """Operation attempted over an unsupported coefficient domain."""
+
+
+def is_prime(n):
+    """Primality of an integer by trial division up to isqrt(n)."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 class Rationals:
@@ -54,7 +67,7 @@ class PrimeField:
     is_field = True
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise DomainError("modulus %d is not prime" % p)
         self.p = p
         self.name = "GF(%d)" % p
@@ -67,9 +80,6 @@ class PrimeField:
                     "denominator of %s is divisible by %d" % (x, self.p))
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         return int(x) % self.p
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -272,26 +282,23 @@ def _strip_content(row):
 
 
 def _integer_rows(m):
-    """Rows of m as primitive integer dicts (denominators cleared, content stripped)."""
+    """Rows of a Q matrix as primitive integer dicts, in row order
+    (denominators cleared, content stripped)."""
     rows = []
     for _, row in sorted(m.rows_dict().items()):
-        if m.domain is QQ or isinstance(m.domain, Rationals):
-            lcm = 1
-            for v in row.values():
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-            irow = {j: int(v * lcm) for j, v in row.items()}
-        else:
-            irow = dict(row)
-        rows.append(_strip_content(irow))
-    return [r for r in rows if r]
+        den = lcm(*(v.denominator for v in row.values()))
+        rows.append(_strip_content({j: v.numerator * (den // v.denominator)
+                                    for j, v in row.items()}))
+    return rows
 
 
 class _PivotQueue:
     """Bucket queue over active rows keyed by nnz.
 
     Pivot choice: a row of minimal nnz (lowest id on ties), then the column
-    in it with the fewest active rows (lowest index on ties) - the cheap end
-    of the Markowitz heuristic, with every choice deterministic.
+    below limit in it with the fewest active rows (lowest index on ties) -
+    the cheap end of the Markowitz heuristic, with every choice
+    deterministic.  The column is None when the row has none below limit.
     """
 
     def __init__(self, active):
@@ -309,200 +316,146 @@ class _PivotQueue:
     def add(self, i, size):
         self.buckets.setdefault(size, set()).add(i)
 
-    def pick(self, active, col_rows):
+    def pick(self, active, col_rows, limit):
         size = min(self.buckets)
         i = min(self.buckets[size])
-        row = active[i]
-        j = min(row, key=lambda jj: (len(col_rows[jj]), jj))
+        j = min((jj for jj in active[i] if jj < limit),
+                key=lambda jj: (len(col_rows[jj]), jj), default=None)
         return i, j
 
 
-def _eliminate_integer(rows):
-    """Fraction-free elimination on primitive integer rows; returns number of pivots."""
-    active = {i: row for i, row in enumerate(rows) if row}
+def _row_update(row, prow, j, p):
+    """a*row - b*prow with a = prow[j] and b = row[j], so column j drops out.
+
+    Over F_p (p > 0) the pivot row is scaled so that a = 1, and entries are
+    reduced mod p.  Over Q (p = 0) rows are primitive integer vectors, and
+    the result is stripped of its content."""
+    b = row[j]
+    if p:
+        out = dict(row)
+        for jj, v in prow.items():
+            w = (out.get(jj, 0) - b * v) % p
+            if w:
+                out[jj] = w
+            else:
+                del out[jj]
+        return out
+    a = prow[j]
+    out = {jj: a * v for jj, v in row.items()}
+    for jj, v in prow.items():
+        out[jj] = out.get(jj, 0) - b * v
+    return _strip_content({jj: v for jj, v in out.items() if v})
+
+
+def _eliminate(m, limit=None, reduce=False):
+    """The one elimination behind rank, kernel_basis and invert.
+
+    Returns (pivots, rows): pivots lists (column, row id) in pivot order,
+    and rows maps each pivot's row id to its row (pivot entry 1 over F_p,
+    a primitive integer vector over Q).  Each pivot row has no entry in the
+    columns of earlier pivots; with reduce, back-substitution also clears
+    the columns of later ones.  Pivot columns are chosen below limit
+    (default: all); a row left with no entry there raises ValueError.
+    """
+    if not m.domain.is_field:
+        raise DomainError("elimination over %r is unsupported; use smith_normal_form"
+                          % m.domain)
+    p = m.domain.characteristic
+    if p:
+        rows = [row for _, row in sorted(m.rows_dict().items())]
+    else:
+        rows = _integer_rows(m)
+    if limit is None:
+        limit = m.ncols
+    active = dict(enumerate(rows))
     col_rows = {}
     for i, row in active.items():
         for j in row:
             col_rows.setdefault(j, set()).add(i)
     queue = _PivotQueue(active)
-    pivots = 0
+    pivots = []
+    done = {}
     while active:
-        i, j = queue.pick(active, col_rows)
+        i, j = queue.pick(active, col_rows, limit)
+        if j is None:
+            raise ValueError("matrix is singular")
         prow = active.pop(i)
         queue.remove(i, len(prow))
-        piv = prow[j]
         for jj in prow:
             col_rows[jj].discard(i)
+        if p and prow[j] != 1:
+            inv = pow(prow[j], -1, p)
+            prow = {jj: v * inv % p for jj, v in prow.items()}
         for r in list(col_rows.get(j, ())):
             row = active[r]
-            c = row[j]
             queue.remove(r, len(row))
             for jj in row:
                 col_rows[jj].discard(r)
-            merged = {}
-            for jj, v in row.items():
-                merged[jj] = piv * v
-            for jj, v in prow.items():
-                merged[jj] = merged.get(jj, 0) - c * v
-            merged = {jj: v for jj, v in merged.items() if v != 0}
-            _strip_content(merged)
-            if merged:
-                active[r] = merged
-                queue.add(r, len(merged))
-                for jj in merged:
+            row = _row_update(row, prow, j, p)
+            if row:
+                active[r] = row
+                queue.add(r, len(row))
+                for jj in row:
                     col_rows.setdefault(jj, set()).add(r)
             else:
                 del active[r]
-        pivots += 1
-    return pivots
-
-
-def _eliminate_field(rows, domain):
-    """Row reduction over a field; returns number of pivots."""
-    active = {i: row for i, row in enumerate(rows) if row}
-    col_rows = {}
-    for i, row in active.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    queue = _PivotQueue(active)
-    pivots = 0
-    modp = isinstance(domain, PrimeField)
-    while active:
-        i, j = queue.pick(active, col_rows)
-        prow = active.pop(i)
-        queue.remove(i, len(prow))
-        piv = prow[j]
-        for jj in prow:
-            col_rows[jj].discard(i)
-        inv = domain.inv(piv) if modp else 1 / piv
-        for r in list(col_rows.get(j, ())):
-            row = active[r]
-            c = row[j] * inv
-            if modp:
-                c %= domain.p
-            queue.remove(r, len(row))
-            for jj in row:
-                col_rows[jj].discard(r)
-            merged = dict(row)
-            for jj, v in prow.items():
-                w = merged.get(jj, 0) - c * v
-                if modp:
-                    w %= domain.p
-                if w == 0:
-                    merged.pop(jj, None)
-                else:
-                    merged[jj] = w
-            if merged:
-                active[r] = merged
-                queue.add(r, len(merged))
-                for jj in merged:
-                    col_rows.setdefault(jj, set()).add(r)
-            else:
-                del active[r]
-        pivots += 1
-    return pivots
+        pivots.append((j, i))
+        done[i] = prow
+    if reduce:
+        row_of = dict(pivots)
+        for j, i in reversed(pivots):
+            row = done[i]
+            for jj in [jj for jj in row if jj != j and jj in row_of]:
+                row = _row_update(row, done[row_of[jj]], jj, p)
+            done[i] = row
+    return pivots, done
 
 
 def rank(m):
-    """Exact rank of a matrix over a field (Q or F_p)."""
-    if isinstance(m.domain, Integers):
-        raise DomainError("rank over ZZ is unsupported; use smith_normal_form")
-    if isinstance(m.domain, Rationals):
-        return _eliminate_integer(_integer_rows(m))
-    rows = [dict(row) for _, row in sorted(m.rows_dict().items())]
-    return _eliminate_field(rows, m.domain)
-
-
-def _rref(m):
-    """Reduced row echelon form over a field; returns (list of rows, pivot col -> row idx)."""
-    domain = m.domain
-    modp = isinstance(domain, PrimeField)
-    rows = [dict(row) for _, row in sorted(m.rows_dict().items())]
-    if not modp:
-        rows = [{j: Fraction(v) for j, v in row.items()} for row in rows]
-    echelon = []
-    pivot_cols = {}
-    work = [r for r in rows if r]
-    while work:
-        # pick the row whose leading column is smallest (ties: keep input order)
-        best_idx = min(range(len(work)), key=lambda idx: (min(work[idx]), idx))
-        row = work.pop(best_idx)
-        j = min(row)
-        piv = row[j]
-        inv = domain.inv(piv) if modp else 1 / piv
-        row = {jj: (v * inv) % domain.p if modp else v * inv for jj, v in row.items()}
-        for other in work:
-            c = other.get(j)
-            if c is None:
-                continue
-            for jj, v in row.items():
-                w = other.get(jj, 0) - c * v
-                if modp:
-                    w %= domain.p
-                if w == 0:
-                    other.pop(jj, None)
-                else:
-                    other[jj] = w
-        work = [r for r in work if r]
-        pivot_cols[j] = len(echelon)
-        echelon.append(row)
-    # back-substitution to full reduction
-    for j, ridx in sorted(pivot_cols.items(), reverse=True):
-        row = echelon[ridx]
-        for other in echelon[:ridx]:
-            c = other.get(j)
-            if c is None:
-                continue
-            for jj, v in row.items():
-                w = other.get(jj, 0) - c * v
-                if modp:
-                    w %= domain.p
-                if w == 0:
-                    other.pop(jj, None)
-                else:
-                    other[jj] = w
-    return echelon, pivot_cols
+    """Exact rank of a matrix over a field (Q or F_p): its number of pivots."""
+    return len(_eliminate(m)[0])
 
 
 def kernel_basis(m):
-    """Vectors (dict col -> scalar) spanning the right null space; field domains only."""
-    if isinstance(m.domain, Integers):
-        raise DomainError("kernel over ZZ is unsupported; use smith_normal_form")
-    echelon, pivot_cols = _rref(m)
-    modp = isinstance(m.domain, PrimeField)
-    free_cols = [j for j in range(m.ncols) if j not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = {f: m.domain.coerce(1)}
-        for j, ridx in pivot_cols.items():
-            c = echelon[ridx].get(f)
-            if c is None:
-                continue
-            v = -c
-            if modp:
-                v %= m.domain.p
-            if v != 0:
-                vec[j] = v
-        basis.append(vec)
-    return basis
+    """Vectors (dict col -> scalar) spanning the right null space; field domains only.
+
+    One vector per non-pivot column f, in increasing f: it has entry 1 at
+    f, 0 at the other non-pivot columns, and at each pivot column the value
+    read off that pivot's fully reduced row.  The pivots are the Markowitz
+    choices of the eliminator, so they need not be the leftmost columns.
+    """
+    pivots, rows = _eliminate(m, reduce=True)
+    p = m.domain.characteristic
+    pivot_cols = {j for j, _ in pivots}
+    one = m.domain.coerce(1)
+    basis = {f: {f: one} for f in range(m.ncols) if f not in pivot_cols}
+    for j, i in pivots:
+        row = rows[i]
+        a = row[j]
+        for f, v in row.items():
+            if f != j:
+                basis[f][j] = -v % p if p else Fraction(-v, a)
+    return list(basis.values())
 
 
 def invert(m):
-    """Inverse of a square matrix over a field; raises if singular."""
-    if not m.domain.is_field:
-        raise DomainError("inverse requires a field domain")
+    """Inverse of a square matrix over a field; raises ValueError if singular.
+
+    Reduces [m | I] with pivots restricted to the columns of m."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of non-square matrix")
-    aug = SparseMatrix.hstack([m, SparseMatrix.identity(m.nrows, m.domain)])
-    echelon, pivot_cols = _rref(aug)
-    if sorted(pivot_cols) != list(range(m.nrows)):
-        raise ValueError("matrix is singular")
+    n = m.nrows
+    aug = SparseMatrix.hstack([m, SparseMatrix.identity(n, m.domain)])
+    pivots, rows = _eliminate(aug, limit=n, reduce=True)
+    p = m.domain.characteristic
     entries = {}
-    for j, ridx in pivot_cols.items():
-        for jj, v in echelon[ridx].items():
-            if jj >= m.nrows:
-                entries[(j, jj - m.nrows)] = v
-    return SparseMatrix(m.nrows, m.ncols, m.domain, entries)
+    for j, i in pivots:
+        row = rows[i]
+        a = row[j]
+        for jj, v in row.items():
+            if jj >= n:
+                entries[(j, jj - n)] = v if p else Fraction(v, a)
+    return SparseMatrix(n, n, m.domain, entries)
 
 
 def smith_normal_form(m):

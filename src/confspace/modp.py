@@ -38,7 +38,7 @@ from math import factorial
 
 from . import forests
 from .graded import GradedDims, PoincareSeries
-from .linalg import GF, SparseMatrix, kernel_basis, rank
+from .linalg import GF, SparseMatrix, is_prime, kernel_basis, rank
 
 
 class ModpError(Exception):
@@ -50,17 +50,6 @@ class ModpError(Exception):
 _FULL_CHECK_LIMIT = 2000
 
 _SAMPLE_COLUMNS = 48
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _cols_dict(m):
@@ -97,7 +86,7 @@ class GModule:
     """
 
     def __init__(self, p, sigma, taus=None, twist=0, check=True, basis=None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ModpError("p = %d is not prime" % p)
         if sigma.nrows != sigma.ncols:
             raise ModpError("sigma must be square, got %dx%d" % (sigma.nrows, sigma.ncols))
@@ -252,7 +241,7 @@ class GModule:
 
 def trivial_module(p, twist=0):
     """F_p with trivial sigma; twist = 1 gives the sign module F_p(1)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
     one = SparseMatrix.identity(1, GF(p))
     return GModule(p, one, taus=[one] * (p - 1), twist=twist)
@@ -279,7 +268,7 @@ def conf_module(p, n, t, twist=0):
     key = (p, n, t, twist % 2)
     if key in _conf_cache:
         return _conf_cache[key]
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
     if n < 2:
         raise ModpError("need n >= 2")
@@ -446,7 +435,7 @@ def verify_vanishing(p, n):
     by two independent routes, the block certificate and linear algebra,
     and a disagreement raises AssertionError.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
     if n < 2:
         raise ModpError("need n >= 2")
@@ -472,7 +461,7 @@ def invariants_sigma_p(p, n):
     Computed as the coinvariants dimension of the homology module, which is
     its dual: dim V - rank [tau_1 - 1 | ... | tau_{p-1} - 1].
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
     if n < 2:
         raise ModpError("need n >= 2")
@@ -666,7 +655,7 @@ def bar_cohomology(v, s_max):
 
 def nakaoka_series(p, degree_bound):
     """Series of Lambda(v_{2p-3}) tensor F_p[beta v_{2p-2}], truncated."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise ModpError("p = %d is not an odd prime" % p)
     if degree_bound < 0:
         raise ModpError("negative degree bound")
@@ -686,7 +675,7 @@ def cohen_series(p, n, degree_bound):
     invariants_sigma_p plus nakaoka_series truncated at (n-1)(p-1), minus
     the doubled constant term.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
     if p <= 3:
         raise ModpError(
@@ -712,7 +701,7 @@ def swan_period(p):
     force over Sigma_p and the period is 2 |N| / |C|; beyond that the closed
     form is returned directly.
     """
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise ModpError("p = %d is not an odd prime" % p)
     if p > 7:
         return 2 * (p - 1)

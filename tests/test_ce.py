@@ -62,6 +62,20 @@ def test_closed_surface_two_points():
                             for i, d in ce.betti(gm("closed-surface-2"), 2).items())
 
 
+@pytest.mark.parametrize("name", ["punctured-torus", "closed-surface-1"])
+def test_betti_invariant_under_bracket_sign(name):
+    g = gm(name)
+    assert g.bracket, name
+    flipped = ce.GMLie(g.algebra, g.slots,
+                       {key: {z: -c for z, c in res.items()}
+                        for key, res in g.bracket.items()})
+    for k in range(7):
+        assert ce.betti(flipped, k) == ce.betti(g, k), (name, k)
+        block = g.block(k)
+        for i, d in flipped.block(k).diffs.items():
+            assert d == block.diffs[i].scale(-1), (name, k, i)
+
+
 def test_stability_report_stable_range():
     for name in ("euclidean-3", "solid-torus", "r3-minus-2"):
         rows = ce.stability_report(gm(name), 4)

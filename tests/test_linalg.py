@@ -12,6 +12,7 @@ from confspace.linalg import (
     DomainError,
     SparseMatrix,
     invert,
+    is_prime,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -51,10 +52,11 @@ def test_rank_int_entries_matches_dense_oracle(rows):
     assert rank(m) == oracles.dense_rank_qq(rows)
 
 
-def test_rank_over_zz_refused():
+@pytest.mark.parametrize("fn", [rank, kernel_basis])
+def test_rank_over_zz_refused(fn):
     m = SparseMatrix.from_rows([[2, 0], [0, 3]], ZZ)
     with pytest.raises(DomainError):
-        rank(m)
+        fn(m)
 
 
 @settings(max_examples=120, deadline=None)
@@ -92,6 +94,11 @@ def test_smith_divisibility_chain(rows):
         assert b % a == 0
 
 
+def basis_rows(basis, ncols):
+    """The basis vectors as dense rows, so their rank is the basis's."""
+    return [[v.get(j, 0) for j in range(ncols)] for v in basis]
+
+
 @settings(max_examples=100, deadline=None)
 @given(frac_matrix())
 def test_kernel_vectors_lie_in_kernel(rows):
@@ -100,6 +107,7 @@ def test_kernel_vectors_lie_in_kernel(rows):
     assert len(basis) == m.ncols - rank(m)
     for v in basis:
         assert all(x == 0 for x in m.mul_vec(v))
+    assert oracles.dense_rank_qq(basis_rows(basis, m.ncols)) == len(basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +118,7 @@ def test_kernel_count_gf(rows, p):
     assert len(basis) == m.ncols - oracles.dense_rank_mod(rows, p)
     for v in basis:
         assert all(x == 0 for x in m.mul_vec(v))
+    assert oracles.dense_rank_mod(basis_rows(basis, m.ncols), p) == len(basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,6 +152,37 @@ def test_invert_rejects_singular():
     m = SparseMatrix.from_rows([[1, 2], [2, 4]], QQ)
     with pytest.raises(Exception):
         invert(m)
+
+
+@st.composite
+def square_matrix(draw, max_dim=5):
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    return [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrix(), st.sampled_from([0, 2, 3, 5, 7]))
+def test_invert_matches_oracle_rank(rows, p):
+    domain = GF(p) if p else QQ
+    m = SparseMatrix.from_rows(rows, domain)
+    full = (oracles.dense_rank_mod(rows, p) if p
+            else oracles.dense_rank_qq(rows)) == len(rows)
+    if not full:
+        with pytest.raises(ValueError):
+            invert(m)
+        return
+    inv = invert(m)
+    ident = SparseMatrix.identity(len(rows), domain)
+    assert m.matmul(inv) == ident
+    assert inv.matmul(m) == ident
+
+
+def test_is_prime_matches_sieve():
+    composite = {a * b for a in range(2, 200) for b in range(2, 200)}
+    assert ([n for n in range(-3, 400) if is_prime(n)]
+            == [n for n in range(2, 400) if n not in composite])
+    with pytest.raises(DomainError):
+        GF(49)
 
 
 def test_gf_coerces_fractions():
