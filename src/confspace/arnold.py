@@ -41,10 +41,6 @@ def monomial_key(mono):
     return tuple(flat)
 
 
-def monomial_degree(mono, n):
-    return len(mono) * (n - 1)
-
-
 def monomial_str(mono):
     if not mono:
         return "1"

@@ -63,12 +63,12 @@ class RunConfig:
     window: tuple[int, int] | None = None
     checks: tuple[int, ...] | None = None
     format: str = "table"
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self):
         if self.format not in ("table", "csv", "json"):
             raise CliError("unknown format %r" % (self.format,))
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise CliError("--workers must be positive")
         for name in ("k", "n", "p", "r", "degree_bound", "weight_bound",
                      "k_max", "genus", "point"):
@@ -129,13 +129,6 @@ def _emit_value(cfg, text, obj):
         writer.writerow([text])
     else:
         sys.stdout.write(str(text) + "\n")
-
-
-def _series_rows(series):
-    rows = []
-    for (d, w) in sorted(series.coeffs, key=lambda key: (key[1], key[0])):
-        rows.append((w, d, series.coeffs[(d, w)]))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +512,11 @@ def _parse_checks(text):
 def cmd_selftest(cfg):
     numbers = (list(cfg.checks) if cfg.checks
                else [num for num, _, _, _ in selftest.CHECKS])
-    if cfg.workers > 1 and len(numbers) > 1:
+    workers = _default_workers() if cfg.workers is None else cfg.workers
+    if workers > 1 and len(numbers) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         results = []
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(numbers))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(numbers))) as pool:
             futures = {pool.submit(selftest.run_check, num): num
                        for num in numbers}
             done = 0
@@ -752,9 +746,6 @@ def _config_from_args(ns):
     if getattr(ns, "checks", None):
         checks = _parse_checks(ns.checks)
     fmt = getattr(ns, "format", None) or "table"
-    workers = getattr(ns, "workers", None)
-    if workers is None:
-        workers = _default_workers()
     return RunConfig(
         subcommand=" ".join(parts),
         preset=getattr(ns, "preset", None),
@@ -778,7 +769,7 @@ def _config_from_args(ns):
         window=window,
         checks=checks,
         format=fmt,
-        workers=workers,
+        workers=getattr(ns, "workers", None),
     )
 
 

@@ -142,10 +142,6 @@ class PoincareSeries:
     def zero(cls, deg_bound=None, weight_bound=None):
         return cls({}, deg_bound, weight_bound)
 
-    @classmethod
-    def from_graded(cls, g, weight=0, deg_bound=None, weight_bound=None):
-        return cls({(d, weight): v for d, v in g.dims.items()}, deg_bound, weight_bound)
-
     def coefficient(self, d, w=0):
         return self.coeffs.get((d, w), 0)
 
@@ -188,19 +184,12 @@ class PoincareSeries:
                 acc[(d, w)] = acc.get((d, w), 0) + c1 * c2
         return PoincareSeries(acc, db, wb)
 
-    def truncate(self, deg_bound=None, weight_bound=None):
-        db, wb = self._merge_bounds(PoincareSeries({}, deg_bound, weight_bound))
-        return PoincareSeries(self.coeffs, db, wb)
-
     def euler_by_weight(self):
         """Substitute t -> -1: map weight -> alternating coefficient sum."""
         acc = {}
         for (d, w), c in self.coeffs.items():
             acc[w] = acc.get(w, 0) + ((-1) ** d) * c
         return {w: v for w, v in sorted(acc.items()) if v != 0}
-
-    def is_univariate(self):
-        return all(w == 0 for (_, w) in self.coeffs)
 
     def to_text(self):
         if not self.coeffs:

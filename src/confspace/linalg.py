@@ -4,20 +4,25 @@ Every computation in this package reduces to rank, kernel, or Smith normal
 form of a sparse matrix over an exact coefficient domain.  No floating point
 is used anywhere.
 
-One eliminator serves rank, kernel_basis and invert over the fields.  A row
-update is a*row - b*prow, which clears the pivot column.  Over Q rows are
-primitive integer vectors: the update is fraction-free (Bareiss-style
+One eliminator serves rank, kernel_basis and invert over the fields, and
+the unit pivots of smith_normal_form over Z.  A row update is
+a*row - b*prow, which clears the pivot column.  Over Q rows are primitive
+integer vectors: the update is fraction-free (Bareiss-style
 cross-multiplication), then the content is stripped.  Over F_p each pivot
-row is first scaled so its pivot entry is 1, so a = 1.  Pivots are chosen
-Markowitz-style: a row of fewest entries, then its column with the fewest
-active rows, with a deterministic tie-break on the lowest row index, then
-the lowest column index, so results and orderings are reproducible across
-runs.  rank counts the pivots.  For kernel_basis and invert a
-back-substitution pass then clears every pivot column outside its own row;
-the kernel basis is indexed by the non-pivot columns, and the inverse is
-read off the reduced [A | I] with pivots restricted to the columns of A.
-Smith normal form over Z is a separate algorithm (it also needs column
-operations and a divisibility fix-up).
+row is first scaled so its pivot entry is 1, so a = 1.  Over Z only an
+entry +-1 may pivot, a = 1 and b is the row's entry over the pivot, so
+every update is unimodular.  Pivots are chosen Markowitz-style: a row of
+fewest entries, then its column with the fewest active rows, with a
+deterministic tie-break on the lowest row index, then the lowest column
+index, so results and orderings are reproducible across runs.  A row with
+no admissible column is set aside until an update changes it; the rows
+still set aside at the end are returned.  rank counts the pivots.  For
+kernel_basis and invert a back-substitution pass then clears every pivot
+column outside its own row; the kernel basis is indexed by the non-pivot
+columns, and the inverse is read off the reduced [A | I] with pivots
+restricted to the columns of A.  smith_normal_form counts a factor 1 per
+unit pivot and runs a short gcd loop, with row and column operations, on
+the rows set aside.
 """
 
 from __future__ import annotations
@@ -295,10 +300,12 @@ def _integer_rows(m):
 class _PivotQueue:
     """Bucket queue over active rows keyed by nnz.
 
-    Pivot choice: a row of minimal nnz (lowest id on ties), then the column
-    below limit in it with the fewest active rows (lowest index on ties) -
+    Pivot choice: a row of minimal nnz (lowest id on ties), then its
+    admissible column with the fewest active rows (lowest index on ties) -
     the cheap end of the Markowitz heuristic, with every choice
-    deterministic.  The column is None when the row has none below limit.
+    deterministic.  A column is admissible below limit, and with units only
+    at an entry +-1.  A row with none leaves the queue, and the column is
+    None; add puts the row back once an update changes it.
     """
 
     def __init__(self, active):
@@ -316,11 +323,15 @@ class _PivotQueue:
     def add(self, i, size):
         self.buckets.setdefault(size, set()).add(i)
 
-    def pick(self, active, col_rows, limit):
+    def pick(self, active, col_rows, limit, units):
         size = min(self.buckets)
         i = min(self.buckets[size])
-        j = min((jj for jj in active[i] if jj < limit),
-                key=lambda jj: (len(col_rows[jj]), jj), default=None)
+        row = active[i]
+        cols = ((jj for jj in row if jj < limit) if not units
+                else (jj for jj in row if jj < limit and row[jj] in (1, -1)))
+        j = min(cols, key=lambda jj: (len(col_rows[jj]), jj), default=None)
+        if j is None:
+            self.remove(i, size)
         return i, j
 
 
@@ -328,13 +339,25 @@ def _row_update(row, prow, j, p):
     """a*row - b*prow with a = prow[j] and b = row[j], so column j drops out.
 
     Over F_p (p > 0) the pivot row is scaled so that a = 1, and entries are
-    reduced mod p.  Over Q (p = 0) rows are primitive integer vectors, and
-    the result is stripped of its content."""
+    reduced mod p.  Over Z (p None) a = 1 and b = row[j] // prow[j]: column
+    j drops out at a pivot +-1, and is left at row[j] mod prow[j] in the
+    gcd loop of smith_normal_form.  Over Q (p = 0) rows are primitive
+    integer vectors, and the result is stripped of its content."""
     b = row[j]
     if p:
         out = dict(row)
         for jj, v in prow.items():
             w = (out.get(jj, 0) - b * v) % p
+            if w:
+                out[jj] = w
+            else:
+                del out[jj]
+        return out
+    if p is None:
+        b //= prow[j]
+        out = dict(row)
+        for jj, v in prow.items():
+            w = out.get(jj, 0) - b * v
             if w:
                 out[jj] = w
             else:
@@ -348,23 +371,25 @@ def _row_update(row, prow, j, p):
 
 
 def _eliminate(m, limit=None, reduce=False):
-    """The one elimination behind rank, kernel_basis and invert.
+    """The one elimination behind rank, kernel_basis, invert and the unit
+    pivots of smith_normal_form.
 
-    Returns (pivots, rows): pivots lists (column, row id) in pivot order,
-    and rows maps each pivot's row id to its row (pivot entry 1 over F_p,
-    a primitive integer vector over Q).  Each pivot row has no entry in the
-    columns of earlier pivots; with reduce, back-substitution also clears
-    the columns of later ones.  Pivot columns are chosen below limit
-    (default: all); a row left with no entry there raises ValueError.
+    Returns (pivots, rows, rest): pivots lists (column, row id) in pivot
+    order, and rows maps each pivot's row id to its row (pivot entry 1 over
+    F_p, +-1 over Z, a primitive integer vector over Q).  Each pivot row has
+    no entry in the columns of earlier pivots; with reduce,
+    back-substitution also clears the columns of later ones.  Pivot columns
+    are chosen below limit (default: all), and over Z only at an entry +-1.
+    rest lists the rows left with no admissible column; they have no entry
+    in a pivot column.  Over Z every step is unimodular, so the Smith form
+    of m is one factor 1 per pivot and the Smith form of rest.
     """
-    if not m.domain.is_field:
-        raise DomainError("elimination over %r is unsupported; use smith_normal_form"
-                          % m.domain)
-    p = m.domain.characteristic
-    if p:
-        rows = [row for _, row in sorted(m.rows_dict().items())]
-    else:
+    # p: the characteristic over the fields, None over Z
+    p = m.domain.characteristic if m.domain.is_field else None
+    if p == 0:
         rows = _integer_rows(m)
+    else:
+        rows = [row for _, row in sorted(m.rows_dict().items())]
     if limit is None:
         limit = m.ncols
     active = dict(enumerate(rows))
@@ -375,10 +400,10 @@ def _eliminate(m, limit=None, reduce=False):
     queue = _PivotQueue(active)
     pivots = []
     done = {}
-    while active:
-        i, j = queue.pick(active, col_rows, limit)
+    while queue.buckets:
+        i, j = queue.pick(active, col_rows, limit, p is None)
         if j is None:
-            raise ValueError("matrix is singular")
+            continue
         prow = active.pop(i)
         queue.remove(i, len(prow))
         for jj in prow:
@@ -408,11 +433,18 @@ def _eliminate(m, limit=None, reduce=False):
             for jj in [jj for jj in row if jj != j and jj in row_of]:
                 row = _row_update(row, done[row_of[jj]], jj, p)
             done[i] = row
-    return pivots, done
+    return pivots, done, list(active.values())
+
+
+def _require_field(m):
+    if not m.domain.is_field:
+        raise DomainError("elimination over %r is unsupported; use smith_normal_form"
+                          % m.domain)
 
 
 def rank(m):
     """Exact rank of a matrix over a field (Q or F_p): its number of pivots."""
+    _require_field(m)
     return len(_eliminate(m)[0])
 
 
@@ -424,7 +456,8 @@ def kernel_basis(m):
     read off that pivot's fully reduced row.  The pivots are the Markowitz
     choices of the eliminator, so they need not be the leftmost columns.
     """
-    pivots, rows = _eliminate(m, reduce=True)
+    _require_field(m)
+    pivots, rows, _ = _eliminate(m, reduce=True)
     p = m.domain.characteristic
     pivot_cols = {j for j, _ in pivots}
     one = m.domain.coerce(1)
@@ -441,12 +474,16 @@ def kernel_basis(m):
 def invert(m):
     """Inverse of a square matrix over a field; raises ValueError if singular.
 
-    Reduces [m | I] with pivots restricted to the columns of m."""
+    Reduces [m | I] with pivots restricted to the columns of m; a row left
+    with no entry there means m is singular."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of non-square matrix")
+    _require_field(m)
     n = m.nrows
     aug = SparseMatrix.hstack([m, SparseMatrix.identity(n, m.domain)])
-    pivots, rows = _eliminate(aug, limit=n, reduce=True)
+    pivots, rows, rest = _eliminate(aug, limit=n, reduce=True)
+    if rest:
+        raise ValueError("matrix is singular")
     p = m.domain.characteristic
     entries = {}
     for j, i in pivots:
@@ -459,105 +496,39 @@ def invert(m):
 
 
 def smith_normal_form(m):
-    """Invariant factors d_1 | d_2 | ... (positive) and rank of an integer matrix."""
+    """Invariant factors d_1 | d_2 | ... (positive) and rank of an integer matrix.
+
+    The eliminator takes a factor 1 per unit pivot.  A gcd loop handles the
+    rows it leaves: it pivots on an entry d of least absolute value and
+    clears d's column by row operations with division with remainder.  Once
+    d is alone in its column, column operations only reduce d's row mod d;
+    if that leaves it bare, a row with an entry d does not divide is folded
+    in and reduced the same way.  Whatever is left is smaller than |d| and
+    is pivoted on next; if nothing is, d divides every entry and |d| is a
+    factor.
+    """
     if not isinstance(m.domain, Integers):
         raise DomainError("smith_normal_form requires ZZ coefficients")
-    rows = {i: dict(row) for i, row in m.rows_dict().items()}
-    col_rows = {}
-    for i, row in rows.items():
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-
-    def min_entry():
-        best = None
-        best_key = None
-        for i in sorted(rows):
-            for j, v in sorted(rows[i].items()):
-                key = (abs(v), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        row_s = rows.get(src, {})
-        row_d = rows.setdefault(dst, {})
-        for j, v in row_s.items():
-            w = row_d.get(j, 0) + c * v
-            if w == 0:
-                if j in row_d:
-                    del row_d[j]
-                    col_rows[j].discard(dst)
-            else:
-                if j not in row_d:
-                    col_rows.setdefault(j, set()).add(dst)
-                row_d[j] = w
-        if not row_d:
-            rows.pop(dst, None)
-
-    def add_col(src, dst, c):
-        # col_dst += c * col_src
-        for i in list(col_rows.get(src, ())):
-            v = rows[i][src]
-            w = rows[i].get(dst, 0) + c * v
-            if w == 0:
-                if dst in rows[i]:
-                    del rows[i][dst]
-                    col_rows[dst].discard(i)
-            else:
-                if dst not in rows[i]:
-                    col_rows.setdefault(dst, set()).add(i)
-                rows[i][dst] = w
-
-    factors = []
+    pivots, _, rows = _eliminate(m)
+    factors = [1] * len(pivots)
     while rows:
-        # clean empties
-        for i in [i for i, r in rows.items() if not r]:
-            del rows[i]
-        if not rows:
-            break
-        pos = min_entry()
-        if pos is None:
-            break
-        i, j = pos
-        piv = rows[i][j]
-        # reduce column j against the pivot row, then row i against the pivot col
-        dirty = False
-        for r in [r for r in col_rows.get(j, ()) if r != i]:
-            v = rows[r][j]
-            q = v // piv
-            if q:
-                add_row(i, r, -q)
-            if rows.get(r, {}).get(j):
-                dirty = True
-        for c in [c for c in list(rows.get(i, {})) if c != j]:
-            v = rows[i][c]
-            q = v // piv
-            if q:
-                add_col(j, c, -q)
-            if rows.get(i, {}).get(c):
-                dirty = True
-        if dirty:
+        _, r, j = min((abs(v), r, jj) for r, row in enumerate(rows)
+                      for jj, v in row.items())
+        prow = rows.pop(r)
+        d = prow[j]
+        rows = [_row_update(row, prow, j, None) if j in row else row for row in rows]
+        rows = [row for row in rows if row]
+        if any(j in row for row in rows):
+            rows.append(prow)
             continue
-        # pivot row and column are now clear except the pivot itself;
-        # enforce divisibility: pivot must divide every remaining entry
-        offender = None
-        for r in sorted(rows):
-            if r == i:
+        rest = {jj: v % d for jj, v in prow.items() if v % d}
+        if not rest:
+            offender = next((row for row in rows if any(v % d for v in row.values())),
+                            None)
+            if offender is None:
+                factors.append(abs(d))
                 continue
-            for c, v in sorted(rows[r].items()):
-                if v % piv != 0:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, i, 1)
-            continue
-        factors.append(abs(piv))
-        for jj in list(rows[i]):
-            col_rows[jj].discard(i)
-        del rows[i]
-    factors.sort()
+            rest = {jj: v % d for jj, v in offender.items() if v % d}
+        rest[j] = d
+        rows.append(rest)
     return factors, len(factors)

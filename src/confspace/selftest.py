@@ -2,7 +2,7 @@
 
 Each check is a zero-argument function: it raises (AssertionError or a
 library error) on failure and returns a one-line summary on success.  The
-budgets are wall-clock seconds on a single core; `run_all` times every check
+budgets are wall-clock seconds on a single core; `run_check` times each check
 so a performance regression is visible even while the mathematics stays right.
 
 The forest-rewrite check carries its own oracle, independent of the graft
@@ -416,15 +416,3 @@ def run_check(number):
         detail = "%s: %s" % (type(exc).__name__, exc)
         ok = False
     return CheckResult(num, name, ok, time.monotonic() - start, budget, detail)
-
-
-def run_all(numbers=None, progress=None):
-    """Run the selected checks (all by default) and return the results."""
-    selected = [num for num, _, _, _ in CHECKS] if numbers is None else list(numbers)
-    results = []
-    for num in selected:
-        if progress is not None:
-            name = next(name for n, name, _, _ in CHECKS if n == num)
-            progress("[%d/%d] %s" % (num, len(CHECKS), name))
-        results.append(run_check(num))
-    return results

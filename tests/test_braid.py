@@ -142,6 +142,20 @@ def test_pure_braid_subgroup_of_b3():
         assert table.trace(1, w) == 1
 
 
+def test_pure_braid_subgroup_of_b6_abelianization():
+    """H_1 of the ordered configuration space of 6 points in the plane is
+    Z^15, one generator per pair of strands."""
+    k = 6
+    images = [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, k + 1))
+              for i in range(1, k)]
+    pres = braid.braid_presentation(k)
+    table = braid.coset_table_from_hom(pres, images, "kernel")
+    assert table.n == factorial(k)
+    sub = braid.subgroup_presentation(pres, table,
+                                      braid.schreier_transversal(table))
+    assert sub.abelianization() == (k * (k - 1) // 2, [])
+
+
 def test_strand_stabilizer_presentation_is_consistent():
     k = 4
     pres = braid.braid_presentation(k)

@@ -178,6 +178,9 @@ def test_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("CONFSPACE_WORKERS", "junk")
     code, out, err = run(capsys, "selftest", "--checks", "6")
     assert code == 2
+    # only selftest reads the worker count
+    code, out, err = run(capsys, "arnold", "poincare", "--k", "3", "--n", "2")
+    assert code == 0
     monkeypatch.setenv("CONFSPACE_WORKERS", "1")
     code, out, err = run(capsys, "selftest", "--checks", "6")
     assert code == 0

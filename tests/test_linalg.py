@@ -52,7 +52,7 @@ def test_rank_int_entries_matches_dense_oracle(rows):
     assert rank(m) == oracles.dense_rank_qq(rows)
 
 
-@pytest.mark.parametrize("fn", [rank, kernel_basis])
+@pytest.mark.parametrize("fn", [rank, kernel_basis, invert])
 def test_rank_over_zz_refused(fn):
     m = SparseMatrix.from_rows([[2, 0], [0, 3]], ZZ)
     with pytest.raises(DomainError):
@@ -92,6 +92,59 @@ def test_smith_divisibility_chain(rows):
     assert all(f > 0 for f in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: the identity under random
+    row negations and additions of a multiple of another row."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i == j:
+            u[i] = [-v for v in u[i]]
+        else:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_smith_invariant_under_unimodular_change(data):
+    nrows = data.draw(st.integers(1, 8))
+    ncols = data.draw(st.integers(1, 8))
+    a = [[data.draw(small_int) for _ in range(ncols)] for _ in range(nrows)]
+    pqa = dense_product(dense_product(data.draw(unimodular(nrows)), a),
+                        data.draw(unimodular(ncols)))
+    assert (smith_normal_form(SparseMatrix.from_rows(pqa, ZZ))
+            == smith_normal_form(SparseMatrix.from_rows(a, ZZ)))
+
+
+def test_smith_of_twice_identity_at_scale():
+    n = 300
+    m = SparseMatrix(n, n, ZZ, {(i, i): 2 for i in range(n)})
+    assert smith_normal_form(m) == ([2] * n, n)
+
+
+@pytest.mark.parametrize("block, factors", [
+    ([[2, 0], [0, 6]], [2, 6]),
+    ([[4, 0], [0, 6]], [2, 12]),
+    ([[2, 3], [3, 4]], [1, 1]),
+    ([[4, 6]], [2]),
+])
+def test_smith_of_unimodular_block_plus_small_block(block, factors):
+    """The unit pivots take the unimodular block (two of them are -1);
+    the small block, which has no entry +-1, is left to the gcd loop."""
+    unit = [[-1, 2, 0], [0, 1, 3], [0, 0, -1]]
+    rows = [r + [0] * len(block[0]) for r in unit] + [[0] * 3 + r for r in block]
+    m = SparseMatrix.from_rows(rows, ZZ)
+    assert smith_normal_form(m) == ([1, 1, 1] + factors, 3 + len(factors))
 
 
 def basis_rows(basis, ncols):
@@ -146,6 +199,13 @@ def test_invert_roundtrip():
     m = SparseMatrix.from_rows([[2, 1], [1, 1]], QQ)
     inv = invert(m)
     assert m.matmul(inv).to_dense() == SparseMatrix.identity(2, QQ).to_dense()
+
+
+def test_shape_and_domain_refusals():
+    with pytest.raises(ValueError):
+        invert(SparseMatrix.from_rows([[1, 2]], QQ))
+    with pytest.raises(DomainError):
+        smith_normal_form(SparseMatrix.from_rows([[2]], QQ))
 
 
 def test_invert_rejects_singular():
