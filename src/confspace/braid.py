@@ -313,6 +313,9 @@ def coset_table_from_hom(pres, images, kind, point=None):
     """
     if len(images) != len(pres.gens):
         raise GroupError("need one permutation per generator")
+    if not images:
+        raise GroupError("the presentation has no generators (B_1 and S_1 are trivial); "
+                         "a coset table needs at least one generator image")
     images = [tuple(p) for p in images]
     deg = len(images[0])
     for p in images:

@@ -7,10 +7,10 @@ of the module data is small homological algebra over F_p:
 
   * C_p-(co)homology comes from the 2-periodic resolution
     ... -> F_p[C_p] --N--> F_p[C_p] --(sigma-1)--> F_p[C_p] -> F_p
-    with N = 1 + sigma + ... + sigma^(p-1), so every dimension is a
-    difference of the three numbers dim V, rank(sigma-1), rank(N).
-  * Tate groups splice cohomology (s > 0) with homology (s < -1) through
-    coker N and ker N in the middle, and are 2-periodic on the nose.
+    with N = 1 + sigma + ... + sigma^(p-1).  In every degree s >= 1 both
+    quotients, ker N / im(sigma-1) and ker(sigma-1) / im N, have the one
+    dimension dim V - rank(sigma-1) - rank(N); so does every Tate group,
+    which makes the Tate dimensions constant in s (Herbrand quotient 1).
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -21,14 +21,8 @@ of the module data is small homological algebra over F_p:
   * A normalized bar-resolution computation over the full symmetric group
     is kept as a brute-force oracle for tiny groups.
 
-Freeness of F_p[C_p]-modules is decidable from one rank: sigma is unipotent
-of order p, so all Jordan blocks of sigma - 1 have size <= p, N acts as
-(sigma-1)^(p-1), and the module is free exactly when the number of blocks,
-nullity(sigma - 1), equals dim/p.
-
-Module validation is exhaustive below _FULL_CHECK_LIMIT and sampled on
-strided basis columns above it (the sigma^p identity is still verified as
-a full matrix equation whenever the power list gets built).
+Every module is validated on construction by full matrix equations for
+the group relations, at every dimension.
 """
 
 from __future__ import annotations
@@ -45,32 +39,6 @@ class ModpError(Exception):
     pass
 
 
-# full matrix-equation validation and explicit norm ranks below this size;
-# larger modules get strided column checks and the nullity-based freeness test
-_FULL_CHECK_LIMIT = 2000
-
-_SAMPLE_COLUMNS = 48
-
-
-def _cols_dict(m):
-    cols = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, {})[i] = v
-    return cols
-
-
-def _apply_cols(cols, vec, p):
-    """Sparse matrix (as column dicts) times sparse vector, mod p."""
-    out = {}
-    for j, x in vec.items():
-        col = cols.get(j)
-        if not col:
-            continue
-        for i, v in col.items():
-            out[i] = (out.get(i, 0) + v * x) % p
-    return {i: v for i, v in out.items() if v}
-
-
 class GModule:
     """F_p vector space with an action of C_p = <sigma>, and optionally of
     Sigma_p through Coxeter generators tau_1 .. tau_{p-1}.
@@ -80,12 +48,11 @@ class GModule:
 
     Validated on construction: sigma^p = 1, and with taus present also
     tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for j > i+1,
-    and sigma = tau_1 tau_2 ... tau_{p-1}.  All checks are full matrix
-    equations up to dimension _FULL_CHECK_LIMIT and strided column checks
-    beyond it.
+    and sigma = tau_1 tau_2 ... tau_{p-1}.  Every check is a full matrix
+    equation.
     """
 
-    def __init__(self, p, sigma, taus=None, twist=0, check=True, basis=None):
+    def __init__(self, p, sigma, taus=None, twist=0, basis=None):
         if not is_prime(p):
             raise ModpError("p = %d is not prime" % p)
         if sigma.nrows != sigma.ncols:
@@ -116,8 +83,7 @@ class GModule:
         self._norm = None
         self._rank_aug = None
         self._rank_norm = None
-        if check:
-            self._validate()
+        self._validate()
 
     # -- lazy matrix data ---------------------------------------------------
 
@@ -172,71 +138,32 @@ class GModule:
 
     # -- construction-time checks -------------------------------------------
 
-    def _sample_columns(self):
-        stride = max(1, self.dim // _SAMPLE_COLUMNS)
-        return range(0, self.dim, stride)
-
     def _validate(self):
         p = self.p
-        if self.dim == 0:
-            return
-        if self.dim <= _FULL_CHECK_LIMIT:
-            self.powers()  # full sigma^p = 1 check happens in there
-            if self.taus is not None:
-                ident = SparseMatrix.identity(self.dim, self.field)
-                ts = self.taus
-                for i, t in enumerate(ts, start=1):
-                    if t.matmul(t) != ident:
-                        raise ModpError("tau_%d^2 is not the identity" % i)
-                for i in range(1, p - 1):
-                    m = ts[i - 1].matmul(ts[i])
-                    if m.matmul(m).matmul(m) != ident:
-                        raise ModpError("braid relator fails at (tau_%d, tau_%d)" % (i, i + 1))
-                for i in range(1, p):
-                    for j in range(i + 2, p):
-                        m = ts[i - 1].matmul(ts[j - 1])
-                        if m.matmul(m) != ident:
-                            raise ModpError("tau_%d and tau_%d do not commute" % (i, j))
-                prod = ident
-                for t in ts:
-                    prod = prod.matmul(t)
-                if prod != self.sigma:
-                    raise ModpError("sigma is not tau_1 tau_2 ... tau_%d" % (p - 1))
-            return
-        # strided column checks for large modules
-        sig = _cols_dict(self.sigma)
-        for j in self._sample_columns():
-            v = {j: 1}
-            for _ in range(p):
-                v = _apply_cols(sig, v, p)
-            if v != {j: 1}:
-                raise ModpError("sigma^%d fails on basis column %d" % (p, j))
+        self.powers()  # the sigma^p = 1 check happens in there
         if self.taus is None:
             return
-        tcols = [_cols_dict(t) for t in self.taus]
-        for j in self._sample_columns():
-            e = {j: 1}
-            for i, tc in enumerate(tcols, start=1):
-                if _apply_cols(tc, _apply_cols(tc, e, p), p) != e:
-                    raise ModpError("tau_%d^2 fails on basis column %d" % (i, j))
-            for i in range(p - 2):
-                v = dict(e)
-                for _ in range(3):
-                    v = _apply_cols(tcols[i], _apply_cols(tcols[i + 1], v, p), p)
-                if v != e:
-                    raise ModpError("braid relator fails at (tau_%d, tau_%d) on column %d" % (i + 1, i + 2, j))
-            for i in range(p - 1):
-                for k in range(i + 2, p - 1):
-                    v = dict(e)
-                    for _ in range(2):
-                        v = _apply_cols(tcols[i], _apply_cols(tcols[k], v, p), p)
-                    if v != e:
-                        raise ModpError("tau_%d and tau_%d do not commute on column %d" % (i + 1, k + 1, j))
-            v = dict(e)
-            for tc in reversed(tcols):
-                v = _apply_cols(tc, v, p)
-            if v != _apply_cols(sig, e, p):
-                raise ModpError("sigma is not tau_1 ... tau_%d on column %d" % (p - 1, j))
+        ident = SparseMatrix.identity(self.dim, self.field)
+        ts = self.taus
+        for i, t in enumerate(ts, start=1):
+            if t.matmul(t) != ident:
+                raise ModpError("tau_%d^2 is not the identity" % i)
+        # with every tau_i an involution, (tau_i tau_{i+1})^3 = 1 is the braid
+        # identity and (tau_i tau_j)^2 = 1 is commutation; both need only
+        # products with a single tau, which stay sparser than powers of m
+        for i in range(1, p - 1):
+            m = ts[i - 1].matmul(ts[i])
+            if m.matmul(ts[i - 1]) != ts[i].matmul(m):
+                raise ModpError("braid relator fails at (tau_%d, tau_%d)" % (i, i + 1))
+        for i in range(1, p):
+            for j in range(i + 2, p):
+                if ts[i - 1].matmul(ts[j - 1]) != ts[j - 1].matmul(ts[i - 1]):
+                    raise ModpError("tau_%d and tau_%d do not commute" % (i, j))
+        prod = ts[0]
+        for t in ts[1:]:
+            prod = prod.matmul(t)
+        if prod != self.sigma:
+            raise ModpError("sigma is not tau_1 tau_2 ... tau_%d" % (p - 1))
 
 
 def trivial_module(p, twist=0):
@@ -292,34 +219,38 @@ def conf_module(p, n, t, twist=0):
 # -- C_p (co)homology from the periodic resolution ---------------------------
 
 
+def _periodic_dim(v):
+    """dim V - rank(sigma-1) - rank(N): the dimension of H^s and H_s for
+    every s >= 1 and of every Tate group.
+
+    ker N / im(sigma-1) and ker(sigma-1) / im N, the two quotients the
+    periodic resolution alternates between, both have this dimension.
+    """
+    return v.dim - v.rank_aug() - v.rank_norm()
+
+
 def cyclic_cohomology(v, s_max):
     """H^s(C_p; V) for s = 0..s_max.
 
-    From the periodic resolution: H^0 = ker(sigma-1), H^odd = ker N / im(sigma-1),
-    H^even>0 = ker(sigma-1) / im N.
+    H^0 = ker(sigma-1); every H^s with s >= 1 has dimension _periodic_dim(v).
     """
     if s_max < 0:
         raise ModpError("negative cohomological window")
-    d, ra = v.dim, v.rank_aug()
-    dims = {0: d - ra}
+    dims = {0: v.dim - v.rank_aug()}
     if s_max >= 1:
-        rn = v.rank_norm()
-        for s in range(1, s_max + 1):
-            dims[s] = (d - rn) - ra if s % 2 else (d - ra) - rn
+        h = _periodic_dim(v)
+        dims.update((s, h) for s in range(1, s_max + 1))
     return GradedDims(dims)
 
 
 def cyclic_homology(v, s_max):
-    """H_s(C_p; V) for s = 0..s_max; dual pattern to cyclic_cohomology."""
+    """H_s(C_p; V) for s = 0..s_max.
+
+    H_0 = coker(sigma-1); every H_s with s >= 1 has dimension _periodic_dim(v).
+    """
     if s_max < 0:
         raise ModpError("negative homological window")
-    d, ra = v.dim, v.rank_aug()
-    dims = {0: d - ra}
-    if s_max >= 1:
-        rn = v.rank_norm()
-        for s in range(1, s_max + 1):
-            dims[s] = (d - ra) - rn if s % 2 else (d - rn) - ra
-    return GradedDims(dims)
+    return cyclic_cohomology(v, s_max)
 
 
 class TateDims:
@@ -362,27 +293,15 @@ class TateDims:
 def tate(v, window):
     """Tate cohomology dims of C_p on the window (s_min, s_max), inclusive.
 
-    s > 0 is cyclic_cohomology, s < -1 is cyclic_homology at -s-1, and the
-    middle is coker(N) on invariants at s = 0, ker(N)/im(sigma-1) at s = -1.
+    Every Tate group has dimension _periodic_dim(v): for s > 0 it is
+    cyclic_cohomology, for s < -1 cyclic_homology at -s-1, and in the
+    middle coker(N) on invariants at s = 0, ker(N)/im(sigma-1) at s = -1.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ModpError("empty Tate window [%d, %d]" % (lo, hi))
-    dims = {}
-    if hi > 0:
-        co = cyclic_cohomology(v, hi)
-        for s in range(max(lo, 1), hi + 1):
-            dims[s] = co.get(s)
-    if lo < -1:
-        ho = cyclic_homology(v, -lo - 1)
-        for s in range(lo, min(hi, -2) + 1):
-            dims[s] = ho.get(-s - 1)
-    d = v.dim
-    if lo <= 0 <= hi:
-        dims[0] = (d - v.rank_aug()) - v.rank_norm()
-    if lo <= -1 <= hi:
-        dims[-1] = (d - v.rank_norm()) - v.rank_aug()
-    return TateDims(dims, (lo, hi))
+    h = _periodic_dim(v)
+    return TateDims({s: h for s in range(lo, hi + 1)}, (lo, hi))
 
 
 # -- vanishing of the interior degrees ----------------------------------------
@@ -414,17 +333,9 @@ def _freeness_certificate(v):
 
 
 def _vanishing_linear(v):
-    """Linear-algebra route: the homology window [1, 2p] vanishes.
-
-    Small modules get the explicit norm rank; large ones the equivalent
-    freeness criterion nullity(sigma - 1) = dim/p (all Jordan blocks of the
-    unipotent sigma have size <= p, and N kills every block of size < p).
-    """
-    d = v.dim
-    if d > _FULL_CHECK_LIMIT:
-        return d % v.p == 0 and v.rank_aug() == d - d // v.p
-    h = cyclic_homology(v, 2 * v.p)
-    return all(h.get(s) == 0 for s in range(1, 2 * v.p + 1))
+    """Linear-algebra route: the homology window [1, 2p] vanishes, i.e.
+    _periodic_dim(v), the dimension of every H_s with s >= 1, is 0."""
+    return _periodic_dim(v) == 0
 
 
 def verify_vanishing(p, n):

@@ -301,20 +301,23 @@ def check_invariants():
 
 
 def check_tate():
-    """Tate cohomology is 2-periodic and the Swan period is 2(p-1)."""
+    """Tate dims match the closed form and the Swan period is 2(p-1)."""
     cases = 0
     for p in (3, 5, 7):
         for n in (2, 3, 4):
+            top = (n - 1) * (p - 1)
             for j in range(p):
-                v = modp.conf_module(p, n, j * (n - 1))
-                td = modp.tate(v, (-6, 6))
-                assert td.is_two_periodic(), \
-                    "Tate dims not 2-periodic at p=%d, n=%d, t=%d" % (p, n, j * (n - 1))
+                t = j * (n - 1)
+                want = [1 if t in (0, top) else 0] * 13
+                got = [d for _, d in modp.tate(modp.conf_module(p, n, t), (-6, 6)).items()]
+                assert got == want, \
+                    "Tate dims on [-6, 6] at p=%d, n=%d, t=%d: %r != %r" % (p, n, t, got, want)
                 cases += 1
     for p in (3, 5, 7):
         period = modp.swan_period(p)
         assert period == 2 * (p - 1), "Swan period at p=%d: %d" % (p, period)
-    return "Tate 2-periodicity on %d modules; Swan periods 4, 8, 12" % cases
+    return ("Tate dims on [-6, 6] are 1 at t = 0 and t = (n-1)(p-1) and 0 between "
+            "on %d modules; Swan periods 4, 8, 12" % cases)
 
 
 def check_stable_vs_bar():

@@ -129,6 +129,14 @@ def test_braid_commands(capsys):
     assert code == 0
 
 
+def test_braid_subgroup_of_trivial_group_is_refused(capsys):
+    for group in ("braid", "symmetric"):
+        code, out, _ = run(capsys, "--format", "json", "braid", "subgroup",
+                           "--group", group, "--k", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "GroupError"
+
+
 def test_braid_stabilizer_subgroup(capsys):
     code, out, _ = run(capsys, "--format", "json", "braid", "subgroup",
                        "--group", "braid", "--k", "4",

@@ -1,5 +1,7 @@
 """Mod-p group cohomology: cyclic groups, Tate splice, symmetric groups."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,63 @@ def test_gmodule_validation_catches_broken_tau():
     taus[0] = SparseMatrix(v.dim, v.dim, GF(3), entries)
     with pytest.raises(Exception):
         modp.GModule(3, v.sigma, taus)
+
+
+def regular_sigma3_taus(copies, right=()):
+    """Coxeter generators of `copies` copies of the regular Sigma_3-module
+    over F_3: tau_i sends the basis vector of g to that of s_i g, or of
+    g s_i for i in `right`."""
+    elements = sorted(itertools.permutations((1, 2, 3)))
+    index = {g: k for k, g in enumerate(elements)}
+    taus = []
+    for i in (1, 2):
+        swap = {i: i + 1, i + 1: i}
+        entries = {}
+        for c in range(copies):
+            for g in elements:
+                if i in right:
+                    h = tuple(g[swap.get(x, x) - 1] for x in (1, 2, 3))
+                else:
+                    h = tuple(swap.get(x, x) for x in g)
+                entries[(6 * c + index[h], 6 * c + index[g])] = 1
+        taus.append(SparseMatrix(6 * copies, 6 * copies, GF(3), entries))
+    return taus
+
+
+def test_gmodule_validation_is_exact_at_every_dimension():
+    # 2040 columns; the broken entry sits in column 6, the first column of
+    # the second copy, which a strided column sample would skip
+    t1, t2 = regular_sigma3_taus(340)
+    sigma = t1.matmul(t2)
+    assert modp.GModule(3, sigma, taus=[t1, t2]).dim == 2040
+    entries = dict(t1.entries)
+    (i, j), = [key for key in entries if key[1] == 6]
+    entries[(i, j)] = 2
+    bad = SparseMatrix(2040, 2040, GF(3), entries)
+    with pytest.raises(modp.ModpError, match="tau_1"):
+        modp.GModule(3, sigma, taus=[bad, t2])
+
+
+def test_gmodule_validation_names_the_failed_relator():
+    t1, t2 = regular_sigma3_taus(1)
+    _, r2 = regular_sigma3_taus(1, right=(2,))
+    # left and right multiplications commute, so (tau_1 tau_2)^3 = tau_1 tau_2
+    with pytest.raises(modp.ModpError, match="braid relator"):
+        modp.GModule(3, t1.matmul(t2), taus=[t1, r2])
+    with pytest.raises(modp.ModpError, match="sigma is not"):
+        modp.GModule(3, t2.matmul(t1), taus=[t1, t2])
+    # transpositions (12), (23), (31) and their product in S_3, acting on
+    # F_5^3: adjacent pairs braid and the product is 1, but tau_1 and tau_3
+    # do not commute
+    swaps = []
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        img = {0: 0, 1: 1, 2: 2, a: b, b: a}
+        swaps.append(SparseMatrix(3, 3, GF(5), {(img[x], x): 1 for x in range(3)}))
+    swaps.append(swaps[0].matmul(swaps[1]).matmul(swaps[2]))
+    with pytest.raises(modp.ModpError, match="tau_1 and tau_3 do not commute"):
+        modp.GModule(5, SparseMatrix.identity(3, GF(5)), taus=swaps)
+    empty = SparseMatrix(0, 0, GF(3), {})
+    assert modp.GModule(3, empty, taus=[empty, empty]).dim == 0
 
 
 @settings(max_examples=30, deadline=None)
