@@ -17,6 +17,9 @@ The Chevalley-Eilenberg complex Sym(g[1]) carries the differential
 with all Koszul signs computed from shifted degrees (|x|+1 on g); its
 weight-k homology gives the Betti numbers of the space of k unordered
 points in M.  Shifted slots of even degree are polynomial, odd exterior.
+So the occurrences of a repeated slot are interchangeable, and the sum is
+taken over pairs of slots a <= b with a nonzero bracket, weighted by the
+e_a * e_b pairs of occurrences (C(e_a, 2) when a = b).  Entries are ints.
 
 The stabilization map (adding a point near infinity) is the formal
 derivative by the slot dual to the point class; it is a surjective chain
@@ -24,8 +27,6 @@ map whose kernel is spanned by the monomials not divisible by that slot.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .graded import BigradedDims, GradedDims, PoincareSeries, series_equal, sym_series
 from .linalg import QQ, SparseMatrix, kernel_basis, rank
@@ -176,6 +177,12 @@ class GMLie:
         self.bracket = bracket  # (name, name) -> {name: coeff}
         self._blocks = {}
         self._check_lie()
+        # slot a -> [(b >= a, [(z, c), ...])], nonzero brackets only
+        self.bracket_table = [[] for _ in slots]
+        for (x, y), res in bracket.items():
+            terms = [(self.index[z], c) for z, c in res.items() if c]
+            if terms and self.index[x] <= self.index[y]:
+                self.bracket_table[self.index[x]].append((self.index[y], terms))
 
     def bracket_of(self, x, y):
         return self.bracket.get((x, y), {})
@@ -258,13 +265,12 @@ def build_gm(a):
 class CEComplexBlock:
     """Weight-k piece of the complex: bases per degree plus differentials."""
 
-    def __init__(self, weight, bases, diffs, slots):
+    def __init__(self, weight, bases, diffs):
         self.weight = weight
         self.bases = bases    # degree -> list of exponent tuples
         self.index = {i: {m: a for a, m in enumerate(ms)}
                       for i, ms in bases.items()}
         self.diffs = diffs    # degree i -> SparseMatrix C_i -> C_{i-1}
-        self.slots = slots
         self._ranks = {}
 
     def dim(self, i):
@@ -284,104 +290,90 @@ class CEComplexBlock:
     def degrees(self):
         return sorted(self.bases)
 
-    def monomial_str(self, mono):
-        parts = []
-        for e, s in zip(mono, self.slots):
-            if e == 1:
-                parts.append(s.name)
-            elif e > 1:
-                parts.append("%s^%d" % (s.name, e))
-        return "*".join(parts) if parts else "1"
 
-
-def _enumerate_monomials(slots, k):
-    """Exponent vectors of total weight k; exterior (odd shifted degree)
-    slots capped at exponent 1."""
+def _enumerate_monomials(slots, sdeg, k):
+    """(degree, exponent vector) of every monomial of total weight k, in
+    increasing order of the vectors; exterior (odd shifted degree) slots
+    capped at exponent 1."""
     out = []
     exps = [0] * len(slots)
 
-    def rec(i, rem):
+    def rec(i, rem, deg):
         if rem == 0:
-            out.append(tuple(exps))
+            out.append((deg, tuple(exps)))
             return
         if i == len(slots):
             return
-        s = slots[i]
-        cap = rem // s.weight
-        if s.sdeg % 2 == 1:
+        cap = rem // slots[i].weight
+        if sdeg[i] % 2 == 1:
             cap = min(cap, 1)
         for e in range(cap + 1):
             exps[i] = e
-            rec(i + 1, rem - e * s.weight)
+            rec(i + 1, rem - e * slots[i].weight, deg + e * sdeg[i])
         exps[i] = 0
 
-    rec(0, k)
+    rec(0, k, 0)
     return out
 
 
-def _d_monomial(g, mono):
-    """Image of one monomial under the CE differential, as {monomial: coeff}."""
-    slots = g.slots
-    factors = []
-    for idx, e in enumerate(mono):
-        factors.extend([idx] * e)
-    m = len(factors)
-    sdeg = [slots[idx].sdeg for idx in factors]
-    prefix = [0]
-    for d in sdeg:
-        prefix.append(prefix[-1] + d)
+def _d_monomial(g, mono, sdeg):
+    """Image of one monomial under the CE differential, as {monomial: coeff}.
+
+    The sum over pairs of factor occurrences i < j is taken over pairs of
+    slots a <= b with a nonzero bracket.  A slot of exponent > 1 has even
+    shifted degree, so its occurrences are interchangeable: the e_a * e_b
+    pairs (C(e_a, 2) when a = b) give equal terms, and every Koszul sign is
+    read off the prefix sums pre of shifted degrees over the slots.
+    """
+    pre = [0]
+    for e, d in zip(mono, sdeg):
+        pre.append(pre[-1] + e * d)
     out = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            res = g.bracket_of(slots[factors[i]].name, slots[factors[j]].name)
-            if not res:
+    for a, ea in enumerate(mono):
+        if not ea:
+            continue
+        sa = sdeg[a]
+        for b, res in g.bracket_table[a]:
+            mult = ea * (ea - 1) // 2 if b == a else ea * mono[b]
+            if not mult:
                 continue
-            # Koszul sign of the shuffle moving x_i, x_j to the front
-            eps = (sdeg[i] * prefix[i]) + (sdeg[j] * (prefix[j] - sdeg[i]))
-            sign = (-1) ** (sdeg[i] + eps)
+            sb = sdeg[b]
+            # parity: Koszul sign of moving x_a, x_b to the front, times (-1)^sa
+            sign = sa * (1 + pre[a]) + sb * (pre[b] - sa)
             rest = list(mono)
-            rest[factors[i]] -= 1
-            rest[factors[j]] -= 1
-            for zname, c in res.items():
-                z = g.index[zname]
-                zs = slots[z]
-                if zs.sdeg % 2 == 1 and rest[z] >= 1:
+            rest[a] -= 1
+            rest[b] -= 1
+            for z, c in res:
+                sz = sdeg[z]
+                if sz % 2 == 1 and rest[z] >= 1:
                     continue
                 # insert z into the sorted monomial: pass the slots before it
-                passed = sum(rest[u] * slots[u].sdeg for u in range(z))
-                s2 = sign * c * ((-1) ** (zs.sdeg * passed))
-                new = list(rest)
-                new[z] += 1
-                key = tuple(new)
-                v = out.get(key, 0) + s2
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-    return out
+                passed = pre[z] - (sa if a < z else 0) - (sb if b < z else 0)
+                v = mult * c if (sign + sz * passed) % 2 == 0 else -mult * c
+                rest[z] += 1
+                key = tuple(rest)
+                rest[z] -= 1
+                out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 def ce_block(g, k):
     """Build the weight-k complex; verifies d has square zero."""
     if k < 0:
         raise ValueError("weight must be nonnegative")
-    monos = _enumerate_monomials(g.slots, k)
+    sdeg = [s.sdeg for s in g.slots]
     bases = {}
-    for m in monos:
-        deg = sum(e * s.sdeg for e, s in zip(m, g.slots))
+    for deg, m in _enumerate_monomials(g.slots, sdeg, k):
         bases.setdefault(deg, []).append(m)
-    for deg in bases:
-        bases[deg].sort()
-    index = {deg: {m: a for a, m in enumerate(ms)} for deg, ms in bases.items()}
-    diffs = {}
+    block = CEComplexBlock(k, bases, {})
+    diffs = block.diffs
     for deg, ms in bases.items():
-        target = index.get(deg - 1, {})
+        target = block.index.get(deg - 1, {})
         entries = {}
         for col, mono in enumerate(ms):
-            for im, c in _d_monomial(g, mono).items():
-                entries[(target[im], col)] = Fraction(c)
+            for im, c in _d_monomial(g, mono, sdeg).items():
+                entries[(target[im], col)] = c
         diffs[deg] = SparseMatrix(len(target), len(ms), QQ, entries)
-    block = CEComplexBlock(k, bases, diffs, g.slots)
     for deg in sorted(bases):
         d_here = diffs[deg]
         d_up = diffs.get(deg + 1)
@@ -458,7 +450,7 @@ def stabilization_map(g, x_name, k):
                 continue
             new = list(mono)
             new[xi] -= 1
-            entries[(tgt_index[tuple(new)], col)] = Fraction(e)
+            entries[(tgt_index[tuple(new)], col)] = e
         m = SparseMatrix(len(tgt_index), src.dim(i), QQ, entries)
         r = rank(m)
         if r != len(tgt_index):

@@ -2,7 +2,9 @@
 
 Every computation in this package reduces to rank, kernel, or Smith normal
 form of a sparse matrix over an exact coefficient domain.  No floating point
-is used anywhere.
+is used anywhere.  A QQ entry is an int or a Fraction: an int is an exact
+rational equal to its Fraction, so QQ keeps ints as they are and an
+integral matrix never builds a Fraction.
 
 One eliminator serves rank, kernel_basis and invert over the fields, and
 the unit pivots of smith_normal_form over Z.  A row update is
@@ -46,7 +48,7 @@ class Rationals:
     characteristic = 0
 
     def coerce(self, x):
-        return Fraction(x)
+        return x if type(x) is int else Fraction(x)
 
     def __repr__(self):
         return "QQ"

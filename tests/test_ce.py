@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace import ce, presets
+from confspace import ce, cli, presets
 from confspace.graded import GradedDims
 
 
@@ -37,6 +37,84 @@ def test_differential_squares_to_zero(name):
             assert d_i.matmul(d_up).is_zero(), (name, k, i)
 
 
+def reference_d_monomial(g, mono):
+    """The CE differential of one monomial by the textbook sum over pairs
+    i < j of factor occurrences, every sign from the occurrence list."""
+    slots = g.slots
+    factors = []
+    for idx, e in enumerate(mono):
+        factors.extend([idx] * e)
+    m = len(factors)
+    sdeg = [slots[idx].sdeg for idx in factors]
+    prefix = [0]
+    for d in sdeg:
+        prefix.append(prefix[-1] + d)
+    out = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            res = g.bracket_of(slots[factors[i]].name, slots[factors[j]].name)
+            if not res:
+                continue
+            # Koszul sign of the shuffle moving x_i, x_j to the front
+            eps = (sdeg[i] * prefix[i]) + (sdeg[j] * (prefix[j] - sdeg[i]))
+            sign = (-1) ** (sdeg[i] + eps)
+            rest = list(mono)
+            rest[factors[i]] -= 1
+            rest[factors[j]] -= 1
+            for zname, c in res.items():
+                z = g.index[zname]
+                zs = slots[z]
+                if zs.sdeg % 2 == 1 and rest[z] >= 1:
+                    continue
+                # insert z into the sorted monomial: pass the slots before it
+                passed = sum(rest[u] * slots[u].sdeg for u in range(z))
+                new = list(rest)
+                new[z] += 1
+                key = tuple(new)
+                out[key] = out.get(key, 0) + sign * c * ((-1) ** (zs.sdeg * passed))
+    return {key: v for key, v in out.items() if v}
+
+
+def assert_block_matches_reference(g, k):
+    block = ce.ce_block(g, k)
+    for deg, ms in block.bases.items():
+        assert ms == sorted(set(ms)), (k, deg)
+        for mono in ms:
+            assert sum(e * s.sdeg for e, s in zip(mono, g.slots)) == deg
+        target = block.index.get(deg - 1, {})
+        want = {(target[im], col): c for col, mono in enumerate(ms)
+                for im, c in reference_d_monomial(g, mono).items()}
+        d = block.diffs[deg]
+        assert (d.nrows, d.ncols) == (len(target), len(ms))
+        assert d.entries == want, (k, deg)
+        assert all(type(c) is int for c in d.entries.values()), (k, deg)
+
+
+def flip_bracket(g):
+    return ce.GMLie(g.algebra, g.slots,
+                    {key: {z: -c for z, c in res.items()}
+                     for key, res in g.bracket.items()})
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_differential_matches_occurrence_pair_reference(name):
+    g = gm(name)
+    flipped = flip_bracket(g)
+    for k in range(6):
+        assert_block_matches_reference(g, k)
+        assert_block_matches_reference(flipped, k)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_closed_surface_differential_matches_reference(genus):
+    g = ce.build_gm(ce.load_algebra(cli._closed_surface_doc(genus)))
+    assert g.bracket
+    flipped = flip_bracket(g)
+    for k in range(7):
+        assert_block_matches_reference(g, k)
+        assert_block_matches_reference(flipped, k)
+
+
 def test_punctured_torus_two_points_full_table():
     b = ce.betti(gm("punctured-torus"), 2)
     assert dict(b.items()) == {0: 1, 1: 2, 2: 2}
@@ -66,9 +144,7 @@ def test_closed_surface_two_points():
 def test_betti_invariant_under_bracket_sign(name):
     g = gm(name)
     assert g.bracket, name
-    flipped = ce.GMLie(g.algebra, g.slots,
-                       {key: {z: -c for z, c in res.items()}
-                        for key, res in g.bracket.items()})
+    flipped = flip_bracket(g)
     for k in range(7):
         assert ce.betti(flipped, k) == ce.betti(g, k), (name, k)
         block = g.block(k)

@@ -103,6 +103,18 @@ def test_ce_commands(capsys):
     assert "chains" in out
 
 
+def test_ce_stress_genus_two_rows(capsys):
+    code, out, _ = run(capsys, "--format", "json", "ce", "stress",
+                       "--genus", "2", "--k", "7")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["algebra"], doc["k"]) == ("closed-surface-2", 7)
+    chains = [1, 5, 15, 36, 75, 141, 245, 316, 245, 141, 75, 36, 15, 5, 1]
+    dims = [1, 4, 6, 16, 28, 48, 75, 75, 25, 0, 0, 0, 0, 0, 0]
+    assert doc["rows"] == [{"degree": d, "chains": c, "dim": h}
+                           for d, (c, h) in enumerate(zip(chains, dims))]
+
+
 def test_ce_algebra_file(tmp_path, capsys):
     from confspace import presets
     doc = presets.preset_document("twice-punctured-plane")

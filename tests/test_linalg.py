@@ -159,7 +159,7 @@ def test_kernel_vectors_lie_in_kernel(rows):
     basis = kernel_basis(m)
     assert len(basis) == m.ncols - rank(m)
     for v in basis:
-        assert all(x == 0 for x in m.mul_vec(v))
+        assert m.mul_vec(v) == {}
     assert oracles.dense_rank_qq(basis_rows(basis, m.ncols)) == len(basis)
 
 
@@ -170,8 +170,52 @@ def test_kernel_count_gf(rows, p):
     basis = kernel_basis(m)
     assert len(basis) == m.ncols - oracles.dense_rank_mod(rows, p)
     for v in basis:
-        assert all(x == 0 for x in m.mul_vec(v))
+        assert m.mul_vec(v) == {}
     assert oracles.dense_rank_mod(basis_rows(basis, m.ncols), p) == len(basis)
+
+
+@st.composite
+def mixed_matrix(draw, max_dim=5, square=False):
+    """Entries that are ints or Fractions, the two kinds QQ holds."""
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = nrows if square else draw(st.integers(min_value=0, max_value=max_dim))
+    entry = st.one_of(small_int, st.builds(Fraction, small_int, st.integers(1, 5)))
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_matrix())
+def test_qq_mixed_entries_rank_and_kernel_match_dense_oracle(rows):
+    m = SparseMatrix.from_rows(rows, QQ)
+    want = oracles.dense_rank_qq(rows)
+    assert rank(m) == want
+    basis = kernel_basis(m)
+    assert len(basis) == m.ncols - want
+    for v in basis:
+        assert m.mul_vec(v) == {}
+    assert oracles.dense_rank_qq(basis_rows(basis, m.ncols)) == len(basis)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_matrix(square=True))
+def test_qq_mixed_entries_invert_matches_dense_oracle(rows):
+    m = SparseMatrix.from_rows(rows, QQ)
+    if oracles.dense_rank_qq(rows) < len(rows):
+        with pytest.raises(ValueError):
+            invert(m)
+        return
+    ident = SparseMatrix.identity(len(rows), QQ)
+    assert m.matmul(invert(m)) == ident
+
+
+def test_qq_int_and_fraction_entries_are_equal():
+    assert type(QQ.coerce(3)) is int
+    assert type(QQ.coerce(Fraction(1, 2))) is Fraction
+    rows = [[1, 0, -2], [0, 3, 4]]
+    ints = SparseMatrix.from_rows(rows, QQ)
+    fracs = SparseMatrix.from_rows([[Fraction(x) for x in row] for row in rows], QQ)
+    assert all(type(v) is int for v in ints.entries.values())
+    assert ints == fracs
 
 
 @settings(max_examples=60, deadline=None)
