@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate the bundled compactly-supported cohomology presets.
 
-Writes one JSON document per manifold into src/confspace/presets/.  Each
-table lists H_c as a basis with degrees plus all nonzero products; the
-loader validates graded commutativity and associativity, so both orders
-of every nonzero product must be present.
+    python scripts/gen_presets.py [OUT_DIR]
+
+Writes one JSON document per manifold into OUT_DIR, by default the
+package's src/confspace/presets/.  Each table lists H_c as a basis with
+degrees plus all nonzero products; the loader validates graded
+commutativity and associativity, so both orders of every nonzero product
+must be present.
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -69,7 +73,11 @@ def degreewise(name, n, classes):
     return doc(name, n, classes, [])
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate the preset documents.")
+    parser.add_argument("out", nargs="?", type=pathlib.Path, default=OUT,
+                        help="output directory (default: %(default)s)")
+    out = parser.parse_args(argv).out
     docs = [
         euclidean(2),
         euclidean(3),
@@ -89,9 +97,9 @@ def main():
         docs.append(degreewise("r3-minus-%d" % m, 3,
                                [("c%d" % i, 1) for i in range(1, m + 1)] + [("p", 3)]))
 
-    OUT.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     for d in docs:
-        path = OUT / (d["name"] + ".json")
+        path = out / (d["name"] + ".json")
         path.write_text(json.dumps(d, indent=2) + "\n")
         print("wrote", path)
     print("%d presets" % len(docs))

@@ -3,7 +3,8 @@
 Subpackages by topic:
 
 - linalg: sparse exact linear algebra over Q, Z, and F_p
-- graded: graded dimension tables and bigraded Poincare series
+- graded: graded dimension tables, bigraded Poincare series, and the
+  linear-combination class type behind arnold's and forests' classes
 - arnold: the cohomology algebra of ordered configurations of points in R^n
 - forests: the dual homology basis of rooted forests and the tall rewrite
 - ce: Chevalley-Eilenberg complexes for unordered configurations in open
@@ -25,7 +26,7 @@ from .linalg import (
     kernel_basis,
     smith_normal_form,
 )
-from .graded import GradedDims, BigradedDims, PoincareSeries, sym_series
+from .graded import GradedDims, PoincareSeries, sym_series
 from .arnold import (
     CohomologyClass,
     generator,
@@ -66,7 +67,6 @@ from .modp import (
     GModule,
     conf_module,
     cyclic_cohomology,
-    cyclic_homology,
     tate,
     verify_vanishing,
     invariants_sigma_p,
@@ -89,7 +89,6 @@ __all__ = [
     "kernel_basis",
     "smith_normal_form",
     "GradedDims",
-    "BigradedDims",
     "PoincareSeries",
     "sym_series",
     "CohomologyClass",
@@ -123,7 +122,6 @@ __all__ = [
     "GModule",
     "conf_module",
     "cyclic_cohomology",
-    "cyclic_homology",
     "tate",
     "verify_vanishing",
     "invariants_sigma_p",

@@ -26,11 +26,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .graded import product_one_plus_jt
-
-
-class ContextError(Exception):
-    """Classes from different (k, n) contexts were mixed."""
+from .graded import LinearCombination, product_one_plus_jt
 
 
 def monomial_key(mono):
@@ -74,67 +70,16 @@ def parse_monomial(text):
     return tuple(pairs)
 
 
-class CohomologyClass:
+def _monomial_tuple(mono):
+    return tuple(tuple(p) for p in mono)
+
+
+class CohomologyClass(LinearCombination):
     """Finitely supported map admissible monomial -> coefficient, in context (k, n)."""
 
-    def __init__(self, k, n, terms=None):
-        self.k = k
-        self.n = n
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c == 0:
-                    continue
-                self.terms[tuple(tuple(p) for p in mono)] = c
-
-    def _check(self, other):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ContextError("context mismatch: (%d,%d) vs (%d,%d)"
-                               % (self.k, self.n, other.k, other.n))
-
-    def add(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-        return CohomologyClass(self.k, self.n, acc)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, c):
-        return CohomologyClass(self.k, self.n, {m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
-
-    def __eq__(self, other):
-        return (isinstance(other, CohomologyClass)
-                and (self.k, self.n) == (other.k, other.n)
-                and self.terms == other.terms)
-
-    def to_json_obj(self):
-        return {monomial_str(m): c for m, c in self.items()}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.items():
-            if c == 1:
-                parts.append(monomial_str(m))
-            elif c == -1:
-                parts.append("-%s" % monomial_str(m))
-            else:
-                parts.append("%d*%s" % (c, monomial_str(m)))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def one(k, n):
-    return CohomologyClass(k, n, {(): 1})
+    normalize = staticmethod(_monomial_tuple)
+    sort_key = staticmethod(monomial_key)
+    label = staticmethod(monomial_str)
 
 
 def generator(k, n, a, b):
@@ -234,7 +179,7 @@ def multiply(x, y):
 def sigma_act(perm, x):
     """Relabel generator indices by a permutation of [1, k], then rewrite.
 
-    perm: dict or sequence mapping 1..k -> 1..k (sequences are 1-indexed via position).
+    perm: dict mapping 1..k -> 1..k.
     """
     table = _perm_table(perm, x.k)
     acc = CohomologyClass(x.k, x.n)
@@ -245,13 +190,7 @@ def sigma_act(perm, x):
 
 
 def _perm_table(perm, k):
-    if isinstance(perm, dict):
-        table = dict(perm)
-    else:
-        seq = list(perm)
-        if len(seq) != k:
-            raise ValueError("permutation length %d != k=%d" % (len(seq), k))
-        table = {i + 1: seq[i] for i in range(k)}
+    table = dict(perm)
     if sorted(table) != list(range(1, k + 1)) or sorted(table.values()) != list(range(1, k + 1)):
         raise ValueError("not a permutation of 1..%d: %r" % (k, perm))
     return table

@@ -28,7 +28,7 @@ map whose kernel is spanned by the monomials not divisible by that slot.
 
 from __future__ import annotations
 
-from .graded import BigradedDims, GradedDims, PoincareSeries, series_equal, sym_series
+from .graded import GradedDims, PoincareSeries, series_equal, sym_series
 from .linalg import QQ, SparseMatrix, kernel_basis, rank
 
 
@@ -504,7 +504,7 @@ def euler_series(g, weight_bound):
     for s in g.slots:
         key = (s.sdeg, s.weight)
         gens[key] = gens.get(key, 0) + 1
-    sym = sym_series(BigradedDims(gens), deg_bound, weight_bound)
+    sym = sym_series(gens, deg_bound, weight_bound)
     by_weight = sym.euler_by_weight()
     coeffs = {}
     for k in range(weight_bound + 1):
@@ -533,23 +533,8 @@ def sym_homology_odd(h, k):
         if c:
             gens[(d, 1)] = c
             max_d = max(max_d, d)
-    sym = sym_series(BigradedDims(gens), max_d * k if gens else 0, k)
+    sym = sym_series(gens, max_d * k if gens else 0, k)
     return sym.weight_slice(k)
-
-
-def loopspace_homology(loops, sphere, degree_bound=None):
-    """H of the iterated loop space of an odd sphere: Sym on one class of
-    degree sphere - loops (rational coefficients)."""
-    if sphere % 2 == 0:
-        raise ValueError("only odd spheres are supported")
-    if not (0 <= loops < sphere):
-        raise ValueError("need 0 <= loops < sphere")
-    d = sphere - loops
-    if d % 2 == 1:
-        return GradedDims({0: 1, d: 1})
-    if degree_bound is None:
-        raise ValueError("a degree bound is required when the generator is even")
-    return GradedDims({j: 1 for j in range(0, degree_bound + 1, d)})
 
 
 def labeled_series_check(a, r, degree_bound=20):
@@ -575,6 +560,6 @@ def labeled_series_check(a, r, degree_bound=20):
             if i + r * k <= degree_bound:
                 coeffs[(i + r * k, k)] = v
     lhs = PoincareSeries(coeffs, degree_bound, weight_bound)
-    gens = BigradedDims({(r + i, 1): c for i, c in h_dims.items() if c})
+    gens = {(r + i, 1): c for i, c in h_dims.items() if c}
     rhs = sym_series(gens, degree_bound, weight_bound)
     return series_equal(lhs, rhs)

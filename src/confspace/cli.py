@@ -765,7 +765,8 @@ def _config_from_args(ns):
         group=getattr(ns, "group", None),
         target=getattr(ns, "target", None),
         kind=getattr(ns, "kind", None),
-        point=getattr(ns, "point", None) or getattr(ns, "k", None),
+        point=(ns.point if getattr(ns, "point", None) is not None
+               else getattr(ns, "k", None)),
         window=window,
         checks=checks,
         format=fmt,

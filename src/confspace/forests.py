@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from . import arnold
-from .graded import GradedDims
+from .graded import GradedDims, LinearCombination
 from .linalg import QQ, ZZ, SparseMatrix, invert, rank
 
 
@@ -190,68 +190,12 @@ def _forest_key(f):
     return tuple(tree_leaves(t) for t in f)
 
 
-class HomologyClass:
+class HomologyClass(LinearCombination):
     """Finitely supported map tall forest -> coefficient, in context (k, n)."""
 
-    def __init__(self, k, n, terms=None):
-        self.k = k
-        self.n = n
-        self.terms = {}
-        if terms:
-            for f, c in terms.items():
-                if c != 0:
-                    self.terms[tuple(f)] = c
-
-    def _check(self, other):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ForestError("context mismatch: (%d,%d) vs (%d,%d)"
-                              % (self.k, self.n, other.k, other.n))
-
-    def add(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for f, c in other.terms.items():
-            v = acc.get(f, 0) + c
-            if v == 0:
-                acc.pop(f, None)
-            else:
-                acc[f] = v
-        out = HomologyClass(self.k, self.n)
-        out.terms = acc
-        return out
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, c):
-        return HomologyClass(self.k, self.n, {f: c * v for f, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: _forest_key(kv[0]))
-
-    def __eq__(self, other):
-        return (isinstance(other, HomologyClass)
-                and (self.k, self.n) == (other.k, other.n)
-                and self.terms == other.terms)
-
-    def to_json_obj(self):
-        return {forest_str(f): c for f, c in self.items()}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for f, c in self.items():
-            if c == 1:
-                parts.append(forest_str(f))
-            elif c == -1:
-                parts.append("-%s" % forest_str(f))
-            else:
-                parts.append("%d*%s" % (c, forest_str(f)))
-        return " + ".join(parts).replace("+ -", "- ")
+    normalize = staticmethod(tuple)
+    sort_key = staticmethod(_forest_key)
+    label = staticmethod(forest_str)
 
 
 # ---------------------------------------------------------------------------

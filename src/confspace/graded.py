@@ -1,10 +1,16 @@
-"""Graded and bigraded dimension bookkeeping and Poincare series calculus.
+"""Graded dimension tables, Poincare series, and linear combinations.
 
 Degrees are arbitrary integers (compactly supported cohomology is placed in
 negative degrees downstream); weights are nonnegative.  Series are polynomials
 or truncated power series in t (degree) and s (weight); every series carries
 explicit truncation bounds and all arithmetic respects them.  Silent
 truncation never happens: a bound of None means the data is exact.
+sym_series counts the free graded-commutative algebra on a table of slots
+given as a {(degree, weight): multiplicity} dict.
+
+LinearCombination is the class type shared by arnold (cohomology classes on
+admissible monomials) and forests (homology classes on tall forests): a
+finitely supported map basis element -> coefficient in a context (k, n).
 """
 
 from __future__ import annotations
@@ -14,6 +20,80 @@ from math import comb
 
 class SeriesWindowError(Exception):
     pass
+
+
+class ContextError(Exception):
+    """Classes from different (k, n) contexts were mixed."""
+
+
+class LinearCombination:
+    """Finitely supported map basis element -> coefficient, in context (k, n).
+
+    Zero coefficients are never stored.  A subclass names its basis: the
+    static methods normalize (key as given -> stored key), sort_key and
+    label.
+    """
+
+    def __init__(self, k, n, terms=None):
+        self.k = k
+        self.n = n
+        self.terms = {}
+        if terms:
+            normalize = self.normalize
+            for key, c in terms.items():
+                if c != 0:
+                    self.terms[normalize(key)] = c
+
+    def _check(self, other):
+        if (self.k, self.n) != (other.k, other.n):
+            raise ContextError("context mismatch: (%d,%d) vs (%d,%d)"
+                               % (self.k, self.n, other.k, other.n))
+
+    def add(self, other):
+        self._check(other)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            v = acc.get(key, 0) + c
+            if v == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = v
+        out = type(self)(self.k, self.n)
+        out.terms = acc
+        return out
+
+    def sub(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, c):
+        return type(self)(self.k, self.n, {key: c * v for key, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def items(self):
+        return sorted(self.terms.items(), key=lambda kv: self.sort_key(kv[0]))
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.k, self.n) == (other.k, other.n)
+                and self.terms == other.terms)
+
+    def to_json_obj(self):
+        return {self.label(key): c for key, c in self.items()}
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, c in self.items():
+            if c == 1:
+                parts.append(self.label(key))
+            elif c == -1:
+                parts.append("-%s" % self.label(key))
+            else:
+                parts.append("%d*%s" % (c, self.label(key)))
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 class GradedDims:
@@ -34,83 +114,11 @@ class GradedDims:
     def items(self):
         return sorted(self.dims.items())
 
-    def total(self):
-        return sum(self.dims.values())
-
-    def euler(self):
-        return sum((-1) ** d * v for d, v in self.dims.items())
-
-    def tensor(self, other):
-        acc = {}
-        for d1, v1 in self.dims.items():
-            for d2, v2 in other.dims.items():
-                acc[d1 + d2] = acc.get(d1 + d2, 0) + v1 * v2
-        return GradedDims(acc)
-
-    def direct_sum(self, other):
-        acc = dict(self.dims)
-        for d, v in other.dims.items():
-            acc[d] = acc.get(d, 0) + v
-        return GradedDims(acc)
-
-    def shift(self, by):
-        return GradedDims({d + by: v for d, v in self.dims.items()})
-
     def __eq__(self, other):
         return isinstance(other, GradedDims) and self.dims == other.dims
 
     def __repr__(self):
         return "GradedDims(%r)" % (dict(self.items()),)
-
-
-class BigradedDims:
-    """Finitely supported map (degree, weight) -> dimension."""
-
-    def __init__(self, dims=None):
-        self.dims = {}
-        if dims:
-            for (d, w), v in dims.items():
-                if w < 0:
-                    raise ValueError("negative weight")
-                if v < 0:
-                    raise ValueError("negative dimension")
-                if v:
-                    self.dims[(int(d), int(w))] = int(v)
-
-    def get(self, d, w):
-        return self.dims.get((d, w), 0)
-
-    def items(self):
-        return sorted(self.dims.items())
-
-    def tensor(self, other):
-        acc = {}
-        for (d1, w1), v1 in self.dims.items():
-            for (d2, w2), v2 in other.dims.items():
-                key = (d1 + d2, w1 + w2)
-                acc[key] = acc.get(key, 0) + v1 * v2
-        return BigradedDims(acc)
-
-    def direct_sum(self, other):
-        acc = dict(self.dims)
-        for key, v in other.dims.items():
-            acc[key] = acc.get(key, 0) + v
-        return BigradedDims(acc)
-
-    def weight_slice(self, w):
-        return GradedDims({d: v for (d, ww), v in self.dims.items() if ww == w})
-
-    def __eq__(self, other):
-        return isinstance(other, BigradedDims) and self.dims == other.dims
-
-    def __repr__(self):
-        return "BigradedDims(%r)" % (dict(self.items()),)
-
-
-def tensor(a, b):
-    if type(a) is not type(b):
-        raise TypeError("tensor requires matching graded types")
-    return a.tensor(b)
 
 
 class PoincareSeries:
@@ -137,10 +145,6 @@ class PoincareSeries:
     @classmethod
     def one(cls, deg_bound=None, weight_bound=None):
         return cls({(0, 0): 1}, deg_bound, weight_bound)
-
-    @classmethod
-    def zero(cls, deg_bound=None, weight_bound=None):
-        return cls({}, deg_bound, weight_bound)
 
     def coefficient(self, d, w=0):
         return self.coeffs.get((d, w), 0)
@@ -215,13 +219,6 @@ class PoincareSeries:
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
-    def to_json_obj(self):
-        return {
-            "deg_bound": self.deg_bound,
-            "weight_bound": self.weight_bound,
-            "terms": [[d, w, c] for (d, w), c in sorted(self.coeffs.items())],
-        }
-
     def __eq__(self, other):
         """Strict equality: same coefficients and same bounds (use series_equal for windows)."""
         return (isinstance(other, PoincareSeries)
@@ -255,13 +252,18 @@ def series_equal(a, b):
 def sym_series(v, degree_bound, weight_bound):
     """Poincare series of Sym(v) = F[v_even] (x) Lambda[v_odd], truncated.
 
-    Each basis slot of even degree d and weight w contributes a factor
+    v maps (degree, weight) to the number of basis slots of that bidegree.
+    Each slot of even degree d and weight w contributes a factor
     1/(1 - s^w t^d); each odd-degree slot contributes (1 + s^w t^d).
     """
     if degree_bound is None or weight_bound is None:
         raise SeriesWindowError("sym_series needs finite truncation bounds")
     result = PoincareSeries.one(degree_bound, weight_bound)
-    for (d, w), mult in v.items():
+    for (d, w), mult in sorted(v.items()):
+        if mult < 0:
+            raise ValueError("negative dimension")
+        if not mult:
+            continue
         if d < 0:
             raise ValueError("sym_series requires nonnegative degrees (got %d)" % d)
         if w < 1:

@@ -243,16 +243,6 @@ def cyclic_cohomology(v, s_max):
     return GradedDims(dims)
 
 
-def cyclic_homology(v, s_max):
-    """H_s(C_p; V) for s = 0..s_max.
-
-    H_0 = coker(sigma-1); every H_s with s >= 1 has dimension _periodic_dim(v).
-    """
-    if s_max < 0:
-        raise ModpError("negative homological window")
-    return cyclic_cohomology(v, s_max)
-
-
 class TateDims:
     """Tate cohomology dimensions on an explicit finite window of s."""
 
@@ -293,9 +283,9 @@ class TateDims:
 def tate(v, window):
     """Tate cohomology dims of C_p on the window (s_min, s_max), inclusive.
 
-    Every Tate group has dimension _periodic_dim(v): for s > 0 it is
-    cyclic_cohomology, for s < -1 cyclic_homology at -s-1, and in the
-    middle coker(N) on invariants at s = 0, ker(N)/im(sigma-1) at s = -1.
+    Every Tate group has dimension _periodic_dim(v): for s > 0 it is H^s,
+    for s < -1 the homology H_(-s-1), and in the middle coker(N) on
+    invariants at s = 0, ker(N)/im(sigma-1) at s = -1.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:

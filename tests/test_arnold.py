@@ -148,3 +148,5 @@ def test_bad_indices_rejected():
         arnold.generator(3, 2, 2, 2)
     with pytest.raises(ValueError):
         arnold.admissible_basis(3, 1, 0)
+    with pytest.raises(ValueError, match="not a permutation"):
+        arnold.sigma_act({1: 1, 2: 1, 3: 3}, arnold.generator(3, 2, 1, 2))

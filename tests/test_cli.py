@@ -158,6 +158,20 @@ def test_braid_stabilizer_subgroup(capsys):
     assert doc["cosets"] == 4
 
 
+def test_braid_stabilizer_point_zero_is_refused(capsys):
+    # only an absent --point defaults to k; 0 is out of range like k + 1
+    for point in ("0", "4"):
+        code, out, _ = run(capsys, "--format", "json", "braid", "subgroup",
+                           "--k", "3", "--kind", "stabilizer", "--point", point)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "GroupError", "message": "stabilized point out of range"}
+    code, out, _ = run(capsys, "--format", "json", "braid", "subgroup",
+                       "--k", "3", "--kind", "stabilizer")
+    assert code == 0
+    assert json.loads(out)["point"] == 3
+
+
 def test_modp_commands(capsys):
     code, out, _ = run(capsys, "modp", "vanishing", "--p", "3", "--n", "2")
     assert code == 0
@@ -180,6 +194,23 @@ def test_selftest_subset(capsys):
     assert "surface-two-points" in out
     assert "pass" in out
     assert "[1/1]" in err
+
+
+def test_selftest_parallel_matches_serial(capsys):
+    def rows(workers):
+        code, out, err = run(capsys, "--format", "csv", "selftest",
+                             "--checks", "1,6", "--workers", workers)
+        assert code == 0
+        # only the serial loop announces each check before running it
+        assert ("arnold-census ..." in err) == (workers == "1")
+        table = list(csv.reader(io.StringIO(out)))
+        seconds = table[0].index("seconds")
+        return [row[:seconds] + row[seconds + 1:] for row in table]
+
+    parallel = rows("2")
+    assert [row[:3] for row in parallel[1:]] == [
+        ["1", "arnold-census", "pass"], ["6", "surface-two-points", "pass"]]
+    assert parallel == rows("1")
 
 
 def test_error_paths(capsys):

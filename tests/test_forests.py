@@ -7,7 +7,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace import forests
+from confspace import arnold, forests
+from confspace.graded import ContextError
 from confspace.linalg import QQ, ZZ, SparseMatrix, rank, smith_normal_form
 from confspace.selftest import _iota_forest, _random_forest
 
@@ -81,6 +82,38 @@ def test_component_reorder_sign():
     fwd = forests.rewrite_to_tall(((1, 2), (3, 4)), 3)
     rev = forests.rewrite_to_tall(((3, 4), (1, 2)), 3)
     assert rev.terms == fwd.terms
+
+
+def test_forest_class_arithmetic():
+    # n = 2: leaves have odd shifted degree, so (21) = (12) and the Jacobi
+    # regrafting of (1(23)) has two + signs; n = 3 flips both
+    for n, s in ((2, 1), (3, -1)):
+        x = forests.rewrite_to_tall(((2, 1), 3), n)
+        y = forests.rewrite_to_tall(((1, (2, 3)),), n)
+        assert x.terms == {((1, 2), 3): s}
+        assert y.to_json_obj() == {"((12)3)": 1, "((13)2)": s}
+        diff = y.sub(x)
+        assert diff.terms == {((1, 2), 3): -s, (((1, 2), 3),): 1, (((1, 3), 2),): s}
+        assert diff.add(x) == y
+        assert y.sub(y).is_zero() and y.sub(y) == forests.HomologyClass(3, n)
+        assert repr(y.sub(y)) == "0"
+        assert not diff.is_zero() and diff != y
+    assert repr(forests.rewrite_to_tall(((1, (2, 3)),), 2)) == "((12)3) + ((13)2)"
+    assert repr(forests.rewrite_to_tall(((2, 1), 3), 3)) == "-(12),3"
+
+
+def test_class_context_mismatch_is_one_error():
+    a = forests.rewrite_to_tall(((1, 2),), 2)
+    with pytest.raises(ContextError, match=r"context mismatch: \(2,2\) vs \(2,3\)"):
+        a.add(forests.rewrite_to_tall(((1, 2),), 3))
+    with pytest.raises(ContextError):
+        a.sub(forests.rewrite_to_tall(((1, 2), 3), 2))
+    with pytest.raises(ContextError):
+        arnold.generator(3, 2, 1, 2).add(arnold.generator(4, 2, 1, 2))
+    with pytest.raises(ContextError):
+        arnold.multiply(arnold.generator(3, 2, 1, 2), arnold.generator(3, 3, 1, 2))
+    # the two class types never compare equal, even on equal data
+    assert arnold.CohomologyClass(2, 2, {(): 1}) != forests.HomologyClass(2, 2, {(): 1})
 
 
 def test_rewrite_rejects_bad_labels():

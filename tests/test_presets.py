@@ -1,5 +1,9 @@
 """Bundled coefficient algebras."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from confspace import ce, presets
@@ -55,3 +59,15 @@ def test_handlebody_growth():
         for x, d in a.degree.items():
             by_degree[d] = by_degree.get(d, 0) + 1
         assert by_degree == {2: g, 3: 1}
+
+
+def test_gen_presets_reproduces_the_bundled_documents(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, str(root / "scripts" / "gen_presets.py"), str(tmp_path)],
+                   check=True, capture_output=True)
+    bundled = root / "src" / "confspace" / "presets"
+    names = sorted(p.name for p in bundled.glob("*.json"))
+    assert len(names) == 16
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
