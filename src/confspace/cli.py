@@ -12,6 +12,10 @@ Output formats (--format):
 CSV column orders match the table headers printed by each subcommand.
 Errors exit nonzero; with --format json the error is a JSON document on
 stdout, otherwise a single line on stderr.
+
+Each handler cmd_* receives the argparse namespace as parsed; main first
+refuses a negative value of any count option.  Only selftest takes
+--workers, and --point applies only to braid subgroup --kind stabilizer.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import arnold
 from . import braid
@@ -35,46 +38,6 @@ from .linalg import QQ, smith_normal_form
 
 class CliError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand plus every parameter it may read."""
-
-    subcommand: str
-    preset: str | None = None
-    algebra_path: str | None = None
-    k: int | None = None
-    n: int | None = None
-    p: int | None = None
-    r: int | None = None
-    t: int | None = None
-    degree: int | None = None
-    degree_bound: int | None = None
-    weight_bound: int | None = None
-    k_max: int | None = None
-    genus: int | None = None
-    word: str | None = None
-    forest: str | None = None
-    group: str | None = None
-    target: str | None = None
-    kind: str | None = None
-    point: int | None = None
-    window: tuple[int, int] | None = None
-    checks: tuple[int, ...] | None = None
-    format: str = "table"
-    workers: int | None = None
-
-    def __post_init__(self):
-        if self.format not in ("table", "csv", "json"):
-            raise CliError("unknown format %r" % (self.format,))
-        if self.workers is not None and self.workers < 1:
-            raise CliError("--workers must be positive")
-        for name in ("k", "n", "p", "r", "degree_bound", "weight_bound",
-                     "k_max", "genus", "point"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise CliError("--%s must be nonnegative" % name.replace("_", "-"))
 
 
 def _default_workers():
@@ -98,10 +61,10 @@ def _progress(message):
 # emission
 
 
-def _emit_rows(cfg, header, rows, obj):
-    if cfg.format == "json":
+def _emit_rows(args, header, rows, obj):
+    if args.format == "json":
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -119,49 +82,45 @@ def _emit_rows(cfg, header, rows, obj):
             sys.stdout.write(line.rstrip() + "\n")
 
 
-def _emit_value(cfg, text, obj):
+def _emit_value(args, text, obj):
     """A single scalar or expression; table format prints it bare."""
-    if cfg.format == "json":
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    elif cfg.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["value"])
-        writer.writerow([text])
-    else:
+    if args.format == "table":
         sys.stdout.write(str(text) + "\n")
+    else:
+        _emit_rows(args, ("value",), [(text,)], obj)
 
 
 # ---------------------------------------------------------------------------
 # arnold
 
 
-def cmd_arnold_poincare(cfg):
-    series = arnold.poincare_polynomial(cfg.k, cfg.n)
+def cmd_arnold_poincare(args):
+    series = arnold.poincare_polynomial(args.k, args.n)
     coeffs = {str(d): c for (d, _), c in series.coeffs.items()}
-    _emit_value(cfg, series.to_text(), {
-        "k": cfg.k, "n": cfg.n,
+    _emit_value(args, series.to_text(), {
+        "k": args.k, "n": args.n,
         "series": series.to_text(),
         "coefficients": coeffs,
     })
     return 0
 
 
-def cmd_arnold_basis(cfg):
-    basis = arnold.admissible_basis(cfg.k, cfg.n, cfg.degree)
+def cmd_arnold_basis(args):
+    basis = arnold.admissible_basis(args.k, args.n, args.degree)
     names = [arnold.monomial_str(m) for m in basis]
-    _emit_rows(cfg, ("monomial",), [(x,) for x in names], {
-        "k": cfg.k, "n": cfg.n, "degree": cfg.degree,
+    _emit_rows(args, ("monomial",), [(x,) for x in names], {
+        "k": args.k, "n": args.n, "degree": args.degree,
         "dimension": len(names), "basis": names,
     })
     return 0
 
 
-def cmd_arnold_normalform(cfg):
-    word = arnold.parse_monomial(cfg.word)
-    x = arnold.normal_form(word, cfg.k, cfg.n)
+def cmd_arnold_normalform(args):
+    word = arnold.parse_monomial(args.word)
+    x = arnold.normal_form(word, args.k, args.n)
     rows = [(arnold.monomial_str(m), c) for m, c in x.items()]
-    _emit_rows(cfg, ("monomial", "coefficient"), rows, {
-        "k": cfg.k, "n": cfg.n, "input": cfg.word,
+    _emit_rows(args, ("monomial", "coefficient"), rows, {
+        "k": args.k, "n": args.n, "input": args.word,
         "normal_form": x.to_json_obj(), "text": repr(x),
     })
     return 0
@@ -171,34 +130,36 @@ def cmd_arnold_normalform(cfg):
 # forests
 
 
-def cmd_forest_basis(cfg):
-    basis = forests.tall_basis(cfg.k, cfg.n, cfg.degree)
+def cmd_forest_basis(args):
+    basis = forests.tall_basis(args.k, args.n, args.degree)
     names = [forests.forest_str(f) for f in basis]
-    _emit_rows(cfg, ("forest",), [(x,) for x in names], {
-        "k": cfg.k, "n": cfg.n, "degree": cfg.degree,
+    _emit_rows(args, ("forest",), [(x,) for x in names], {
+        "k": args.k, "n": args.n, "degree": args.degree,
         "dimension": len(names), "basis": names,
     })
     return 0
 
 
-def cmd_forest_rewrite(cfg):
-    f = forests.parse_forest(cfg.forest)
-    x = forests.rewrite_to_tall(f, cfg.n)
+def cmd_forest_rewrite(args):
+    f = forests.parse_forest(args.forest)
+    x = forests.rewrite_to_tall(f, args.n)
     rows = [(forests.forest_str(g), c) for g, c in x.items()]
-    _emit_rows(cfg, ("forest", "coefficient"), rows, {
-        "k": x.k, "n": x.n, "input": cfg.forest,
+    _emit_rows(args, ("forest", "coefficient"), rows, {
+        "k": x.k, "n": x.n, "input": args.forest,
         "expansion": x.to_json_obj(), "text": repr(x),
     })
     return 0
 
 
-def cmd_forest_pair(cfg):
-    m = forests.pairing_matrix(cfg.k, cfg.n, cfg.degree)
+def cmd_forest_pair(args):
+    m = forests.pairing_matrix(args.k, args.n, args.degree)
     factors, rnk = smith_normal_form(m)
     unimodular = (rnk == m.nrows == m.ncols) and all(x == 1 for x in factors)
-    rows = [(cfg.k, cfg.n, cfg.degree, m.nrows, rnk, str(unimodular).lower())]
-    _emit_rows(cfg, ("k", "n", "degree", "size", "rank", "unimodular"), rows, {
-        "k": cfg.k, "n": cfg.n, "degree": cfg.degree,
+    rows = [(args.k, args.n, args.degree, m.nrows, rnk,
+             str(unimodular).lower())]
+    header = ("k", "n", "degree", "size", "rank", "unimodular")
+    _emit_rows(args, header, rows, {
+        "k": args.k, "n": args.n, "degree": args.degree,
         "size": m.nrows, "rank": rnk,
         "elementary_divisors": list(factors),
         "unimodular": unimodular,
@@ -206,11 +167,11 @@ def cmd_forest_pair(cfg):
     return 0
 
 
-def cmd_unordered_betti(cfg):
-    dims = forests.coinvariants_dims(cfg.k, cfg.n, QQ)
+def cmd_unordered_betti(args):
+    dims = forests.coinvariants_dims(args.k, args.n, QQ)
     rows = [(d, v) for d, v in sorted(dims.items())]
-    _emit_rows(cfg, ("degree", "dim"), rows, {
-        "k": cfg.k, "n": cfg.n,
+    _emit_rows(args, ("degree", "dim"), rows, {
+        "k": args.k, "n": args.n,
         "dims": {str(d): v for d, v in dims.items()},
     })
     return 0
@@ -220,61 +181,58 @@ def cmd_unordered_betti(cfg):
 # ce
 
 
-def _load_calgebra(cfg):
-    if cfg.algebra_path is not None:
-        with open(cfg.algebra_path) as fh:
+def _load_calgebra(args):
+    if args.algebra_path is not None:
+        with open(args.algebra_path) as fh:
             document = json.load(fh)
         return ce.load_algebra(document)
-    if cfg.preset is not None:
-        return presets.load_preset(cfg.preset)
+    if args.preset is not None:
+        return presets.load_preset(args.preset)
     raise CliError("need --preset NAME or --algebra FILE")
 
 
-def cmd_ce_betti(cfg):
-    a = _load_calgebra(cfg)
-    b = ce.betti(ce.build_gm(a), cfg.k)
+def cmd_ce_betti(args):
+    a = _load_calgebra(args)
+    b = ce.betti(ce.build_gm(a), args.k)
     rows = [(d, v) for d, v in sorted(b.items())]
-    _emit_rows(cfg, ("degree", "dim"), rows, {
-        "algebra": a.name, "k": cfg.k,
+    _emit_rows(args, ("degree", "dim"), rows, {
+        "algebra": a.name, "k": args.k,
         "dims": {str(d): v for d, v in b.items()},
     })
     return 0
 
 
-def cmd_ce_stability(cfg):
-    a = _load_calgebra(cfg)
-    report = ce.stability_report(ce.build_gm(a), cfg.k_max)
+def cmd_ce_stability(args):
+    a = _load_calgebra(args)
+    report = ce.stability_report(ce.build_gm(a), args.k_max)
     rows = [(k, i, str(ok).lower(), str(i <= k).lower())
             for k, i, ok in report]
-    _emit_rows(cfg, ("weight", "degree", "iso", "stable_range"), rows, {
-        "algebra": a.name, "k_max": cfg.k_max,
+    _emit_rows(args, ("weight", "degree", "iso", "stable_range"), rows, {
+        "algebra": a.name, "k_max": args.k_max,
         "rows": [{"weight": k, "degree": i, "iso": ok, "stable_range": i <= k}
                  for k, i, ok in report],
     })
     return 0
 
 
-def cmd_ce_euler(cfg):
-    a = _load_calgebra(cfg)
-    series = ce.euler_series(ce.build_gm(a), cfg.weight_bound)
+def cmd_ce_euler(args):
+    a = _load_calgebra(args)
+    series = ce.euler_series(ce.build_gm(a), args.weight_bound)
     rows = [(w, c) for (_, w), c in sorted(series.coeffs.items(),
                                            key=lambda kv: kv[0][1])]
-    if cfg.format in ("table", "csv"):
-        _emit_rows(cfg, ("weight", "euler"), rows, None)
-    else:
-        _emit_value(cfg, series.to_text(), {
-            "algebra": a.name, "weight_bound": cfg.weight_bound,
-            "series": series.to_text(),
-            "euler_by_weight": {str(w): c for w, c in rows},
-        })
+    _emit_rows(args, ("weight", "euler"), rows, {
+        "algebra": a.name, "weight_bound": args.weight_bound,
+        "series": series.to_text(),
+        "euler_by_weight": {str(w): c for w, c in rows},
+    })
     return 0
 
 
-def cmd_ce_labeled_check(cfg):
-    a = _load_calgebra(cfg)
-    ok = ce.labeled_series_check(a, cfg.r, cfg.degree_bound)
-    _emit_value(cfg, "pass" if ok else "fail", {
-        "algebra": a.name, "r": cfg.r, "degree_bound": cfg.degree_bound,
+def cmd_ce_labeled_check(args):
+    a = _load_calgebra(args)
+    ok = ce.labeled_series_check(a, args.r, args.degree_bound)
+    _emit_value(args, "pass" if ok else "fail", {
+        "algebra": a.name, "r": args.r, "degree_bound": args.degree_bound,
         "ok": ok,
     })
     return 0
@@ -303,24 +261,24 @@ def _closed_surface_doc(genus):
             "basis": basis, "products": products}
 
 
-def cmd_ce_stress(cfg):
+def cmd_ce_stress(args):
     """Unasserted stress computation; no reference value is checked."""
-    if cfg.preset is not None or cfg.algebra_path is not None:
-        a = _load_calgebra(cfg)
+    if args.preset is not None or args.algebra_path is not None:
+        a = _load_calgebra(args)
     else:
-        a = ce.load_algebra(_closed_surface_doc(cfg.genus))
+        a = ce.load_algebra(_closed_surface_doc(args.genus))
     g = ce.build_gm(a)
-    _progress("building weight-%d block for %s" % (cfg.k, a.name))
-    block = ce.ce_block(g, cfg.k)
-    degrees = ([cfg.degree] if cfg.degree is not None
+    _progress("building weight-%d block for %s" % (args.k, a.name))
+    block = ce.ce_block(g, args.k)
+    degrees = ([args.degree] if args.degree is not None
                else sorted(block.degrees()))
     rows = []
     for d in degrees:
         dim = block.dim(d)
         _progress("degree %d: %d chains" % (d, dim))
         rows.append((d, dim, block.homology(d)))
-    _emit_rows(cfg, ("degree", "chains", "dim"), rows, {
-        "algebra": a.name, "k": cfg.k,
+    _emit_rows(args, ("degree", "chains", "dim"), rows, {
+        "algebra": a.name, "k": args.k,
         "rows": [{"degree": d, "chains": c, "dim": h} for d, c, h in rows],
     })
     return 0
@@ -362,11 +320,11 @@ def _abelianization_text(ab):
     return " x ".join(parts) if parts else "1"
 
 
-def cmd_braid_present(cfg):
-    pres = _group_presentation(cfg.group, cfg.k)
+def cmd_braid_present(args):
+    pres = _group_presentation(args.group, args.k)
     ab = pres.abelianization()
-    _emit_value(cfg, pres.to_text(), {
-        "group": cfg.group, "k": cfg.k,
+    _emit_value(args, pres.to_text(), {
+        "group": args.group, "k": args.k,
         "generators": pres.gens,
         "relators": [pres.word_str(r) for r in pres.relators],
         "abelianization": _abelianization_text(ab),
@@ -374,49 +332,54 @@ def cmd_braid_present(cfg):
     return 0
 
 
-def cmd_braid_subgroup(cfg):
-    pres = _group_presentation(cfg.group, cfg.k)
-    images = _hom_images(cfg.target, cfg.k)
-    point = cfg.point if cfg.kind == "stabilizer" else None
-    table = braid.coset_table_from_hom(pres, images, cfg.kind, point)
+def cmd_braid_subgroup(args):
+    point = args.point
+    if args.kind != "stabilizer":
+        if point is not None:
+            raise CliError("--point applies only to --kind stabilizer")
+    elif point is None:
+        point = args.k
+    pres = _group_presentation(args.group, args.k)
+    images = _hom_images(args.target, args.k)
+    table = braid.coset_table_from_hom(pres, images, args.kind, point)
     sub = braid.subgroup_presentation(pres, table,
                                       braid.schreier_transversal(table))
     ab = sub.abelianization()
-    rows = [(cfg.group, cfg.k, cfg.target, cfg.kind, table.n,
+    rows = [(args.group, args.k, args.target, args.kind, table.n,
              len(sub.gens), len(sub.relators), _abelianization_text(ab))]
     header = ("group", "k", "target", "kind", "cosets",
               "generators", "relators", "abelianization")
-    _emit_rows(cfg, header, rows, {
-        "group": cfg.group, "k": cfg.k, "target": cfg.target,
-        "kind": cfg.kind, "point": point, "cosets": table.n,
+    _emit_rows(args, header, rows, {
+        "group": args.group, "k": args.k, "target": args.target,
+        "kind": args.kind, "point": point, "cosets": table.n,
         "presentation": sub.to_text(),
         "generators": sub.gens,
         "relators": [sub.word_str(r) for r in sub.relators],
         "abelianization": _abelianization_text(ab),
         "abelianization_data": {"free_rank": ab[0], "torsion": list(ab[1])},
     })
-    if cfg.format == "table":
+    if args.format == "table":
         sys.stdout.write(sub.to_text() + "\n")
     return 0
 
 
-def cmd_braid_verify(cfg):
-    pres = braid.braid_presentation(cfg.k)
-    ident = braid.FreeAutomorphism.identity(cfg.k)
+def cmd_braid_verify(args):
+    pres = braid.braid_presentation(args.k)
+    ident = braid.FreeAutomorphism.identity(args.k)
     rows = []
     all_ok = True
     for rel in pres.relators:
-        ok = braid.artin_action(rel, cfg.k) == ident
+        ok = braid.artin_action(rel, args.k) == ident
         all_ok = all_ok and ok
         rows.append(("artin-kernel", pres.word_str(rel), "true",
                      str(ok).lower()))
-    if cfg.k >= 3:
-        for rec in braid.verify_paper_relations(cfg.k):
+    if args.k >= 3:
+        for rec in braid.verify_paper_relations(args.k):
             all_ok = all_ok and rec["ok"]
             rows.append((rec["family"], str(rec["params"]),
                          str(rec["expected"]).lower(), str(rec["ok"]).lower()))
-    _emit_rows(cfg, ("family", "instance", "expected", "ok"), rows, {
-        "k": cfg.k, "ok": all_ok,
+    _emit_rows(args, ("family", "instance", "expected", "ok"), rows, {
+        "k": args.k, "ok": all_ok,
         "rows": [{"family": f, "instance": i, "expected": e == "true",
                   "ok": o == "true"} for f, i, e, o in rows],
     })
@@ -427,63 +390,60 @@ def cmd_braid_verify(cfg):
 # modp
 
 
-def cmd_modp_vanishing(cfg):
-    ok = modp.verify_vanishing(cfg.p, cfg.n)
-    _emit_value(cfg, str(ok).lower(), {
-        "p": cfg.p, "n": cfg.n, "vanishes": ok,
-        "interior_t": [j * (cfg.n - 1) for j in range(1, cfg.p - 1)],
+def cmd_modp_vanishing(args):
+    ok = modp.verify_vanishing(args.p, args.n)
+    _emit_value(args, str(ok).lower(), {
+        "p": args.p, "n": args.n, "vanishes": ok,
+        "interior_t": [j * (args.n - 1) for j in range(1, args.p - 1)],
     })
     return 0
 
 
-def cmd_modp_invariants(cfg):
-    dims = modp.invariants_sigma_p(cfg.p, cfg.n)
+def cmd_modp_invariants(args):
+    dims = modp.invariants_sigma_p(args.p, args.n)
     rows = [(d, v) for d, v in sorted(dims.items())]
-    _emit_rows(cfg, ("degree", "dim"), rows, {
-        "p": cfg.p, "n": cfg.n,
+    _emit_rows(args, ("degree", "dim"), rows, {
+        "p": args.p, "n": args.n,
         "dims": {str(d): v for d, v in dims.items()},
     })
     return 0
 
 
-def cmd_modp_tate(cfg):
-    lo, hi = cfg.window
-    ts = ([cfg.t] if cfg.t is not None
-          else [j * (cfg.n - 1) for j in range(cfg.p)])
+def cmd_modp_tate(args):
+    ts = ([args.t] if args.t is not None
+          else [j * (args.n - 1) for j in range(args.p)])
     rows = []
     tables = {}
     for t in ts:
-        v = modp.conf_module(cfg.p, cfg.n, t)
-        td = modp.tate(v, (lo, hi))
+        v = modp.conf_module(args.p, args.n, t)
+        td = modp.tate(v, (args.lo, args.hi))
         tables[str(t)] = {
             "dims": {str(s): d for s, d in td.items() if d},
             "two_periodic": td.is_two_periodic(),
         }
         for s, d in td.items():
             rows.append((t, s, d))
-    _emit_rows(cfg, ("t", "s", "dim"), rows, {
-        "p": cfg.p, "n": cfg.n, "window": [lo, hi], "tables": tables,
+    _emit_rows(args, ("t", "s", "dim"), rows, {
+        "p": args.p, "n": args.n, "window": [args.lo, args.hi],
+        "tables": tables,
     })
     return 0
 
 
-def cmd_modp_cohen(cfg):
-    series = modp.cohen_series(cfg.p, cfg.n, cfg.degree_bound)
+def cmd_modp_cohen(args):
+    series = modp.cohen_series(args.p, args.n, args.degree_bound)
     rows = [(d, c) for (d, _), c in sorted(series.coeffs.items())]
-    if cfg.format in ("table", "csv"):
-        _emit_rows(cfg, ("degree", "dim"), rows, None)
-    else:
-        _emit_value(cfg, series.to_text(), {
-            "p": cfg.p, "n": cfg.n, "degree_bound": cfg.degree_bound,
-            "series": series.to_text(),
-            "coefficients": {str(d): c for d, c in rows},
-        })
+    _emit_rows(args, ("degree", "dim"), rows, {
+        "p": args.p, "n": args.n, "degree_bound": args.degree_bound,
+        "series": series.to_text(),
+        "coefficients": {str(d): c for d, c in rows},
+    })
     return 0
 
 
-def cmd_modp_swan(cfg):
-    period = modp.swan_period(cfg.p)
-    _emit_value(cfg, period, {"p": cfg.p, "swan_period": period})
+def cmd_modp_swan(args):
+    period = modp.swan_period(args.p)
+    _emit_value(args, period, {"p": args.p, "swan_period": period})
     return 0
 
 
@@ -506,13 +466,15 @@ def _parse_checks(text):
     for num in out:
         if num not in known:
             raise CliError("no check numbered %d" % num)
-    return tuple(dict.fromkeys(out))
+    return list(dict.fromkeys(out))
 
 
-def cmd_selftest(cfg):
-    numbers = (list(cfg.checks) if cfg.checks
-               else [num for num, _, _, _ in selftest.CHECKS])
-    workers = _default_workers() if cfg.workers is None else cfg.workers
+def cmd_selftest(args):
+    numbers = (_parse_checks(args.checks or "")
+               or [num for num, _, _, _ in selftest.CHECKS])
+    if args.workers is not None and args.workers < 1:
+        raise CliError("--workers must be positive")
+    workers = _default_workers() if args.workers is None else args.workers
     if workers > 1 and len(numbers) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         results = []
@@ -547,7 +509,7 @@ def cmd_selftest(cfg):
                      "%.2f" % r.elapsed, "%.0f" % r.budget, r.detail))
     header = ("check", "name", "status", "seconds", "budget", "detail")
     ok_all = all(r.in_budget for r in results)
-    _emit_rows(cfg, header, rows, {
+    _emit_rows(args, header, rows, {
         "ok": ok_all,
         "results": [r.to_json_obj() for r in results],
     })
@@ -563,20 +525,13 @@ def _build_parser():
     common.add_argument("--format", choices=("table", "csv", "json"),
                         default=argparse.SUPPRESS,
                         help="output format (default table)")
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="worker processes; 1 forces serial execution "
-                             "(default: CONFSPACE_WORKERS or the available "
-                             "parallelism)")
 
     parser = argparse.ArgumentParser(
         prog="confspace",
         description="Exact invariants of configuration spaces.",
         epilog="CSV columns match each subcommand's table header.")
     parser.add_argument("--format", choices=("table", "csv", "json"),
-                        default=None, help="output format (default table)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: CONFSPACE_WORKERS "
-                             "or the available parallelism)")
+                        default="table", help="output format (default table)")
     top = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
@@ -692,7 +647,8 @@ def _build_parser():
     q.add_argument("--kind", choices=("kernel", "stabilizer"),
                    default="kernel")
     q.add_argument("--point", type=int,
-                   help="point whose stabilizer is taken (default k)")
+                   help="point whose stabilizer is taken (default k); "
+                        "only with --kind stabilizer")
     q = leaf(sb, "verify", cmd_braid_verify,
              "relator and conjugation-identity checks; exits 1 on failure")
     q.add_argument("--k", type=int, required=True)
@@ -731,60 +687,28 @@ def _build_parser():
              "run the acceptance checks and print a pass/fail matrix")
     q.add_argument("--checks",
                    help="subset such as 1,4,11-13 (default: all)")
+    q.add_argument("--workers", type=int,
+                   help="worker processes; 1 forces serial execution "
+                        "(default: CONFSPACE_WORKERS or the available "
+                        "parallelism)")
 
     return parser
 
 
-def _config_from_args(ns):
-    parts = [ns.command]
-    if getattr(ns, "action", None):
-        parts.append(ns.action)
-    window = None
-    if hasattr(ns, "lo"):
-        window = (ns.lo, ns.hi)
-    checks = None
-    if getattr(ns, "checks", None):
-        checks = _parse_checks(ns.checks)
-    fmt = getattr(ns, "format", None) or "table"
-    return RunConfig(
-        subcommand=" ".join(parts),
-        preset=getattr(ns, "preset", None),
-        algebra_path=getattr(ns, "algebra_path", None),
-        k=getattr(ns, "k", None),
-        n=getattr(ns, "n", None),
-        p=getattr(ns, "p", None),
-        r=getattr(ns, "r", None),
-        t=getattr(ns, "t", None),
-        degree=getattr(ns, "degree", None),
-        degree_bound=getattr(ns, "degree_bound", None),
-        weight_bound=getattr(ns, "weight_bound", None),
-        k_max=getattr(ns, "k_max", None),
-        genus=getattr(ns, "genus", None),
-        word=getattr(ns, "word", None),
-        forest=getattr(ns, "forest", None),
-        group=getattr(ns, "group", None),
-        target=getattr(ns, "target", None),
-        kind=getattr(ns, "kind", None),
-        point=(ns.point if getattr(ns, "point", None) is not None
-               else getattr(ns, "k", None)),
-        window=window,
-        checks=checks,
-        format=fmt,
-        workers=getattr(ns, "workers", None),
-    )
-
-
 def main(argv=None):
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    fmt = getattr(ns, "format", None) or "table"
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(ns)
-        return ns.handler(cfg)
+        for name in ("k", "n", "p", "r", "degree_bound", "weight_bound",
+                     "k_max", "genus", "point"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise CliError("--%s must be nonnegative"
+                               % name.replace("_", "-"))
+        return args.handler(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:
-        if fmt == "json":
+        if args.format == "json":
             sys.stdout.write(json.dumps({
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }, indent=2, sort_keys=True) + "\n")

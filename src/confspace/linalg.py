@@ -60,6 +60,8 @@ class Integers:
     characteristic = 0
 
     def coerce(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise DomainError("non-integral value %r over ZZ" % (x,))
@@ -81,6 +83,8 @@ class PrimeField:
         self.characteristic = p
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise DomainError(

@@ -1,12 +1,17 @@
 """The command-line interface, run in-process."""
 
+import contextlib
 import csv
 import io
 import json
+import pathlib
+import shlex
 
 import pytest
 
 from confspace import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
 def run(capsys, *argv):
@@ -158,6 +163,26 @@ def test_braid_stabilizer_subgroup(capsys):
     assert doc["cosets"] == 4
 
 
+def test_braid_point_needs_stabilizer_kind(capsys):
+    argv = ("braid", "subgroup", "--k", "3", "--point", "7")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --point applies only to --kind stabilizer\n"
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "CliError",
+        "message": "--point applies only to --kind stabilizer"}
+
+
+def test_braid_sign_kernel_subgroup(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "braid", "subgroup",
+                       "--k", "3", "--target", "sign")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out)))[1] == [
+        "braid", "3", "sign", "kernel", "2", "3", "2", "Z x Z/3"]
+
+
 def test_braid_stabilizer_point_zero_is_refused(capsys):
     # only an absent --point defaults to k; 0 is out of range like k + 1
     for point in ("0", "4"):
@@ -186,6 +211,28 @@ def test_modp_commands(capsys):
     code, out, _ = run(capsys, "modp", "cohen", "--p", "5", "--n", "2",
                        "--degree-bound", "8")
     assert code == 0
+    assert out == "degree  dim\n0       1\n1       1\n"
+
+
+def test_series_json_documents(capsys):
+    code, out, _ = run(capsys, "--format", "json", "ce", "euler",
+                       "--preset", "punctured-torus", "--weight-bound", "4")
+    assert code == 0
+    assert json.loads(out) == {
+        "algebra": "punctured-torus", "weight_bound": 4,
+        "series": "1 - s + s^2 - s^3 + s^4",
+        "euler_by_weight": {"0": 1, "1": -1, "2": 1, "3": -1, "4": 1}}
+    code, out, _ = run(capsys, "--format", "json", "modp", "cohen",
+                       "--p", "5", "--n", "2", "--degree-bound", "8")
+    assert code == 0
+    assert json.loads(out) == {
+        "p": 5, "n": 2, "degree_bound": 8, "series": "1 + t",
+        "coefficients": {"0": 1, "1": 1}}
+
+
+def test_single_value_csv(capsys):
+    code, out, _ = run(capsys, "modp", "swan", "--p", "5", "--format", "csv")
+    assert (code, out) == (0, "value\n8\n")
 
 
 def test_selftest_subset(capsys):
@@ -225,6 +272,17 @@ def test_error_paths(capsys):
     assert code == 2
 
 
+def test_workers_is_a_selftest_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["arnold", "poincare", "--k", "3", "--n", "2",
+                  "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    code, out, err = run(capsys, "selftest", "--checks", "6", "--workers", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --workers must be positive\n"
+
+
 def test_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("CONFSPACE_WORKERS", "junk")
     code, out, err = run(capsys, "selftest", "--checks", "6")
@@ -241,3 +299,18 @@ def test_missing_algebra_source(capsys):
     code, out, err = run(capsys, "ce", "betti", "--k", "2")
     assert code == 2
     assert "need --preset" in err
+
+
+def test_cli_output_matches_golden():
+    """Replay scripts/record_cli_golden.py's sweep: exit codes and stdout."""
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) > 100
+    for line, expected in golden.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(shlex.split(line))
+            except SystemExit as exc:
+                code = exc.code
+        assert [code, out.getvalue()] == expected, line

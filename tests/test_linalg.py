@@ -208,9 +208,27 @@ def test_qq_mixed_entries_invert_matches_dense_oracle(rows):
     assert m.matmul(invert(m)) == ident
 
 
+def test_coerce_values_types_and_refusals():
+    # columns: input, then the value over QQ, ZZ and GF(7); None is refused
+    cases = [
+        (3, 3, 3, 3),
+        (-9, -9, -9, 5),
+        (True, Fraction(1), 1, 1),
+        (Fraction(6, 3), Fraction(2), 2, 2),
+        (Fraction(1, 2), Fraction(1, 2), None, 4),
+        (Fraction(3, 7), Fraction(3, 7), None, None),
+    ]
+    for x, *wants in cases:
+        for domain, want in zip((QQ, ZZ, GF(7)), wants):
+            if want is None:
+                with pytest.raises(DomainError):
+                    domain.coerce(x)
+            else:
+                got = domain.coerce(x)
+                assert got == want and type(got) is type(want), (domain, x)
+
+
 def test_qq_int_and_fraction_entries_are_equal():
-    assert type(QQ.coerce(3)) is int
-    assert type(QQ.coerce(Fraction(1, 2))) is Fraction
     rows = [[1, 0, -2], [0, 3, 4]]
     ints = SparseMatrix.from_rows(rows, QQ)
     fracs = SparseMatrix.from_rows([[Fraction(x) for x in row] for row in rows], QQ)
