@@ -69,6 +69,9 @@ ERRORS = [
     "arnold poincare --k -1 --n 2",
     "arnold poincare --k 3",
     "arnold poincare --k 3 --n 2 --workers 2",
+    "arnold poincare --k 3 --format json",
+    "arnold poincare --k 3 --form=json",
+    "modp swan --p 5 --format json --workers 2",
     "--workers 2 arnold poincare --k 3 --n 2",
     "arnold normalform --k 3 --n 2 --word b12",
     "forest rewrite --n 2 --forest '(1(2'",

@@ -11,7 +11,8 @@ Output formats (--format):
 
 CSV column orders match the table headers printed by each subcommand.
 Errors exit nonzero; with --format json the error is a JSON document on
-stdout, otherwise a single line on stderr.
+stdout, argparse refusals included, otherwise a single line on stderr
+(argparse refusals add the usage).
 
 Each handler cmd_* receives the argparse namespace as parsed; main first
 refuses a negative value of any count option.  Only selftest takes
@@ -38,6 +39,20 @@ from .linalg import QQ, smith_normal_form
 
 class CliError(Exception):
     pass
+
+
+class UsageError(Exception):
+    """An argparse refusal, raised so that main can honour --format json."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the class of their parent parser
+    def error(self, message):
+        raise UsageError(self, message)
 
 
 def _default_workers():
@@ -204,11 +219,11 @@ def cmd_ce_betti(args):
 
 def cmd_ce_stability(args):
     a = _load_calgebra(args)
-    report = ce.stability_report(ce.build_gm(a), args.k_max)
+    report = ce.stability_report(ce.build_gm(a), args.kmax)
     rows = [(k, i, str(ok).lower(), str(i <= k).lower())
             for k, i, ok in report]
     _emit_rows(args, ("weight", "degree", "iso", "stable_range"), rows, {
-        "algebra": a.name, "k_max": args.k_max,
+        "algebra": a.name, "k_max": args.kmax,
         "rows": [{"weight": k, "degree": i, "iso": ok, "stable_range": i <= k}
                  for k, i, ok in report],
     })
@@ -521,12 +536,12 @@ def cmd_selftest(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("table", "csv", "json"),
                         default=argparse.SUPPRESS,
                         help="output format (default table)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confspace",
         description="Exact invariants of configuration spaces.",
         epilog="CSV columns match each subcommand's table header.")
@@ -605,7 +620,7 @@ def _build_parser():
     q = leaf(sc, "stability", cmd_ce_stability,
              "stabilization maps and their isomorphism range")
     algebra_args(q)
-    q.add_argument("--kmax", dest="k_max", type=int, default=6,
+    q.add_argument("--kmax", type=int, default=6,
                    help="check maps up to weight k (default 6)")
     q = leaf(sc, "euler", cmd_ce_euler,
              "per-weight Euler characteristics, dual-route checked")
@@ -695,11 +710,42 @@ def _build_parser():
     return parser
 
 
+def _format_requested(argv):
+    """The last --format value in argv, the one argparse keeps; like
+    argparse, this reads --format=F and abbreviations such as --form F."""
+    fmt = None
+    for i, a in enumerate(argv):
+        name, eq, value = a.partition("=")
+        if len(name) > 2 and "--format".startswith(name):
+            if eq:
+                fmt = value
+            elif i + 1 < len(argv):
+                fmt = argv[i + 1]
+    return fmt
+
+
+def _error(fmt, exc):
+    if fmt == "json":
+        sys.stdout.write(json.dumps({
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }, indent=2, sort_keys=True) + "\n")
+    else:
+        print("error: %s" % exc, file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        if _format_requested(argv) == "json":
+            return _error("json", exc)
+        # usage and the message on stderr, exit 2: argparse's own refusal
+        argparse.ArgumentParser.error(exc.parser, str(exc))
     try:
         for name in ("k", "n", "p", "r", "degree_bound", "weight_bound",
-                     "k_max", "genus", "point"):
+                     "kmax", "genus", "point"):
             value = getattr(args, name, None)
             if value is not None and value < 0:
                 raise CliError("--%s must be nonnegative"
@@ -708,14 +754,7 @@ def main(argv=None):
     except BrokenPipeError:
         return 1
     except Exception as exc:
-        if args.format == "json":
-            sys.stdout.write(json.dumps({
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }, indent=2, sort_keys=True) + "\n")
-        else:
-            print("error: %s" % exc, file=sys.stderr)
-        return 2
-
+        return _error(args.format, exc)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -293,22 +293,42 @@ def _graft(T, U, par):
     return out
 
 
+_TALL_CACHE = {}
+
+
 def _tree_to_tall(t, par):
     """Expand one tree in the tall basis; returns tuple of (tree, coeff)."""
-    if is_leaf(t):
-        return ((t, 1),)
-    if is_tall(t):
-        return ((t, 1),)
-    acc = {}
-    for L, cl in _tree_to_tall(t[0], par):
-        for R, cr in _tree_to_tall(t[1], par):
-            for W, c in _graft(L, R, par):
-                v = acc.get(W, 0) + cl * cr * c
-                if v == 0:
-                    acc.pop(W, None)
-                else:
-                    acc[W] = v
-    return tuple(acc.items())
+    key = (t, par)
+    hit = _TALL_CACHE.get(key)
+    if hit is not None:
+        return hit
+    if is_leaf(t) or is_tall(t):
+        out = ((t, 1),)
+    else:
+        acc = {}
+        for L, cl in _tree_to_tall(t[0], par):
+            for R, cr in _tree_to_tall(t[1], par):
+                for W, c in _graft(L, R, par):
+                    v = acc.get(W, 0) + cl * cr * c
+                    if v == 0:
+                        acc.pop(W, None)
+                    else:
+                        acc[W] = v
+        out = tuple(acc.items())
+    _TALL_CACHE[key] = out
+    return out
+
+
+def _reorder_sign(seqs, n):
+    """Koszul sign of sorting trees with these leaf sequences by minimum.
+
+    Swapping trees of degrees d and e costs (-1)^(d e), and a tree with m
+    leaves has degree (m-1)(n-1)."""
+    if n % 2:
+        return 1
+    odd = [min(s) for s in seqs if len(s) % 2 == 0]  # trees of odd degree
+    swaps = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return -1 if swaps % 2 else 1
 
 
 def rewrite_to_tall(f, n):
@@ -323,19 +343,14 @@ def rewrite_to_tall(f, n):
     f = tuple(f)
     for t in f:
         _validate_tree(t)
-    labels = [x for t in f for x in tree_leaves(t)]
+    seqs = [tree_leaves(t) for t in f]
+    labels = sorted(x for s in seqs for x in s)
     k = len(labels)
-    if sorted(labels) != list(range(1, k + 1)):
-        raise ForestError("leaf labels must partition 1..%d, got %r" % (k, sorted(labels)))
+    if labels != list(range(1, k + 1)):
+        raise ForestError("leaf labels must partition 1..%d, got %r" % (k, labels))
     par = n % 2
-    degs = [tree_degree(t, n) for t in f]
-    mins = [tree_min(t) for t in f]
-    sign = 1
-    for i in range(len(f)):
-        for j in range(i + 1, len(f)):
-            if mins[i] > mins[j] and (degs[i] * degs[j]) % 2:
-                sign = -sign
-    order = sorted(range(len(f)), key=lambda i: mins[i])
+    sign = _reorder_sign(seqs, n)
+    order = sorted(range(len(f)), key=lambda i: min(seqs[i]))
     expansions = [_tree_to_tall(f[i], par) for i in order]
     acc = {}
     for combo in product(*expansions):
@@ -349,22 +364,6 @@ def rewrite_to_tall(f, n):
         else:
             acc[forest] = v
     return HomologyClass(k, n, acc)
-
-
-def sigma_act(perm, x):
-    """Relabel leaves by a permutation of [1, k], then rewrite to the tall basis."""
-    table = arnold._perm_table(perm, x.k)
-    acc = HomologyClass(x.k, x.n)
-
-    def relabel(t):
-        if is_leaf(t):
-            return table[t]
-        return (relabel(t[0]), relabel(t[1]))
-
-    for f, c in x.terms.items():
-        moved = tuple(relabel(t) for t in f)
-        acc = acc.add(rewrite_to_tall(moved, x.n).scale(c))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +448,30 @@ def pairing_matrix(k, n, degree):
 
 
 def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
-    """Matrix of sigma_act on the tall basis: column j is the image of basis[j]."""
+    """Matrix of a permutation of [1, k] on the tall basis: column j is the
+    image of basis[j] with its leaves relabelled, rewritten to the basis.
+
+    Works on leaf sequences: a relabelled tall tree is the left comb on the
+    relabelled sequence, and it is tall iff its first leaf is its minimum.
+    When every tree of a forest stays tall, the column is the one forest of
+    the sorted trees, with the Koszul sign of sorting them by minimum.
+    Only the other columns go through rewrite_to_tall.
+    """
+    table = arnold._perm_table(perm, k)
     if basis is None:
         basis = tall_basis(k, n, degree)
-    pos = {f: i for i, f in enumerate(basis)}
+    keys = [_forest_key(f) for f in basis]
+    row_of_key = {key: i for i, key in enumerate(keys)}
+    row_of_forest = {f: i for i, f in enumerate(basis)}
     entries = {}
-    for j, f in enumerate(basis):
-        image = sigma_act(perm, HomologyClass(k, n, {f: 1}))
-        for g, c in image.terms.items():
-            entries[(pos[g], j)] = c
+    for j, key in enumerate(keys):
+        seqs = [tuple(table[x] for x in seq) for seq in key]
+        if all(s[0] == min(s) for s in seqs):
+            entries[(row_of_key[tuple(sorted(seqs))], j)] = _reorder_sign(seqs, n)
+            continue
+        moved = tuple(tall_from_seq(s) for s in seqs)
+        for g, c in rewrite_to_tall(moved, n).terms.items():
+            entries[(row_of_forest[g], j)] = c
     return SparseMatrix(len(basis), len(basis), domain, entries)
 
 

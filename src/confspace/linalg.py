@@ -6,8 +6,8 @@ is used anywhere.  A QQ entry is an int or a Fraction: an int is an exact
 rational equal to its Fraction, so QQ keeps ints as they are and an
 integral matrix never builds a Fraction.
 
-One eliminator serves rank, kernel_basis and invert over the fields, and
-the unit pivots of smith_normal_form over Z.  A row update is
+One eliminator serves rank, pivot_columns, kernel_basis and invert over
+the fields, and the unit pivots of smith_normal_form over Z.  A row update is
 a*row - b*prow, which clears the pivot column.  Over Q rows are primitive
 integer vectors: the update is fraction-free (Bareiss-style
 cross-multiplication), then the content is stripped.  Over F_p each pivot
@@ -294,12 +294,14 @@ def _strip_content(row):
 
 def _integer_rows(m):
     """Rows of a Q matrix as primitive integer dicts, in row order
-    (denominators cleared, content stripped)."""
+    (denominators cleared, content stripped).  A row of int entries is
+    stripped in place, since rows_dict builds fresh rows."""
     rows = []
     for _, row in sorted(m.rows_dict().items()):
-        den = lcm(*(v.denominator for v in row.values()))
-        rows.append(_strip_content({j: v.numerator * (den // v.denominator)
-                                    for j, v in row.items()}))
+        if any(type(v) is not int for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        rows.append(_strip_content(row))
     return rows
 
 
@@ -448,10 +450,18 @@ def _require_field(m):
                           % m.domain)
 
 
+def pivot_columns(m):
+    """The eliminator's pivot columns over a field (Q or F_p), in pivot order.
+
+    The pivot rows are an echelon basis of the row space of m, so the unit
+    vectors at the other columns span a complement of that row space."""
+    _require_field(m)
+    return [j for j, _ in _eliminate(m)[0]]
+
+
 def rank(m):
     """Exact rank of a matrix over a field (Q or F_p): its number of pivots."""
-    _require_field(m)
-    return len(_eliminate(m)[0])
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m):

@@ -11,6 +11,10 @@ of the module data is small homological algebra over F_p:
     quotients, ker N / im(sigma-1) and ker(sigma-1) / im N, have the one
     dimension dim V - rank(sigma-1) - rank(N); so does every Tate group,
     which makes the Tate dimensions constant in s (Herbrand quotient 1).
+    One elimination of (sigma-1)^T gives rank(sigma-1) and a complement C
+    of im(sigma-1) spanned by unit vectors.  Since N(sigma-1) = 0, N maps
+    V and C onto the same image, so rank N is the rank of the columns of N
+    at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -32,7 +36,7 @@ from math import factorial
 
 from . import forests
 from .graded import GradedDims, PoincareSeries
-from .linalg import GF, SparseMatrix, is_prime, kernel_basis, rank
+from .linalg import GF, SparseMatrix, is_prime, kernel_basis, pivot_columns, rank
 
 
 class ModpError(Exception):
@@ -82,6 +86,7 @@ class GModule:
         self._aug = None
         self._norm = None
         self._rank_aug = None
+        self._complement = None
         self._rank_norm = None
         self._validate()
 
@@ -109,7 +114,7 @@ class GModule:
         return self._aug
 
     def norm(self):
-        """N = 1 + sigma + ... + sigma^(p-1)."""
+        """N = 1 + sigma + ... + sigma^(p-1), formed only for the stable route."""
         if self._norm is None:
             acc = self.powers()[0]
             for m in self.powers()[1:]:
@@ -127,13 +132,31 @@ class GModule:
         return acc
 
     def rank_aug(self):
+        """rank(sigma-1): the pivots of (sigma-1)^T; rank_norm uses the rest."""
         if self._rank_aug is None:
-            self._rank_aug = rank(self.aug())
+            pivots = set(pivot_columns(self.aug().transpose()))
+            self._rank_aug = len(pivots)
+            self._complement = [r for r in range(self.dim) if r not in pivots]
         return self._rank_aug
 
     def rank_norm(self):
+        """rank N, from the columns of N at a complement of im(sigma-1).
+
+        N(sigma-1) = 0, so N kills im(sigma-1) and its image is the image of
+        any complement C: rank N = rank(N restricted to C).  C is spanned by
+        the unit vectors e_r at the non-pivot columns r of (sigma-1)^T, and
+        N e_r is column r of the sum of the cached powers of sigma; the full
+        N is never formed here.  For a free module C is 1/p of V."""
         if self._rank_norm is None:
-            self._rank_norm = rank(self.norm())
+            self.rank_aug()
+            at = {r: c for c, r in enumerate(self._complement)}
+            acc = {}
+            for m in self.powers():
+                for (i, j), v in m.entries.items():
+                    c = at.get(j)
+                    if c is not None:
+                        acc[(i, c)] = acc.get((i, c), 0) + v
+            self._rank_norm = rank(SparseMatrix(self.dim, len(at), self.field, acc))
         return self._rank_norm
 
     # -- construction-time checks -------------------------------------------

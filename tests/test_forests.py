@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from confspace import arnold, forests
 from confspace.graded import ContextError
-from confspace.linalg import QQ, ZZ, SparseMatrix, rank, smith_normal_form
+from confspace.linalg import GF, QQ, ZZ, SparseMatrix, rank, smith_normal_form
 from confspace.selftest import _iota_forest, _random_forest
 
 import oracles
@@ -153,6 +153,47 @@ def test_action_matrix_is_multiplicative(k, n, seed):
     mq = forests.action_matrix(tq, k, n, degree, basis)
     mc = forests.action_matrix(comp, k, n, degree, basis)
     assert mq.matmul(mp) == mc
+
+
+def reference_action_matrix(perm, k, n, degree, basis, domain):
+    """The column loop action_matrix replaced: relabel the leaves of every
+    tree of basis[j], then rewrite the whole forest to the tall basis."""
+    table = dict(perm)
+
+    def relabel(t):
+        if forests.is_leaf(t):
+            return table[t]
+        return (relabel(t[0]), relabel(t[1]))
+
+    pos = {f: i for i, f in enumerate(basis)}
+    entries = {}
+    for j, f in enumerate(basis):
+        image = forests.rewrite_to_tall(tuple(relabel(t) for t in f), n)
+        for g, c in image.terms.items():
+            entries[(pos[g], j)] = c
+    return SparseMatrix(len(basis), len(basis), domain, entries)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3])
+def test_action_matrix_matches_relabel_and_rewrite(k, n):
+    rng = random.Random(k * 10 + n)
+    perms = [{i: i % k + 1 for i in range(1, k + 1)}]
+    for i in range(1, k):
+        perms.append(forests._adjacent_transposition(i, k))
+    for _ in range(3):
+        image = list(range(1, k + 1))
+        rng.shuffle(image)
+        perms.append(dict(zip(range(1, k + 1), image)))
+    for j in range(k):
+        degree = j * (n - 1)
+        basis = forests.tall_basis(k, n, degree)
+        for perm in perms:
+            for domain in (ZZ, GF(3)):
+                got = forests.action_matrix(perm, k, n, degree, basis, domain=domain)
+                want = reference_action_matrix(perm, k, n, degree, basis, domain)
+                assert got.entries == want.entries, (perm, degree, domain)
+                assert all(type(v) is int for v in got.entries.values())
 
 
 def coinvariant_dim_oracle(k, n, degree):

@@ -191,6 +191,78 @@ def test_regular_module_is_cohomologically_trivial():
 
 
 # ---------------------------------------------------------------------------
+# rank(sigma-1) and rank N on a complement of im(sigma-1)
+
+
+def component_dense_rank(m, p):
+    """Rank of m mod p: the sum of the dense ranks of the submatrices on
+    the connected components of its row-column graph.  Every entry of m is
+    in exactly one component, so no entry is left out."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i, j in m.entries:
+        parent[find(("r", i))] = find(("c", j))
+    blocks = {}
+    for (i, j), v in m.entries.items():
+        blocks.setdefault(find(("r", i)), {})[(i, j)] = v
+    total = 0
+    for entries in blocks.values():
+        rows = sorted({i for i, _ in entries})
+        cols = sorted({j for _, j in entries})
+        at = {j: c for c, j in enumerate(cols)}
+        dense = {i: [0] * len(cols) for i in rows}
+        for (i, j), v in entries.items():
+            dense[i][at[j]] = v
+        total += oracles.dense_rank_mod([dense[i] for i in rows], p)
+    return total
+
+
+def assert_ranks_match_dense(v):
+    assert v.rank_aug() == component_dense_rank(v.aug(), v.p)
+    assert v.rank_norm() == component_dense_rank(v.norm(), v.p)
+
+
+def test_component_dense_rank_is_dense_rank():
+    v = modp.conf_module(5, 2, 2)
+    for m in (v.aug(), v.norm()):
+        assert component_dense_rank(m, 5) == oracles.dense_rank_mod(m.to_dense(), 5)
+
+
+@pytest.mark.parametrize("p,twist", [(3, 0), (5, 0), (5, 1), (7, 0)])
+def test_rank_route_matches_dense_on_conf_modules(p, twist):
+    for t in range(p):
+        assert_ranks_match_dense(modp.conf_module(p, 2, t, twist=twist))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.data())
+def test_rank_route_matches_dense_on_jordan_blocks(p, data):
+    """sigma = a direct sum of Jordan blocks J_m of (x-1), m <= p, under a
+    random relabelling of the basis: non-free modules, whose complement of
+    im(sigma-1) is not 1/p of V."""
+    sizes = data.draw(st.lists(st.integers(1, p), min_size=1, max_size=6))
+    dim = sum(sizes)
+    relabel = data.draw(st.permutations(range(dim)))
+    entries, start = {}, 0
+    for m in sizes:
+        for i in range(start, start + m):
+            entries[(relabel[i], relabel[i])] = 1
+            if i + 1 < start + m:
+                entries[(relabel[i], relabel[i + 1])] = 1
+        start += m
+    v = modp.GModule(p, SparseMatrix(dim, dim, GF(p), entries))
+    assert_ranks_match_dense(v)
+    # N = (sigma-1)^(p-1) is nonzero exactly on a block of size p
+    assert v.rank_aug() == dim - len(sizes)
+    assert v.rank_norm() == sizes.count(p)
+
+
+# ---------------------------------------------------------------------------
 # Tate splice
 
 
