@@ -345,33 +345,28 @@ def subgroup_presentation(pres, table, transversal):
 
 
 class FreeAutomorphism:
-    """Automorphism of a free group of rank k, with an asserted inverse."""
+    """Automorphism of a free group of rank k, given by the reduced images
+    of the generators x_1..x_k.  No inverse is stored: the Artin action
+    composes the actions of sigma_i^(+-1), each an automorphism."""
 
-    def __init__(self, k, images, inv_images):
+    def __init__(self, k, images):
         self.k = k
         self.images = [free_reduce(w) for w in images]
-        self.inv_images = [free_reduce(w) for w in inv_images]
 
     @classmethod
     def identity(cls, k):
-        ims = [(i,) for i in range(1, k + 1)]
-        return cls(k, ims, ims)
+        return cls(k, [(i,) for i in range(1, k + 1)])
 
-    def substitute(self, images, word):
+    def apply_word(self, word):
         out = []
         for s in word:
-            w = images[abs(s) - 1]
+            w = self.images[abs(s) - 1]
             out.extend(w if s > 0 else word_inverse(w))
         return free_reduce(out)
 
-    def apply_word(self, word):
-        return self.substitute(self.images, word)
-
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        ims = [self.apply_word(w) for w in other.images]
-        invs = [other.substitute(other.inv_images, w) for w in self.inv_images]
-        return FreeAutomorphism(self.k, ims, invs)
+        return FreeAutomorphism(self.k, [self.apply_word(w) for w in other.images])
 
     def permutation(self):
         """Induced permutation of the generators' conjugacy classes."""
@@ -393,17 +388,15 @@ class FreeAutomorphism:
 
 
 def _sigma_auto(i, e, k):
-    """The Artin action of sigma_i^e on the free group x_1..x_k."""
+    """The Artin action of sigma_i^e, e = +-1, on the free group x_1..x_k."""
     ims = [(j,) for j in range(1, k + 1)]
-    invs = [(j,) for j in range(1, k + 1)]
-    ims[i - 1] = (i, i + 1, -i)
-    ims[i] = (i,)
-    invs[i - 1] = (i + 1,)
-    invs[i] = (-(i + 1), i, i + 1)
-    a = FreeAutomorphism(k, ims, invs)
     if e > 0:
-        return a
-    return FreeAutomorphism(k, a.inv_images, a.images)
+        ims[i - 1] = (i, i + 1, -i)
+        ims[i] = (i,)
+    else:
+        ims[i - 1] = (i + 1,)
+        ims[i] = (-(i + 1), i, i + 1)
+    return FreeAutomorphism(k, ims)
 
 
 def artin_action(word, k):

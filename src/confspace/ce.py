@@ -24,6 +24,9 @@ e_a * e_b pairs of occurrences (C(e_a, 2) when a = b).  Entries are ints.
 The stabilization map (adding a point near infinity) is the formal
 derivative by the slot dual to the point class; it is a surjective chain
 map whose kernel is spanned by the monomials not divisible by that slot.
+stabilization_map returns it as one matrix per degree.  stability_report
+multiplies that matrix by the source's cycles, the kernel basis matrix Z of
+its differential, and ranks phi Z against the target's boundaries.
 """
 
 from __future__ import annotations
@@ -392,43 +395,10 @@ def betti(g, k):
 # stabilization
 
 
-class StabilizationMap:
-    """Per-degree matrices of the derivative by the point slot,
-    from weight k+1 to weight k."""
-
-    def __init__(self, g, maps, source, target):
-        self.g = g
-        self.maps = maps
-        self.source = source
-        self.target = target
-
-    def induced_iso_degrees(self):
-        """Map degree -> whether the induced map on homology is an isomorphism."""
-        out = {}
-        src, tgt = self.source, self.target
-        for i in src.degrees():
-            phi = self.maps[i]
-            cycles = kernel_basis(src.diffs[i])
-            h_s = src.homology(i)
-            h_t = tgt.homology(i)
-            b_t = tgt.diffs.get(i + 1)
-            if b_t is None:
-                b_t = SparseMatrix.zero(tgt.dim(i), 0, QQ)
-            img_entries = {}
-            for c, vec in enumerate(cycles):
-                image = phi.mul_vec(vec)
-                for r, v in image.items():
-                    img_entries[(r, c)] = v
-            img = SparseMatrix(tgt.dim(i), len(cycles), QQ, img_entries)
-            r_ind = rank(SparseMatrix.hstack([img, b_t])) - tgt.diff_rank(i + 1)
-            out[i] = (r_ind == h_s == h_t)
-        return out
-
-
 def stabilization_map(g, x_name, k):
-    """The chain map d/dx: weight k+1 -> weight k, with built-in checks:
-    commutes with differentials, surjective, kernel spanned by the
-    monomials without x."""
+    """The chain map d/dx: weight k+1 -> weight k as {degree: matrix}, with
+    built-in checks: commutes with differentials, surjective, kernel
+    spanned by the monomials without x."""
     if x_name not in g.index:
         raise StabilityError("unknown slot %r" % x_name)
     xs = g.slots[g.index[x_name]]
@@ -470,11 +440,15 @@ def stabilization_map(g, x_name, k):
         rhs = d_tgt.matmul(maps[i])
         if not lhs.sub(rhs).is_zero():
             raise AssertionError("derivative is not a chain map in degree %d" % i)
-    return StabilizationMap(g, maps, src, tgt)
+    return maps
 
 
 def stability_report(g, k_max):
     """Rows (k, i, iso?) for the maps weight k+1 -> k, k < k_max.
+
+    The induced map on H_i is an isomorphism when its rank, that of
+    [phi Z | B] less rank B with Z the cycles of the source and B the
+    boundaries of the target, equals both homology dimensions.
 
     Requires ambient dimension > 2; the stable range is i <= k there."""
     if g.n <= 2:
@@ -485,8 +459,14 @@ def stability_report(g, k_max):
     rows = []
     for k in range(k_max):
         phi = stabilization_map(g, x, k)
-        for i, ok in sorted(phi.induced_iso_degrees().items()):
-            rows.append((k, i, ok))
+        src, tgt = g.block(k + 1), g.block(k)
+        for i in sorted(phi):
+            b_t = tgt.diffs.get(i + 1)
+            if b_t is None:
+                b_t = SparseMatrix.zero(tgt.dim(i), 0, QQ)
+            image = phi[i].matmul(kernel_basis(src.diffs[i]))
+            r_ind = rank(SparseMatrix.hstack([image, b_t])) - tgt.diff_rank(i + 1)
+            rows.append((k, i, r_ind == src.homology(i) == tgt.homology(i)))
     return rows
 
 

@@ -432,12 +432,8 @@ def cmd_modp_tate(args):
     for t in ts:
         v = modp.conf_module(args.p, args.n, t)
         td = modp.tate(v, (args.lo, args.hi))
-        tables[str(t)] = {
-            "dims": {str(s): d for s, d in td.items() if d},
-            "two_periodic": td.is_two_periodic(),
-        }
-        for s, d in td.items():
-            rows.append((t, s, d))
+        tables[str(t)] = {"dims": {str(s): d for s, d in td.items()}}
+        rows.extend((t, s, td.get(s)) for s in range(args.lo, args.hi + 1))
     _emit_rows(args, ("t", "s", "dim"), rows, {
         "p": args.p, "n": args.n, "window": [args.lo, args.hi],
         "tables": tables,

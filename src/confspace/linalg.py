@@ -20,11 +20,11 @@ index, so results and orderings are reproducible across runs.  A row with
 no admissible column is set aside until an update changes it; the rows
 still set aside at the end are returned.  rank counts the pivots.  For
 kernel_basis and invert a back-substitution pass then clears every pivot
-column outside its own row; the kernel basis is indexed by the non-pivot
-columns, and the inverse is read off the reduced [A | I] with pivots
-restricted to the columns of A.  smith_normal_form counts a factor 1 per
-unit pivot and runs a short gcd loop, with row and column operations, on
-the rows set aside.
+column outside its own row; kernel_basis returns one matrix whose columns
+are indexed by the non-pivot columns, and the inverse is read off the
+reduced [A | I] with pivots restricted to the columns of A.
+smith_normal_form counts a factor 1 per unit pivot and runs a short gcd
+loop, with row and column operations, on the rows set aside.
 """
 
 from __future__ import annotations
@@ -173,21 +173,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             dense[i][j] = v
         return dense
-
-    def mul_vec(self, vec):
-        """Matrix times sparse column vector (dict col -> scalar)."""
-        out = {}
-        for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x is None:
-                continue
-            out[i] = out.get(i, 0) + v * x
-        result = {}
-        for i, v in out.items():
-            v = self.domain.coerce(v)
-            if v != 0:
-                result[i] = v
-        return result
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -465,26 +450,28 @@ def rank(m):
 
 
 def kernel_basis(m):
-    """Vectors (dict col -> scalar) spanning the right null space; field domains only.
+    """The right null space of m as the columns of an m.ncols x nullity
+    matrix; field domains only.
 
-    One vector per non-pivot column f, in increasing f: it has entry 1 at
-    f, 0 at the other non-pivot columns, and at each pivot column the value
-    read off that pivot's fully reduced row.  The pivots are the Markowitz
-    choices of the eliminator, so they need not be the leftmost columns.
+    One column per non-pivot column f of m, in increasing f: it has entry 1
+    at row f, 0 at the other non-pivot columns, and at each pivot column
+    the value read off that pivot's fully reduced row.  The pivots are the
+    Markowitz choices of the eliminator, so they need not be the leftmost
+    columns.
     """
     _require_field(m)
     pivots, rows, _ = _eliminate(m, reduce=True)
     p = m.domain.characteristic
     pivot_cols = {j for j, _ in pivots}
-    one = m.domain.coerce(1)
-    basis = {f: {f: one} for f in range(m.ncols) if f not in pivot_cols}
+    free = {f: c for c, f in enumerate(f for f in range(m.ncols) if f not in pivot_cols)}
+    entries = {(f, c): 1 for f, c in free.items()}
     for j, i in pivots:
         row = rows[i]
         a = row[j]
         for f, v in row.items():
             if f != j:
-                basis[f][j] = -v % p if p else Fraction(-v, a)
-    return list(basis.values())
+                entries[(j, free[f])] = -v % p if p else Fraction(-v, a)
+    return SparseMatrix(m.ncols, len(free), m.domain, entries)
 
 
 def invert(m):

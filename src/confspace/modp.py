@@ -22,6 +22,9 @@ of the module data is small homological algebra over F_p:
     explicit comparison chain map (multiplication by r^j in stage 2j,
     r^j times the partial norm 1 + sigma + ... + sigma^(r-1) in stage
     2j+1, both composed with the permutation realizing the conjugation).
+    The cocycles of the even and odd stages, ker(sigma-1) and ker N, are
+    each one kernel basis matrix Z, taken once; a stage keeps the classes
+    of Z that its comparison map fixes modulo the coboundaries.
   * A normalized bar-resolution computation over the full symmetric group
     is kept as a brute-force oracle for tiny groups.
 
@@ -47,16 +50,13 @@ class GModule:
     """F_p vector space with an action of C_p = <sigma>, and optionally of
     Sigma_p through Coxeter generators tau_1 .. tau_{p-1}.
 
-    twist = 1 multiplies every tau_i by -1 (the sign character); sigma then
-    picks up the sign of the p-cycle, (-1)^(p-1).
-
     Validated on construction: sigma^p = 1, and with taus present also
     tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for j > i+1,
     and sigma = tau_1 tau_2 ... tau_{p-1}.  Every check is a full matrix
     equation.
     """
 
-    def __init__(self, p, sigma, taus=None, twist=0, basis=None):
+    def __init__(self, p, sigma, taus=None, basis=None):
         if not is_prime(p):
             raise ModpError("p = %d is not prime" % p)
         if sigma.nrows != sigma.ncols:
@@ -67,7 +67,6 @@ class GModule:
         self.p = p
         self.field = field
         self.dim = sigma.nrows
-        self.twist = twist % 2
         if taus is not None:
             taus = list(taus)
             if len(taus) != p - 1:
@@ -75,10 +74,6 @@ class GModule:
             for m in taus:
                 if (m.nrows, m.ncols) != (self.dim, self.dim) or m.domain != field:
                     raise ModpError("Coxeter generator shape or domain mismatch")
-        if self.twist:
-            sigma = sigma.scale((-1) ** (p - 1))
-            if taus is not None:
-                taus = [m.scale(-1) for m in taus]
         self.sigma = sigma
         self.taus = taus
         self.basis = basis
@@ -103,9 +98,6 @@ class GModule:
             self._powers = mats
         return self._powers
 
-    def power(self, i):
-        return self.powers()[i % self.p]
-
     def aug(self):
         """sigma - 1, the augmentation-stage differential."""
         if self._aug is None:
@@ -116,10 +108,7 @@ class GModule:
     def norm(self):
         """N = 1 + sigma + ... + sigma^(p-1), formed only for the stable route."""
         if self._norm is None:
-            acc = self.powers()[0]
-            for m in self.powers()[1:]:
-                acc = acc.add(m)
-            self._norm = acc
+            self._norm = self.partial_norm(self.p)
         return self._norm
 
     def partial_norm(self, r):
@@ -189,12 +178,12 @@ class GModule:
             raise ModpError("sigma is not tau_1 tau_2 ... tau_%d" % (p - 1))
 
 
-def trivial_module(p, twist=0):
-    """F_p with trivial sigma; twist = 1 gives the sign module F_p(1)."""
+def trivial_module(p):
+    """F_p with trivial sigma and trivial Sigma_p action."""
     if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
     one = SparseMatrix.identity(1, GF(p))
-    return GModule(p, one, taus=[one] * (p - 1), twist=twist)
+    return GModule(p, one, taus=[one] * (p - 1))
 
 
 def regular_module(p):
@@ -207,7 +196,7 @@ def regular_module(p):
 _conf_cache = {}
 
 
-def conf_module(p, n, t, twist=0):
+def conf_module(p, n, t):
     """Degree-t piece of H_*(Conf_p(R^n); F_p) on the tall-forest basis.
 
     sigma acts by the p-cycle i -> i+1 and tau_i by the transposition
@@ -215,7 +204,7 @@ def conf_module(p, n, t, twist=0):
     tall basis.  t must be a multiple of n-1 inside [0, (n-1)(p-1)].
     Results are memoized: the matrices are never mutated downstream.
     """
-    key = (p, n, t, twist % 2)
+    key = (p, n, t)
     if key in _conf_cache:
         return _conf_cache[key]
     if not is_prime(p):
@@ -234,7 +223,7 @@ def conf_module(p, n, t, twist=0):
         swap = {x: x for x in range(1, p + 1)}
         swap[i], swap[i + 1] = i + 1, i
         taus.append(forests.action_matrix(swap, p, n, t, basis=basis, domain=field))
-    v = GModule(p, sigma, taus=taus, twist=twist, basis=basis)
+    v = GModule(p, sigma, taus=taus, basis=basis)
     _conf_cache[key] = v
     return v
 
@@ -266,45 +255,10 @@ def cyclic_cohomology(v, s_max):
     return GradedDims(dims)
 
 
-class TateDims:
-    """Tate cohomology dimensions on an explicit finite window of s."""
-
-    def __init__(self, dims, window):
-        lo, hi = int(window[0]), int(window[1])
-        if lo > hi:
-            raise ModpError("empty Tate window [%d, %d]" % (lo, hi))
-        self.window = (lo, hi)
-        self.dims = {}
-        for s, v in dims.items():
-            s = int(s)
-            if not lo <= s <= hi:
-                raise ModpError("dimension at s = %d outside window" % s)
-            if v:
-                self.dims[s] = int(v)
-
-    def get(self, s):
-        lo, hi = self.window
-        if not lo <= s <= hi:
-            raise ModpError("s = %d outside window [%d, %d]" % (s, lo, hi))
-        return self.dims.get(s, 0)
-
-    def items(self):
-        return [(s, self.get(s)) for s in range(self.window[0], self.window[1] + 1)]
-
-    def is_two_periodic(self):
-        lo, hi = self.window
-        return all(self.get(s) == self.get(s + 2) for s in range(lo, hi - 1))
-
-    def __eq__(self, other):
-        return (isinstance(other, TateDims) and self.window == other.window
-                and self.dims == other.dims)
-
-    def __repr__(self):
-        return "TateDims(%r, window=%r)" % (dict(self.items()), self.window)
-
-
 def tate(v, window):
-    """Tate cohomology dims of C_p on the window (s_min, s_max), inclusive.
+    """Tate cohomology dims of C_p on the window (s_min, s_max), inclusive,
+    as GradedDims: read them with get(s) for s in the window, since zero
+    dims are not stored.
 
     Every Tate group has dimension _periodic_dim(v): for s > 0 it is H^s,
     for s < -1 the homology H_(-s-1), and in the middle coker(N) on
@@ -314,7 +268,7 @@ def tate(v, window):
     if lo > hi:
         raise ModpError("empty Tate window [%d, %d]" % (lo, hi))
     h = _periodic_dim(v)
-    return TateDims({s: h for s in range(lo, hi + 1)}, (lo, hi))
+    return GradedDims({s: h for s in range(lo, hi + 1)})
 
 
 # -- vanishing of the interior degrees ----------------------------------------
@@ -345,12 +299,6 @@ def _freeness_certificate(v):
     return True
 
 
-def _vanishing_linear(v):
-    """Linear-algebra route: the homology window [1, 2p] vanishes, i.e.
-    _periodic_dim(v), the dimension of every H_s with s >= 1, is 0."""
-    return _periodic_dim(v) == 0
-
-
 def verify_vanishing(p, n):
     """True iff H_s(C_p; H_t) = 0 for 0 < s <= 2p and all interior t.
 
@@ -368,7 +316,8 @@ def verify_vanishing(p, n):
         t = j * (n - 1)
         v = conf_module(p, n, t)
         cert = _freeness_certificate(v)
-        lin = _vanishing_linear(v)
+        # H_s for every s >= 1 has dimension _periodic_dim(v)
+        lin = _periodic_dim(v) == 0
         if cert != lin:
             raise AssertionError(
                 "certificate (%r) and linear algebra (%r) disagree at t = %d" % (cert, lin, t))
@@ -459,6 +408,13 @@ def sigma_p_cohomology_stable(v, s_max):
     phi_{2j+1} = r^j g (1 + sigma + ... + sigma^(r-1)) where g realizes a
     permutation conjugating sigma to sigma^r; the chain-map identity
     delta phi_s = phi_{s+1} delta is asserted at every stage.
+
+    The differentials alternate between sigma-1 (s even) and N (s odd), so
+    each is eliminated at most once, for its kernel basis matrix Z, and
+    phi_s is a scale of one of the two products g and g (1 + ... +
+    sigma^(r-1)).
+    dim H^s is the number of columns of Z less the rank of
+    [phi_s Z - Z | image of the other differential].
     """
     if v.taus is None:
         raise ModpError("full Sigma_p action required")
@@ -467,42 +423,30 @@ def sigma_p_cohomology_stable(v, s_max):
     p = v.p
     if p == 2:
         return cyclic_cohomology(v, s_max)
-    d, field = v.dim, v.field
     r = _primitive_root(p)
     rinv = pow(r, -1, p)
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
     g = _element_matrix(v, q)
-    if v.sigma.matmul(g) != g.matmul(v.power(r)):
+    if v.sigma.matmul(g) != g.matmul(v.powers()[r]):
         raise ModpError("normalizer conjugation identity fails")
-    a = v.aug()
-    nn = v.norm()
-    pi_r = v.partial_norm(r)
+    diffs = (v.aug(), v.norm())
+    kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
+    phis = (g, g.matmul(v.partial_norm(r)))
 
     def phi(s):
-        m = g.scale(pow(r, s // 2, p))
-        if s % 2:
-            m = m.matmul(pi_r)
-        return m
+        return phis[s % 2].scale(pow(r, s // 2, p))
 
     dims = {}
     for s in range(s_max + 1):
-        ds = a if s % 2 == 0 else nn
+        ds, z = diffs[s % 2], kernels[s % 2]
         phi_s = phi(s)
         if ds.matmul(phi_s) != phi(s + 1).matmul(ds):
             raise ModpError("comparison map is not a chain map at s = %d" % s)
-        cycles = kernel_basis(ds)
-        z = len(cycles)
-        zmat = SparseMatrix(d, z, field,
-                            {(i, c): val for c, vec in enumerate(cycles)
-                             for i, val in vec.items()})
-        moved = phi_s.matmul(zmat).sub(zmat)
+        moved = phi_s.matmul(z).sub(z)
         if s >= 1:
-            prev = a if s % 2 else nn
-            stacked = SparseMatrix.hstack([moved, prev])
-        else:
-            stacked = moved
-        dims[s] = z - rank(stacked)
+            moved = SparseMatrix.hstack([moved, diffs[(s + 1) % 2]])
+        dims[s] = z.ncols - rank(moved)
     return GradedDims(dims)
 
 

@@ -309,7 +309,8 @@ def check_tate():
             for j in range(p):
                 t = j * (n - 1)
                 want = [1 if t in (0, top) else 0] * 13
-                got = [d for _, d in modp.tate(modp.conf_module(p, n, t), (-6, 6)).items()]
+                td = modp.tate(modp.conf_module(p, n, t), (-6, 6))
+                got = [td.get(s) for s in range(-6, 7)]
                 assert got == want, \
                     "Tate dims on [-6, 6] at p=%d, n=%d, t=%d: %r != %r" % (p, n, t, got, want)
                 cases += 1

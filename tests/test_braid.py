@@ -203,11 +203,15 @@ def test_word_str():
 
 
 def test_sigma_inverse_images_invert():
-    # each generator action carries its inverse's images: substituting the
-    # inverse images, then applying the images, returns every x_j
+    # the actions of sigma_i and sigma_i^-1 compose to the identity
     for k in range(2, 6):
+        ident = braid.FreeAutomorphism.identity(k)
         for i in range(1, k):
             for e in (1, -1):
-                a = braid._sigma_auto(i, e, k)
-                for j in range(1, k + 1):
-                    assert a.apply_word(a.substitute(a.inv_images, (j,))) == (j,)
+                a = braid._sigma_auto(i, e, k).compose(braid._sigma_auto(i, -e, k))
+                assert a == ident, (k, i, e)
+
+
+def test_permutation_refuses_non_conjugate_image():
+    with pytest.raises(braid.GroupError, match="generator 1"):
+        braid.FreeAutomorphism(2, [(1, 2), (2,)]).permutation()

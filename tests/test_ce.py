@@ -161,16 +161,71 @@ def test_stability_report_stable_range():
                 assert ok, (name, k, i)
 
 
+# For each preset with n > 2 and each k = 0..5: the source degrees i of the
+# map weight k+1 -> k, and those where the induced map is not an iso.
+STABILITY_ROWS = {
+    "euclidean-3": [
+        ([0], []), ([0], []), ([0], []), ([0], []), ([0], []), ([0], [])],
+    "euclidean-4": [
+        ([0], []), ([0, 3], [3]), ([0, 3], []), ([0, 3], []), ([0, 3], []),
+        ([0, 3], [])],
+    "handlebody-1": [
+        ([0, 1], [1]), ([0, 1], []), ([0, 1], []), ([0, 1], []), ([0, 1], []),
+        ([0, 1], [])],
+    "handlebody-2": [
+        ([0, 1], [1]), ([0, 1, 2], [2]), ([0, 1, 2], []), ([0, 1, 2], []),
+        ([0, 1, 2], []), ([0, 1, 2], [])],
+    "handlebody-3": [
+        ([0, 1], [1]), ([0, 1, 2], [2]), ([0, 1, 2, 3], [3]),
+        ([0, 1, 2, 3], []), ([0, 1, 2, 3], []), ([0, 1, 2, 3], [])],
+    "r3-minus-1": [
+        ([0, 2], [2]), ([0, 2, 4], [4]), ([0, 2, 4, 6], [6]),
+        ([0, 2, 4, 6, 8], [8]), ([0, 2, 4, 6, 8, 10], [10]),
+        ([0, 2, 4, 6, 8, 10, 12], [12])],
+    "r3-minus-2": [
+        ([0, 2], [2]), ([0, 2, 4], [4]), ([0, 2, 4, 6], [6]),
+        ([0, 2, 4, 6, 8], [8]), ([0, 2, 4, 6, 8, 10], [10]),
+        ([0, 2, 4, 6, 8, 10, 12], [12])],
+    "r3-minus-3": [
+        ([0, 2], [2]), ([0, 2, 4], [4]), ([0, 2, 4, 6], [6]),
+        ([0, 2, 4, 6, 8], [8]), ([0, 2, 4, 6, 8, 10], [10]),
+        ([0, 2, 4, 6, 8, 10, 12], [12])],
+    "s1xr2": [
+        ([0, 1], [1]), ([0, 1], []), ([0, 1], []), ([0, 1], []), ([0, 1], []),
+        ([0, 1], [])],
+    "solid-torus": [
+        ([0, 1], [1]), ([0, 1], []), ([0, 1], []), ([0, 1], []), ([0, 1], []),
+        ([0, 1], [])],
+}
+
+
+def test_stability_report_rows_are_pinned():
+    assert sorted(STABILITY_ROWS) == [
+        name for name in ALL_PRESETS if presets.load_preset(name).n > 2]
+    for name, per_k in STABILITY_ROWS.items():
+        want = [(k, i, i not in bad) for k, (degrees, bad) in enumerate(per_k)
+                for i in degrees]
+        assert ce.stability_report(gm(name), 6) == want, name
+
+
 def test_stability_rejects_small_dimension():
     with pytest.raises(ce.StabilityError):
         ce.stability_report(gm("euclidean-2"), 3)
 
 
 def test_stabilization_map_shapes():
-    g = gm("euclidean-3")
-    phi = ce.stabilization_map(g, g.point_slot(), 2)
-    iso = phi.induced_iso_degrees()
-    assert iso.get(0) is True
+    for name in ("euclidean-3", "handlebody-2", "r3-minus-2"):
+        g = gm(name)
+        for k in range(4):
+            phi = ce.stabilization_map(g, g.point_slot(), k)
+            src, tgt = g.block(k + 1), g.block(k)
+            assert sorted(phi) == src.degrees(), (name, k)
+            for i, m in phi.items():
+                assert (m.nrows, m.ncols) == (tgt.dim(i), src.dim(i)), (name, k, i)
+    g = gm("handlebody-1")
+    for slot in ("q", "a1"):  # unknown; not the point-dual slot
+        with pytest.raises(ce.StabilityError):
+            ce.stabilization_map(g, slot, 1)
 
 
 def test_euler_series_matches_betti_euler():

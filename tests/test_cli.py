@@ -207,7 +207,7 @@ def test_modp_commands(capsys):
                        "--p", "3", "--n", "2", "--t", "2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["tables"]["2"]["two_periodic"] is True
+    assert doc["tables"]["2"] == {"dims": {str(s): 1 for s in range(-6, 7)}}
     code, out, _ = run(capsys, "modp", "cohen", "--p", "5", "--n", "2",
                        "--degree-bound", "8")
     assert code == 0

@@ -147,31 +147,29 @@ def test_smith_of_unimodular_block_plus_small_block(block, factors):
     assert smith_normal_form(m) == ([1, 1, 1] + factors, 3 + len(factors))
 
 
-def basis_rows(basis, ncols):
-    """The basis vectors as dense rows, so their rank is the basis's."""
-    return [[v.get(j, 0) for j in range(ncols)] for v in basis]
+def assert_kernel_matrix(m, want_rank, dense_rank):
+    """kernel_basis(m) is m.ncols x nullity, m kills it, and its columns
+    are independent by the dense oracle's rank."""
+    k = kernel_basis(m)
+    assert k.nrows == m.ncols
+    assert k.ncols == m.ncols - want_rank
+    assert m.matmul(k).is_zero()
+    assert dense_rank(k.transpose().to_dense()) == k.ncols
 
 
 @settings(max_examples=100, deadline=None)
 @given(frac_matrix())
 def test_kernel_vectors_lie_in_kernel(rows):
     m = SparseMatrix.from_rows(rows, QQ)
-    basis = kernel_basis(m)
-    assert len(basis) == m.ncols - rank(m)
-    for v in basis:
-        assert m.mul_vec(v) == {}
-    assert oracles.dense_rank_qq(basis_rows(basis, m.ncols)) == len(basis)
+    assert_kernel_matrix(m, rank(m), oracles.dense_rank_qq)
 
 
 @settings(max_examples=60, deadline=None)
 @given(int_matrix(max_dim=4), st.sampled_from([3, 5]))
 def test_kernel_count_gf(rows, p):
     m = SparseMatrix.from_rows(rows, GF(p))
-    basis = kernel_basis(m)
-    assert len(basis) == m.ncols - oracles.dense_rank_mod(rows, p)
-    for v in basis:
-        assert m.mul_vec(v) == {}
-    assert oracles.dense_rank_mod(basis_rows(basis, m.ncols), p) == len(basis)
+    assert_kernel_matrix(m, oracles.dense_rank_mod(rows, p),
+                         lambda dense: oracles.dense_rank_mod(dense, p))
 
 
 @st.composite
@@ -189,11 +187,7 @@ def test_qq_mixed_entries_rank_and_kernel_match_dense_oracle(rows):
     m = SparseMatrix.from_rows(rows, QQ)
     want = oracles.dense_rank_qq(rows)
     assert rank(m) == want
-    basis = kernel_basis(m)
-    assert len(basis) == m.ncols - want
-    for v in basis:
-        assert m.mul_vec(v) == {}
-    assert oracles.dense_rank_qq(basis_rows(basis, m.ncols)) == len(basis)
+    assert_kernel_matrix(m, want, oracles.dense_rank_qq)
 
 
 @settings(max_examples=120, deadline=None)

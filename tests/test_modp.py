@@ -187,7 +187,7 @@ def test_regular_module_is_cohomologically_trivial():
         assert coh.get(0) == 1
         assert all(coh.get(s) == 0 for s in range(1, 7))
         td = modp.tate(v, (-4, 4))
-        assert all(d == 0 for _, d in td.items())
+        assert all(td.get(s) == 0 for s in range(-4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,18 @@ def test_component_dense_rank_is_dense_rank():
         assert component_dense_rank(m, 5) == oracles.dense_rank_mod(m.to_dense(), 5)
 
 
+def sign_twist(v):
+    """V tensor the sign character: every tau_i changes sign, so sigma, a
+    product of p - 1 of them, picks up (-1)^(p-1)."""
+    return modp.GModule(v.p, v.sigma.scale((-1) ** (v.p - 1)),
+                        taus=[m.scale(-1) for m in v.taus], basis=v.basis)
+
+
 @pytest.mark.parametrize("p,twist", [(3, 0), (5, 0), (5, 1), (7, 0)])
 def test_rank_route_matches_dense_on_conf_modules(p, twist):
     for t in range(p):
-        assert_ranks_match_dense(modp.conf_module(p, 2, t, twist=twist))
+        v = modp.conf_module(p, 2, t)
+        assert_ranks_match_dense(sign_twist(v) if twist else v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,11 +303,9 @@ def test_tate_splices_cohomology_and_homology():
 def test_tate_window_guards():
     v = modp.trivial_module(3)
     td = modp.tate(v, (-3, 3))
-    assert all(d == 1 for _, d in td.items())
+    assert all(td.get(s) == 1 for s in range(-3, 4))
     with pytest.raises(modp.ModpError):
         modp.tate(v, (2, 1))
-    with pytest.raises(modp.ModpError):
-        td.get(9)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +337,53 @@ def test_invariants_small_prime_exception():
 def test_stable_route_matches_bar_on_twisted_modules():
     for n in (2, 3):
         for j in range(3):
-            v = modp.conf_module(3, n, j * (n - 1), twist=1)
+            v = sign_twist(modp.conf_module(3, n, j * (n - 1)))
             a = modp.sigma_p_cohomology_stable(v, 4)
             b = modp.bar_cohomology(v, 4)
             assert all(a.get(s) == b.get(s) for s in range(5))
 
 
 def test_stable_route_matches_bar_on_sign_module():
-    v = modp.trivial_module(3, twist=1)
+    v = sign_twist(modp.trivial_module(3))
     a = modp.sigma_p_cohomology_stable(v, 4)
     b = modp.bar_cohomology(v, 4)
     assert all(a.get(s) == b.get(s) for s in range(5))
+
+
+# dim H^s(Sigma_p; V) for s = 0..8 at p = 5 and s = 0..4 at p = 7, keyed
+# by (p, n, t), V = conf_module(p, n, t)
+STABLE_DIMS = {
+    (5, 2, 0): [1, 0, 0, 0, 0, 0, 0, 1, 1],
+    (5, 2, 1): [1, 0, 0, 0, 0, 0, 0, 0, 0],
+    (5, 2, 2): [1, 0, 0, 0, 0, 0, 0, 0, 0],
+    (5, 2, 3): [2, 0, 0, 0, 0, 0, 0, 0, 0],
+    (5, 2, 4): [1, 0, 0, 0, 1, 1, 0, 0, 0],
+    (5, 3, 0): [1, 0, 0, 0, 0, 0, 0, 1, 1],
+    (5, 3, 2): [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    (5, 3, 4): [2, 0, 0, 0, 0, 0, 0, 0, 0],
+    (5, 3, 6): [2, 0, 0, 0, 0, 0, 0, 0, 0],
+    (5, 3, 8): [2, 1, 0, 0, 0, 0, 0, 0, 1],
+    (7, 2, 0): [1, 0, 0, 0, 0],
+    (7, 2, 1): [1, 0, 0, 0, 0],
+    (7, 2, 2): [3, 0, 0, 0, 0],
+    (7, 2, 3): [17, 0, 0, 0, 0],
+}
+
+
+def test_stable_route_dims_are_pinned():
+    for (p, n, t), want in STABLE_DIMS.items():
+        dims = modp.sigma_p_cohomology_stable(modp.conf_module(p, n, t), len(want) - 1)
+        assert [dims.get(s) for s in range(len(want))] == want, (p, n, t)
+
+
+def test_stable_route_refusals_and_p_two():
+    with pytest.raises(modp.ModpError, match="Sigma_p action"):
+        modp.sigma_p_cohomology_stable(modp.regular_module(3), 2)
+    with pytest.raises(modp.ModpError, match="negative"):
+        modp.sigma_p_cohomology_stable(modp.trivial_module(3), -1)
+    # Sigma_2 = C_2, so H^s(Sigma_2; F_2) = F_2 in every degree
+    dims = modp.sigma_p_cohomology_stable(modp.trivial_module(2), 3)
+    assert [dims.get(s) for s in range(4)] == [1, 1, 1, 1]
 
 
 def test_bar_cohomology_refuses_large_groups():
