@@ -297,7 +297,17 @@ class CEComplexBlock:
 def _enumerate_monomials(slots, sdeg, k):
     """(degree, exponent vector) of every monomial of total weight k, in
     increasing order of the vectors; exterior (odd shifted degree) slots
-    capped at exponent 1."""
+    capped at exponent 1.
+
+    Bit w of reach[i] says weight w <= k is a sum over slots i, i+1, ...;
+    the search enters a slot only with a remaining weight it can reach."""
+    caps = [1 if d % 2 else k for d in sdeg]
+    reach = [1] * (len(slots) + 1)
+    for i in range(len(slots) - 1, -1, -1):
+        w, r = slots[i].weight, reach[i + 1]
+        for e in range(1, min(caps[i], k // w) + 1):
+            r |= reach[i + 1] << (e * w)
+        reach[i] = r & ((1 << (k + 1)) - 1)
     out = []
     exps = [0] * len(slots)
 
@@ -305,17 +315,15 @@ def _enumerate_monomials(slots, sdeg, k):
         if rem == 0:
             out.append((deg, tuple(exps)))
             return
-        if i == len(slots):
-            return
-        cap = rem // slots[i].weight
-        if sdeg[i] % 2 == 1:
-            cap = min(cap, 1)
-        for e in range(cap + 1):
-            exps[i] = e
-            rec(i + 1, rem - e * slots[i].weight, deg + e * sdeg[i])
+        w, nxt = slots[i].weight, reach[i + 1]
+        for e in range(min(caps[i], rem // w) + 1):
+            if nxt >> (rem - e * w) & 1:
+                exps[i] = e
+                rec(i + 1, rem - e * w, deg + e * sdeg[i])
         exps[i] = 0
 
-    rec(0, k, 0)
+    if reach[0] >> k & 1:
+        rec(0, k, 0)
     return out
 
 

@@ -447,9 +447,25 @@ def pairing_matrix(k, n, degree):
 # symmetric-group action matrices and coinvariants
 
 
+class IndexedBasis(tuple):
+    """A basis of tall forests, frozen as a tuple, with its leaf-sequence
+    keys and row lookups built once: every action matrix on the same
+    IndexedBasis shares them."""
+
+    def __new__(cls, forests):
+        self = super().__new__(cls, forests)
+        self.keys = [_forest_key(f) for f in self]
+        self.row_of_key = {key: i for i, key in enumerate(self.keys)}
+        self.row_of_forest = {f: i for i, f in enumerate(self)}
+        return self
+
+
 def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     """Matrix of a permutation of [1, k] on the tall basis: column j is the
     image of basis[j] with its leaves relabelled, rewritten to the basis.
+    A caller acting on one basis with several permutations passes it as an
+    IndexedBasis, so that it is indexed once; any other basis is indexed
+    here.
 
     Works on leaf sequences: a relabelled tall tree is the left comb on the
     relabelled sequence, and it is tall iff its first leaf is its minimum.
@@ -460,11 +476,11 @@ def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     table = arnold._perm_table(perm, k)
     if basis is None:
         basis = tall_basis(k, n, degree)
-    keys = [_forest_key(f) for f in basis]
-    row_of_key = {key: i for i, key in enumerate(keys)}
-    row_of_forest = {f: i for i, f in enumerate(basis)}
+    if not isinstance(basis, IndexedBasis):
+        basis = IndexedBasis(basis)
+    row_of_key, row_of_forest = basis.row_of_key, basis.row_of_forest
     entries = {}
-    for j, key in enumerate(keys):
+    for j, key in enumerate(basis.keys):
         seqs = [tuple(table[x] for x in seq) for seq in key]
         if all(s[0] == min(s) for s in seqs):
             entries[(row_of_key[tuple(sorted(seqs))], j)] = _reorder_sign(seqs, n)
@@ -496,7 +512,7 @@ def coinvariants_dims(k, n, field):
     out = {}
     for j in range(0, k):
         degree = j * (n - 1)
-        basis = tall_basis(k, n, degree)
+        basis = IndexedBasis(tall_basis(k, n, degree))
         dim = len(basis)
         if dim == 0:
             continue

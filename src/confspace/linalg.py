@@ -132,6 +132,13 @@ class SparseMatrix:
                 self.entries[(i, j)] = v
 
     @classmethod
+    def _trusted(cls, nrows, ncols, domain, entries):
+        """A matrix on entries that are already coerced, nonzero and in range."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m.domain, m.entries = nrows, ncols, domain, entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows, domain):
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -163,7 +170,7 @@ class SparseMatrix:
         return rows
 
     def transpose(self):
-        return SparseMatrix(
+        return SparseMatrix._trusted(
             self.ncols, self.nrows, self.domain,
             {(j, i): v for (i, j), v in self.entries.items()})
 
@@ -175,19 +182,34 @@ class SparseMatrix:
         return dense
 
     def matmul(self, other):
+        """self * other row by row, each row summed in one accumulator; over
+        F_p every entry is reduced mod p, and zeros are dropped.  Entries
+        keep the type of their sums: over Q an int stays an int."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %s x %s" % ((self.nrows, self.ncols), (other.nrows, other.ncols)))
         if self.domain is not other.domain and self.domain != other.domain:
             raise DomainError("domain mismatch %r vs %r" % (self.domain, other.domain))
+        p = self.domain.characteristic
         other_rows = other.rows_dict()
-        acc = {}
-        for (i, j), v in self.entries.items():
-            row = other_rows.get(j)
-            if not row:
-                continue
-            for l, w in row.items():
-                acc[(i, l)] = acc.get((i, l), 0) + v * w
-        return SparseMatrix(self.nrows, other.ncols, self.domain, acc)
+        # the keys of self by row: lists of shared keys weigh less than row dicts
+        rows = {}
+        for key in self.entries:
+            rows.setdefault(key[0], []).append(key)
+        entries = {}
+        for i, keys in rows.items():
+            acc = {}
+            for key in keys:
+                j = key[1]
+                if j in other_rows:
+                    v = self.entries[key]
+                    for l, w in other_rows[j].items():
+                        acc[l] = acc.get(l, 0) + v * w
+            for l, x in acc.items():
+                if p:
+                    x %= p
+                if x:
+                    entries[(i, l)] = x
+        return SparseMatrix._trusted(self.nrows, other.ncols, self.domain, entries)
 
     def add(self, other):
         return self._combine(other, 1)
@@ -209,20 +231,7 @@ class SparseMatrix:
 
     @classmethod
     def vstack(cls, mats):
-        mats = list(mats)
-        if not mats:
-            raise ValueError("empty stack")
-        ncols = mats[0].ncols
-        domain = mats[0].domain
-        entries = {}
-        offset = 0
-        for m in mats:
-            if m.ncols != ncols:
-                raise ValueError("column mismatch in vstack")
-            for (i, j), v in m.entries.items():
-                entries[(i + offset, j)] = v
-            offset += m.nrows
-        return cls(offset, ncols, domain, entries)
+        return cls.hstack([m.transpose() for m in mats]).transpose()
 
     @classmethod
     def hstack(cls, mats):
@@ -235,11 +244,13 @@ class SparseMatrix:
         offset = 0
         for m in mats:
             if m.nrows != nrows:
-                raise ValueError("row mismatch in hstack")
+                raise ValueError("shape mismatch in stack")
+            if m.domain != domain:
+                raise DomainError("domain mismatch %r vs %r" % (domain, m.domain))
             for (i, j), v in m.entries.items():
                 entries[(i, j + offset)] = v
             offset += m.ncols
-        return cls(nrows, offset, domain, entries)
+        return cls._trusted(nrows, offset, domain, entries)
 
     def is_zero(self):
         return not self.entries

@@ -15,6 +15,8 @@ of the module data is small homological algebra over F_p:
     of im(sigma-1) spanned by unit vectors.  Since N(sigma-1) = 0, N maps
     V and C onto the same image, so rank N is the rank of the columns of N
     at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
+    They are the sum of sigma^k E_C, each a product of sigma with the last;
+    the powers of sigma themselves are formed only by the stable route.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -29,7 +31,9 @@ of the module data is small homological algebra over F_p:
     is kept as a brute-force oracle for tiny groups.
 
 Every module is validated on construction by full matrix equations for
-the group relations, at every dimension.
+the group relations, at every dimension.  With the taus present, sigma^p = 1
+is not checked separately: it follows from the Coxeter relators and
+sigma = tau_1 ... tau_{p-1}.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ class GModule:
     """F_p vector space with an action of C_p = <sigma>, and optionally of
     Sigma_p through Coxeter generators tau_1 .. tau_{p-1}.
 
-    Validated on construction: sigma^p = 1, and with taus present also
-    tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for j > i+1,
-    and sigma = tau_1 tau_2 ... tau_{p-1}.  Every check is a full matrix
-    equation.
+    Validated on construction, every check a full matrix equation: with
+    taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for
+    j > i+1 and sigma = tau_1 tau_2 ... tau_{p-1}, which imply sigma^p = 1;
+    without them, sigma^p = 1 itself.  Otherwise the powers of sigma
+    (powers, norm, partial_norm) are formed only by the stable route.
     """
 
     def __init__(self, p, sigma, taus=None, basis=None):
@@ -134,26 +139,34 @@ class GModule:
         N(sigma-1) = 0, so N kills im(sigma-1) and its image is the image of
         any complement C: rank N = rank(N restricted to C).  C is spanned by
         the unit vectors e_r at the non-pivot columns r of (sigma-1)^T, and
-        N e_r is column r of the sum of the cached powers of sigma; the full
-        N is never formed here.  For a free module C is 1/p of V."""
+        N E_C is the sum of the X's of X <- sigma X, p - 1 times from
+        X = E_C, so only columns at C are multiplied and no power of sigma
+        is formed.  For a free module C is 1/p of V."""
         if self._rank_norm is None:
             self.rank_aug()
-            at = {r: c for c, r in enumerate(self._complement)}
-            acc = {}
-            for m in self.powers():
-                for (i, j), v in m.entries.items():
-                    c = at.get(j)
-                    if c is not None:
-                        acc[(i, c)] = acc.get((i, c), 0) + v
-            self._rank_norm = rank(SparseMatrix(self.dim, len(at), self.field, acc))
+            x = SparseMatrix(self.dim, len(self._complement), self.field,
+                             {(r, c): 1 for c, r in enumerate(self._complement)})
+            acc = dict(x.entries)
+            for _ in range(self.p - 1):
+                x = self.sigma.matmul(x)
+                for key, v in x.entries.items():
+                    acc[key] = acc.get(key, 0) + v
+            self._rank_norm = rank(SparseMatrix(x.nrows, x.ncols, self.field, acc))
         return self._rank_norm
 
     # -- construction-time checks -------------------------------------------
 
     def _validate(self):
+        """The group relations as full matrix equations.
+
+        Without taus, sigma^p = 1 is checked by forming the powers.  With
+        taus it is implied by the checks below: once tau_i^2 = 1 and the
+        braid and commutation relators hold, the taus define a homomorphism
+        from Sigma_p (Moore's Coxeter presentation), and sigma = tau_1 ...
+        tau_{p-1} is the image of a p-cycle, which has order p."""
         p = self.p
-        self.powers()  # the sigma^p = 1 check happens in there
         if self.taus is None:
+            self.powers()  # the sigma^p = 1 check happens in there
             return
         ident = SparseMatrix.identity(self.dim, self.field)
         ts = self.taus
@@ -215,7 +228,7 @@ def conf_module(p, n, t):
     if t < 0 or t > top or t % (n - 1) != 0:
         raise ModpError("degree %d is not a multiple of %d inside [0, %d]" % (t, n - 1, top))
     field = GF(p)
-    basis = forests.tall_basis(p, n, t)
+    basis = forests.IndexedBasis(forests.tall_basis(p, n, t))
     cycle = {i: i % p + 1 for i in range(1, p + 1)}
     sigma = forests.action_matrix(cycle, p, n, t, basis=basis, domain=field)
     taus = []
@@ -393,8 +406,10 @@ def _element_matrix(v, q):
     word = _transposition_word(q)
     if _word_permutation(word, v.p) != tuple(q):
         raise ModpError("internal: transposition word does not recompose")
-    m = SparseMatrix.identity(v.dim, v.field)
-    for i in word:
+    if not word:
+        return SparseMatrix.identity(v.dim, v.field)
+    m = v.taus[word[0] - 1]
+    for i in word[1:]:
         m = m.matmul(v.taus[i - 1])
     return m
 

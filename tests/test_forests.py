@@ -188,10 +188,14 @@ def test_action_matrix_matches_relabel_and_rewrite(k, n):
     for j in range(k):
         degree = j * (n - 1)
         basis = forests.tall_basis(k, n, degree)
+        # the sorted list, the same basis indexed once for every perm, and
+        # a shuffled list, which action_matrix must index in its own order
+        cases = ((ZZ, basis), (GF(3), forests.IndexedBasis(basis)),
+                 (ZZ, rng.sample(basis, len(basis))))
         for perm in perms:
-            for domain in (ZZ, GF(3)):
-                got = forests.action_matrix(perm, k, n, degree, basis, domain=domain)
-                want = reference_action_matrix(perm, k, n, degree, basis, domain)
+            for domain, b in cases:
+                got = forests.action_matrix(perm, k, n, degree, b, domain=domain)
+                want = reference_action_matrix(perm, k, n, degree, b, domain)
                 assert got.entries == want.entries, (perm, degree, domain)
                 assert all(type(v) is int for v in got.entries.values())
 

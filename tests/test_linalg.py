@@ -251,6 +251,53 @@ def test_matmul_matches_dense():
     assert a.matmul(b).to_dense() == [[4, -2, 1], [-3, 3, 0], [8, 0, 4]]
 
 
+@st.composite
+def matmul_case(draw):
+    """A domain and two matrices of compatible shapes, any of them empty;
+    over QQ the entries mix ints and Fractions."""
+    domain = draw(st.sampled_from([QQ, ZZ, GF(2), GF(3), GF(7)]))
+    entry = small_int
+    if domain is QQ:
+        entry = st.one_of(small_int, st.builds(Fraction, small_int, st.integers(1, 5)))
+    n, m, k = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        return SparseMatrix(nrows, ncols, domain, {
+            (i, j): draw(entry) for i in range(nrows) for j in range(ncols)})
+    return matrix(n, m), matrix(m, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matmul_case())
+def test_matmul_matches_dense_product_with_entry_types(case):
+    a, b = case
+    p = a.domain.characteristic
+    da, db = a.to_dense(), b.to_dense()
+    want = {}
+    for i in range(a.nrows):
+        for l in range(b.ncols):
+            terms = [da[i][j] * db[j][l] for j in range(a.ncols) if da[i][j] and db[j][l]]
+            x = sum(terms, 0) % p if p else sum(terms, 0)
+            if x:
+                # a sum of int products is an int; one Fraction makes it a Fraction
+                want[(i, l)] = (x, Fraction if Fraction in map(type, terms) else int)
+    c = a.matmul(b)
+    assert (c.nrows, c.ncols, c.domain) == (a.nrows, b.ncols, a.domain)
+    assert {key: (v, type(v)) for key, v in c.entries.items()} == want
+    assert all(v != 0 for v in c.entries.values())
+
+
+def test_matmul_refuses_shape_and_domain_mismatch():
+    a = SparseMatrix.from_rows([[1, 2]], QQ)
+    with pytest.raises(ValueError):
+        a.matmul(SparseMatrix.from_rows([[1, 2]], QQ))
+    for other in (ZZ, GF(3)):
+        with pytest.raises(DomainError):
+            a.matmul(SparseMatrix.from_rows([[1], [2]], other))
+    with pytest.raises(DomainError):
+        SparseMatrix.identity(2, GF(3)).matmul(SparseMatrix.identity(2, GF(5)))
+
+
 def test_invert_roundtrip():
     m = SparseMatrix.from_rows([[2, 1], [1, 1]], QQ)
     inv = invert(m)
@@ -320,6 +367,14 @@ def test_stacking():
     b = SparseMatrix.from_rows([[0, 2]], ZZ)
     assert SparseMatrix.vstack([a, b]).to_dense() == [[1, 0], [0, 2]]
     assert SparseMatrix.hstack([a, b]).to_dense() == [[1, 0, 0, 2]]
+    with pytest.raises(ValueError):
+        SparseMatrix.vstack([a, SparseMatrix.from_rows([[1]], ZZ)])
+    with pytest.raises(ValueError):
+        SparseMatrix.hstack([a, SparseMatrix.from_rows([[1], [2]], ZZ)])
+    with pytest.raises(DomainError):
+        SparseMatrix.hstack([a, SparseMatrix.from_rows([[1]], GF(3))])
+    with pytest.raises(DomainError):
+        SparseMatrix.vstack([a, SparseMatrix.from_rows([[1, 0]], QQ)])
 
 
 def test_transpose_rank_invariance():

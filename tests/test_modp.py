@@ -59,6 +59,15 @@ def test_gmodule_validation_catches_broken_tau():
         modp.GModule(3, v.sigma, taus)
 
 
+def test_sigma_without_taus_must_have_order_p():
+    # a transposition over F_3 and -1 over F_5 have order 2
+    swap = SparseMatrix(2, 2, GF(3), {(0, 1): 1, (1, 0): 1})
+    minus = SparseMatrix.identity(3, GF(5)).scale(-1)
+    for p, sigma in ((3, swap), (5, minus)):
+        with pytest.raises(modp.ModpError, match="sigma\\^%d is not the identity" % p):
+            modp.GModule(p, sigma)
+
+
 def regular_sigma3_taus(copies, right=()):
     """Coxeter generators of `copies` copies of the regular Sigma_3-module
     over F_3: tau_i sends the basis vector of g to that of s_i g, or of
@@ -201,7 +210,9 @@ def component_dense_rank(m, p):
     parent = {}
 
     def find(x):
+        # path halving: without it the walk's cost depends on entry order
         while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
@@ -268,6 +279,41 @@ def test_rank_route_matches_dense_on_jordan_blocks(p, data):
     # N = (sigma-1)^(p-1) is nonzero exactly on a block of size p
     assert v.rank_aug() == dim - len(sizes)
     assert v.rank_norm() == sizes.count(p)
+
+
+def test_rank_norm_equals_dense_rank_of_full_norm():
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            for t in all_t(p, n):
+                v = modp.conf_module(p, n, t)
+                assert v.rank_norm() == oracles.dense_rank_mod(v.norm().to_dense(), p), \
+                    (p, n, t)
+
+
+def test_cp_route_forms_no_power_of_sigma(monkeypatch):
+    """Tate groups, vanishing and fixed spaces need rank(sigma-1), rank N
+    and the taus only: sigma^p = 1 follows from the Coxeter relators, and
+    rank N is taken on a complement, so no module forms its powers."""
+    monkeypatch.setattr(modp, "_conf_cache", {})
+    ts = all_t(7, 3)
+    for t in ts:
+        modp.tate(modp.conf_module(7, 3, t), (-2, 2))
+    assert modp.verify_vanishing(7, 3)
+    assert dict(modp.invariants_sigma_p(7, 3).items()) == {0: 1}
+    assert sorted(modp._conf_cache) == [(7, 3, t) for t in ts]
+    assert all(v._powers is None for v in modp._conf_cache.values())
+
+
+def test_element_matrix_starts_at_the_first_tau():
+    v = modp.conf_module(5, 2, 2)
+    assert modp._element_matrix(v, (1, 2, 3, 4, 5)) == SparseMatrix.identity(v.dim, GF(5))
+    assert modp._element_matrix(v, (1, 3, 2, 4, 5)) is v.taus[1]
+    q = (2, 3, 1, 5, 4)
+    word = modp._transposition_word(q)
+    want = SparseMatrix.identity(v.dim, GF(5))
+    for i in word:
+        want = want.matmul(v.taus[i - 1])
+    assert len(word) == 3 and modp._element_matrix(v, q) == want
 
 
 # ---------------------------------------------------------------------------
