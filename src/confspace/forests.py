@@ -48,14 +48,14 @@ def is_leaf(t):
 
 
 def _validate_tree(t):
+    """Refuse a malformed tree; return its leaf labels in left-to-right order."""
     if is_leaf(t):
         if t < 1:
             raise ForestError("leaf labels must be positive, got %r" % (t,))
-        return
+        return (t,)
     if not (isinstance(t, tuple) and len(t) == 2):
         raise ForestError("internal vertex must be a pair, got %r" % (t,))
-    _validate_tree(t[0])
-    _validate_tree(t[1])
+    return _validate_tree(t[0]) + _validate_tree(t[1])
 
 
 def tree_leaves(t):
@@ -341,9 +341,7 @@ def rewrite_to_tall(f, n):
     if n < 2:
         raise ValueError("need n >= 2")
     f = tuple(f)
-    for t in f:
-        _validate_tree(t)
-    seqs = [tree_leaves(t) for t in f]
+    seqs = [_validate_tree(t) for t in f]
     labels = sorted(x for s in seqs for x in s)
     k = len(labels)
     if labels != list(range(1, k + 1)):

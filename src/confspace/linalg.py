@@ -16,20 +16,24 @@ entry +-1 may pivot, a = 1 and b is the row's entry over the pivot, so
 every update is unimodular.  Pivots are chosen Markowitz-style: a row of
 fewest entries, then its column with the fewest active rows, with a
 deterministic tie-break on the lowest row index, then the lowest column
-index, so results and orderings are reproducible across runs.  A row with
-no admissible column is set aside until an update changes it; the rows
-still set aside at the end are returned.  rank counts the pivots.  For
-kernel_basis and invert a back-substitution pass then clears every pivot
-column outside its own row; kernel_basis returns one matrix whose columns
-are indexed by the non-pivot columns, and the inverse is read off the
-reduced [A | I] with pivots restricted to the columns of A.
-smith_normal_form counts a factor 1 per unit pivot and runs a short gcd
-loop, with row and column operations, on the rows set aside.
+index, so results and orderings are reproducible across runs.  Rows wait
+in buckets by entry count, each with a heap of row ids that drops stale
+ids lazily, so a pick costs O(log n) and makes the choice a scan would.
+Over Q row signs are not normalised.  A row with no admissible column is
+set aside until an update changes it; the rows still set aside at the end
+are returned.  rank counts the pivots.  For kernel_basis and invert a
+back-substitution pass then clears every pivot column outside its own row;
+kernel_basis returns one matrix whose columns are indexed by the non-pivot
+columns, and the inverse is read off the reduced [A | I] with pivots
+restricted to the columns of A.  smith_normal_form counts a factor 1 per
+unit pivot and runs a short gcd loop, with row and column operations, on
+the rows set aside.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, isqrt, lcm
 
 
@@ -279,12 +283,6 @@ def _strip_content(row):
     if g > 1:
         for j in list(row):
             row[j] //= g
-    # normalize overall sign for determinism: first (lowest-col) entry positive
-    if row:
-        lead = row[min(row)]
-        if lead < 0:
-            for j in list(row):
-                row[j] = -row[j]
     return row
 
 
@@ -302,7 +300,8 @@ def _integer_rows(m):
 
 
 class _PivotQueue:
-    """Bucket queue over active rows keyed by nnz.
+    """Bucket queue over active rows keyed by nnz, with a heap of row ids
+    beside each bucket.
 
     Pivot choice: a row of minimal nnz (lowest id on ties), then its
     admissible column with the fewest active rows (lowest index on ties) -
@@ -310,26 +309,39 @@ class _PivotQueue:
     deterministic.  A column is admissible below limit, and with units only
     at an entry +-1.  A row with none leaves the queue, and the column is
     None; add puts the row back once an update changes it.
+
+    Every member of a bucket is in its heap; remove leaves the id there, and
+    pick pops such stale ids off the top, so the top it picks is the
+    bucket's lowest id in O(log n) amortised rather than a scan.
     """
 
     def __init__(self, active):
         self.buckets = {}
         for i, row in active.items():
             self.buckets.setdefault(len(row), set()).add(i)
+        self.heaps = {size: sorted(b) for size, b in self.buckets.items()}
 
     def remove(self, i, size):
         b = self.buckets.get(size)
         if b is not None:
             b.discard(i)
             if not b:
-                del self.buckets[size]
+                del self.buckets[size], self.heaps[size]
 
     def add(self, i, size):
-        self.buckets.setdefault(size, set()).add(i)
+        b = self.buckets.get(size)
+        if b is None:
+            self.buckets[size], self.heaps[size] = {i}, [i]
+        elif i not in b:
+            b.add(i)
+            heappush(self.heaps[size], i)
 
     def pick(self, active, col_rows, limit, units):
         size = min(self.buckets)
-        i = min(self.buckets[size])
+        b, heap = self.buckets[size], self.heaps[size]
+        while heap[0] not in b:
+            heappop(heap)
+        i = heap[0]
         row = active[i]
         cols = ((jj for jj in row if jj < limit) if not units
                 else (jj for jj in row if jj < limit and row[jj] in (1, -1)))

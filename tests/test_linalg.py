@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confspace import linalg
 from confspace.linalg import (
     GF,
     QQ,
@@ -381,3 +382,108 @@ def test_transpose_rank_invariance():
     rows = [[0, 1, 2], [3, 0, 0]]
     m = SparseMatrix.from_rows(rows, QQ)
     assert rank(m) == rank(m.transpose()) == 2
+
+
+class _ScanQueue(linalg._PivotQueue):
+    """The pick as it was before the heaps: a linear scan of the smallest
+    bucket for its lowest row id."""
+
+    def pick(self, active, col_rows, limit, units):
+        size = min(self.buckets)
+        i = min(self.buckets[size])
+        row = active[i]
+        cols = ((jj for jj in row if jj < limit) if not units
+                else (jj for jj in row if jj < limit and row[jj] in (1, -1)))
+        j = min(cols, key=lambda jj: (len(col_rows[jj]), jj), default=None)
+        if j is None:
+            self.remove(i, size)
+        return i, j
+
+
+_strip_content = linalg._strip_content
+
+
+def _signed_strip(row):
+    """_strip_content as it was with row signs normalised: the first
+    (lowest-column) entry positive."""
+    row = _strip_content(row)
+    if row and row[min(row)] < 0:
+        for j in row:
+            row[j] = -row[j]
+    return row
+
+
+def scan_reference(fn, *args):
+    """fn run with the scanning pick and the sign-normalised rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_PivotQueue", _ScanQueue)
+        mp.setattr(linalg, "_strip_content", _signed_strip)
+        return fn(*args)
+
+
+def outcome(fn, m):
+    try:
+        return fn(m)
+    except ValueError as e:
+        return str(e)
+
+
+def up_to_sign(a, b):
+    return a == b or a == {j: -v for j, v in b.items()}
+
+
+# mostly zeros, with repeated values, so that buckets tie and churn
+sparse_entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, 2, -3])
+
+
+@st.composite
+def sparse_rows(draw, max_dim=12):
+    nrows = draw(st.integers(min_value=0, max_value=max_dim))
+    ncols = draw(st.integers(min_value=0, max_value=max_dim))
+    return [[draw(sparse_entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.sampled_from([0, 7, None]), st.booleans(), st.data())
+def test_heap_pick_matches_scan_reference(rows, p, reduce, data):
+    """The heaps pick the rows the scan picked: the same pivots and rest,
+    the same rows over F_p and Z, and over Q the same rows up to sign."""
+    domain = ZZ if p is None else GF(p) if p else QQ
+    m = SparseMatrix.from_rows(rows, domain)
+    limit = data.draw(st.none() | st.integers(0, m.ncols))
+    pivots, done, rest = linalg._eliminate(m, limit, reduce)
+    ref_pivots, ref_done, ref_rest = scan_reference(linalg._eliminate, m, limit, reduce)
+    assert pivots == ref_pivots
+    assert done.keys() == ref_done.keys() and len(rest) == len(ref_rest)
+    same = up_to_sign if p == 0 else (lambda a, b: a == b)
+    assert all(same(done[i], ref_done[i]) for i in done)
+    assert all(same(a, b) for a, b in zip(rest, ref_rest))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows(), st.sampled_from([0, 7]))
+def test_public_outputs_match_scan_reference(rows, p):
+    m = SparseMatrix.from_rows(rows, GF(p) if p else QQ)
+    assert kernel_basis(m) == scan_reference(kernel_basis, m)
+    n = min(m.nrows, m.ncols)
+    square = SparseMatrix.from_rows([row[:n] for row in rows[:n]], m.domain)
+    assert outcome(invert, square) == scan_reference(outcome, invert, square)
+    z = SparseMatrix.from_rows(rows, ZZ)
+    assert smith_normal_form(z) == scan_reference(smith_normal_form, z)
+
+
+def test_pivot_queue_picks_a_readded_row_once():
+    """A row removed and put back in the same bucket leaves a stale copy in
+    the heap; it is still picked once, in id order."""
+    active = {0: {0: 1, 1: 1}, 1: {0: 1, 2: 1}, 2: {1: 1, 2: 1}}
+    col_rows = {0: {0, 1}, 1: {0, 2}, 2: {1, 2}}
+    queue = linalg._PivotQueue(active)
+    queue.remove(0, 2)
+    queue.add(0, 2)
+    assert sorted(queue.heaps[2]) == [0, 0, 1, 2]
+    picked = []
+    while queue.buckets:
+        i, _ = queue.pick(active, col_rows, 3, False)
+        queue.remove(i, 2)
+        picked.append(i)
+    assert picked == [0, 1, 2]
