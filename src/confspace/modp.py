@@ -20,10 +20,13 @@ of the module data is small homological algebra over F_p:
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
-    primitive root r.  Its action on periodic-resolution cohomology is an
-    explicit comparison chain map (multiplication by r^j in stage 2j,
-    r^j times the partial norm 1 + sigma + ... + sigma^(r-1) in stage
-    2j+1, both composed with the permutation realizing the conjugation).
+    primitive root r.  When the periodic dimension is 0 (every free
+    module, so every interior degree t) only H^0 is left, the classes of
+    ker(sigma-1) that the normalizer fixes.  Otherwise its action on
+    periodic-resolution cohomology is an explicit comparison chain map
+    (multiplication by r^j in stage 2j, r^j times the partial norm
+    1 + sigma + ... + sigma^(r-1) in stage 2j+1, both composed with the
+    permutation realizing the conjugation).
     The cocycles of the even and odd stages, ker(sigma-1) and ker N, are
     each one kernel basis matrix Z, taken once; a stage keeps the classes
     of Z that its comparison map fixes modulo the coboundaries.
@@ -57,8 +60,9 @@ class GModule:
     Validated on construction, every check a full matrix equation: with
     taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for
     j > i+1 and sigma = tau_1 tau_2 ... tau_{p-1}, which imply sigma^p = 1;
-    without them, sigma^p = 1 itself.  Otherwise the powers of sigma
-    (powers, norm, partial_norm) are formed only by the stable route.
+    without them, sigma^p = 1 itself.  Otherwise the powers of sigma are
+    formed only by the stable route, and N and the partial norms only when
+    the periodic dimension is nonzero.
     """
 
     def __init__(self, p, sigma, taus=None, basis=None):
@@ -111,7 +115,8 @@ class GModule:
         return self._aug
 
     def norm(self):
-        """N = 1 + sigma + ... + sigma^(p-1), formed only for the stable route."""
+        """N = 1 + sigma + ... + sigma^(p-1); the stable route forms it only
+        when the periodic dimension is nonzero."""
         if self._norm is None:
             self._norm = self.partial_norm(self.p)
         return self._norm
@@ -418,7 +423,9 @@ def sigma_p_cohomology_stable(v, s_max):
     """dim H^s(Sigma_p; V) via stable classes, s = 0..s_max.
 
     Restriction to C_p is injective with image the classes fixed by
-    N(C_p)/C_p = <sigma -> sigma^r>, r a primitive root.  The normalizer
+    N(C_p)/C_p = <sigma -> sigma^r>, r a primitive root.  If the periodic
+    dimension h is 0, H^s = 0 for s >= 1 and H^0 is the classes of
+    ker(sigma-1) fixed by g below; N is not formed.  Otherwise the normalizer
     generator acts on periodic-resolution cochains by phi_2j = r^j g and
     phi_{2j+1} = r^j g (1 + sigma + ... + sigma^(r-1)) where g realizes a
     permutation conjugating sigma to sigma^r; the chain-map identity
@@ -445,6 +452,11 @@ def sigma_p_cohomology_stable(v, s_max):
     g = _element_matrix(v, q)
     if v.sigma.matmul(g) != g.matmul(v.powers()[r]):
         raise ModpError("normalizer conjugation identity fails")
+    if _periodic_dim(v) == 0:
+        # restriction to the Sylow C_p is injective and H^s(C_p; V) has
+        # dimension _periodic_dim(v) = 0 for every s >= 1: only H^0 is left
+        z = kernel_basis(v.aug())
+        return GradedDims({0: z.ncols - rank(g.matmul(z).sub(z))})
     diffs = (v.aug(), v.norm())
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
     phis = (g, g.matmul(v.partial_norm(r)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from confspace import modp
 from confspace.graded import GradedDims
-from confspace.linalg import GF, SparseMatrix
+from confspace.linalg import GF, SparseMatrix, kernel_basis, rank
 
 import oracles
 
@@ -413,7 +413,58 @@ STABLE_DIMS = {
     (7, 2, 1): [1, 0, 0, 0, 0],
     (7, 2, 2): [3, 0, 0, 0, 0],
     (7, 2, 3): [17, 0, 0, 0, 0],
+    (7, 2, 4): [39, 0, 0, 0, 0],
 }
+
+
+def _stable_reference(v, s_max):
+    """The stage loop of sigma_p_cohomology_stable as it was before the
+    periodic dimension short-cut: N, ker N and the comparison maps phi_s
+    are formed on every module, and the chain-map identity is asserted at
+    every stage."""
+    p = v.p
+    r = modp._primitive_root(p)
+    q = tuple((i - 1) * pow(r, -1, p) % p + 1 for i in range(1, p + 1))
+    g = modp._element_matrix(v, q)
+    diffs = (v.aug(), v.norm())
+    kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
+    phis = (g, g.matmul(v.partial_norm(r)))
+
+    def phi(s):
+        return phis[s % 2].scale(pow(r, s // 2, p))
+
+    dims = {}
+    for s in range(s_max + 1):
+        ds, z = diffs[s % 2], kernels[s % 2]
+        phi_s = phi(s)
+        assert ds.matmul(phi_s) == phi(s + 1).matmul(ds), s
+        moved = phi_s.matmul(z).sub(z)
+        if s >= 1:
+            moved = SparseMatrix.hstack([moved, diffs[(s + 1) % 2]])
+        dims[s] = z.ncols - rank(moved)
+    return GradedDims(dims)
+
+
+def test_stable_route_matches_full_stage_loop():
+    cases = [(modp.conf_module(p, n, t), 2 * p - 2)
+             for p in (3, 5) for n in (2, 3) for t in all_t(p, n)]
+    cases += [(sign_twist(modp.conf_module(3, n, t)), 4) for n in (2, 3) for t in all_t(3, n)]
+    cases += [(sign_twist(modp.trivial_module(3)), 4)]
+    cases += [(modp.conf_module(7, 2, t), 4) for t in range(3)]
+    for v, s_max in cases:
+        assert modp.sigma_p_cohomology_stable(v, s_max) == _stable_reference(v, s_max), \
+            (v.p, v.dim, s_max)
+
+
+def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
+    """An interior module is free, so its periodic dimension is 0 and the
+    route stops at H^0; the top module has H^4 != 0 and needs N."""
+    monkeypatch.setattr(modp, "_conf_cache", {})
+    interior, top = modp.conf_module(5, 2, 2), modp.conf_module(5, 2, 4)
+    modp.sigma_p_cohomology_stable(interior, 8)
+    assert interior._norm is None
+    modp.sigma_p_cohomology_stable(top, 8)
+    assert top._norm is not None
 
 
 def test_stable_route_dims_are_pinned():
