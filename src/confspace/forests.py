@@ -331,21 +331,24 @@ def _reorder_sign(seqs, n):
     return -1 if swaps % 2 else 1
 
 
-def rewrite_to_tall(f, n):
+def rewrite_to_tall(f, n, seqs=None):
     """Expand a forest in the tall basis.
 
     The forest's labels must partition [1, k] for k = total leaf count; the
     given component order is part of the input and contributes the Koszul
-    reordering sign.
+    reordering sign.  A caller that passes seqs, the leaf sequences of f's
+    trees, vouches for f, and f is not validated: action_matrix does so for
+    the forests it builds itself.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     f = tuple(f)
-    seqs = [_validate_tree(t) for t in f]
-    labels = sorted(x for s in seqs for x in s)
-    k = len(labels)
-    if labels != list(range(1, k + 1)):
-        raise ForestError("leaf labels must partition 1..%d, got %r" % (k, labels))
+    if seqs is None:
+        seqs = [_validate_tree(t) for t in f]
+        labels = sorted(x for s in seqs for x in s)
+        if labels != list(range(1, len(labels) + 1)):
+            raise ForestError("leaf labels must partition 1..%d, got %r"
+                              % (len(labels), labels))
     par = n % 2
     sign = _reorder_sign(seqs, n)
     order = sorted(range(len(f)), key=lambda i: min(seqs[i]))
@@ -361,7 +364,7 @@ def rewrite_to_tall(f, n):
             acc.pop(forest, None)
         else:
             acc[forest] = v
-    return HomologyClass(k, n, acc)
+    return HomologyClass(sum(map(len, seqs)), n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +437,11 @@ def pairing_matrix(k, n, degree):
                 d_entries[(a, col_pos[mono])] = c
         d = SparseMatrix(m, m, QQ, d_entries)
         p = invert(d.transpose())
-        for (a, b), v in p.entries.items():
-            if v.denominator != 1:
-                raise AssertionError("pairing block not integral at partition %r" % (part,))
-            entries[(rows[a], cols[b])] = int(v)
+        for a, prow in p.rows.items():
+            for b, v in prow.items():
+                if v.denominator != 1:
+                    raise AssertionError("pairing block not integral at partition %r" % (part,))
+                entries[(rows[a], cols[b])] = int(v)
     return SparseMatrix(len(forests), len(monos), ZZ, entries)
 
 
@@ -469,7 +473,8 @@ def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     relabelled sequence, and it is tall iff its first leaf is its minimum.
     When every tree of a forest stays tall, the column is the one forest of
     the sorted trees, with the Koszul sign of sorting them by minimum.
-    Only the other columns go through rewrite_to_tall.
+    Only the other columns go through rewrite_to_tall, with the leaf
+    sequences of the combs built here, so those are not validated again.
     """
     table = arnold._perm_table(perm, k)
     if basis is None:
@@ -477,16 +482,22 @@ def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     if not isinstance(basis, IndexedBasis):
         basis = IndexedBasis(basis)
     row_of_key, row_of_forest = basis.row_of_key, basis.row_of_forest
-    entries = {}
+    relabel = table.__getitem__
+    coerce = domain.coerce
+    rows = {}
     for j, key in enumerate(basis.keys):
-        seqs = [tuple(table[x] for x in seq) for seq in key]
+        seqs = [tuple(map(relabel, seq)) for seq in key]
         if all(s[0] == min(s) for s in seqs):
-            entries[(row_of_key[tuple(sorted(seqs))], j)] = _reorder_sign(seqs, n)
-            continue
-        moved = tuple(tall_from_seq(s) for s in seqs)
-        for g, c in rewrite_to_tall(moved, n).terms.items():
-            entries[(row_of_forest[g], j)] = c
-    return SparseMatrix(len(basis), len(basis), domain, entries)
+            terms = [(row_of_key[tuple(sorted(seqs))], _reorder_sign(seqs, n))]
+        else:
+            moved = tuple(tall_from_seq(s) for s in seqs)
+            terms = [(row_of_forest[g], c)
+                     for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
+        for r, c in terms:
+            c = coerce(c)
+            if c:
+                rows.setdefault(r, {})[j] = c
+    return SparseMatrix._trusted(len(basis), len(basis), domain, rows)
 
 
 def _adjacent_transposition(i, k):

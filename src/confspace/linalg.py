@@ -6,6 +6,16 @@ is used anywhere.  A QQ entry is an int or a Fraction: an int is an exact
 rational equal to its Fraction, so QQ keeps ints as they are and an
 integral matrix never builds a Fraction.
 
+A SparseMatrix is stored by rows only: a dict row index -> row, each row a
+dict column -> nonzero entry, with no empty row.  Products, sums, stacks,
+transposes and the eliminator read and build rows directly; the flat
+(row, col) -> entry dict is made only on request.  A row of a product with
+a single entry on the left is a scaled (or, at an int 1, copied) row of
+the right factor.  Nothing writes to a row of an existing matrix: the
+eliminator starts from the input's rows as they are (over Q from the rows
+that already are primitive integer vectors) and builds every updated row
+anew.
+
 One eliminator serves rank, pivot_columns, kernel_basis and invert over
 the fields, and the unit pivots of smith_normal_form over Z.  A row update is
 a*row - b*prow, which clears the pivot column.  Over Q rows are primitive
@@ -119,27 +129,42 @@ def GF(p):
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix: dict (row, col) -> nonzero scalar."""
+    """Immutable-by-convention sparse matrix stored by rows.
+
+    rows maps a row index to that row, a dict column -> nonzero scalar.  A
+    row with no entry is absent, so no row is empty and no entry is zero.
+    The constructor takes entries as a dict (row, col) -> scalar, coerces
+    them to the domain and drops zeros; the entries property gives the
+    stored entries back in that form, built afresh on each access for tests
+    and cold paths.  Every operation builds its result from new rows and
+    never writes to an operand's rows.
+    """
 
     def __init__(self, nrows, ncols, domain, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         self.domain = domain
-        self.entries = {}
+        self.rows = rows = {}
         if entries:
+            coerce = domain.coerce
             for (i, j), v in entries.items():
-                v = domain.coerce(v)
+                v = coerce(v)
                 if v == 0:
                     continue
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, nrows, ncols))
-                self.entries[(i, j)] = v
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: v}
+                else:
+                    row[j] = v
 
     @classmethod
-    def _trusted(cls, nrows, ncols, domain, entries):
-        """A matrix on entries that are already coerced, nonzero and in range."""
+    def _trusted(cls, nrows, ncols, domain, rows):
+        """A matrix on rows that are nonempty, in range, and hold coerced
+        nonzero entries."""
         m = cls.__new__(cls)
-        m.nrows, m.ncols, m.domain, m.entries = nrows, ncols, domain, entries
+        m.nrows, m.ncols, m.domain, m.rows = nrows, ncols, domain, rows
         return m
 
     @classmethod
@@ -161,59 +186,69 @@ class SparseMatrix:
         return cls(nrows, ncols, domain)
 
     @property
+    def entries(self):
+        return {(i, j): v for i, row in self.rows.items() for j, v in row.items()}
+
+    @property
     def nnz(self):
-        return len(self.entries)
-
-    def get(self, i, j):
-        return self.entries.get((i, j), self.domain.coerce(0))
-
-    def rows_dict(self):
-        rows = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[j] = v
-        return rows
+        return sum(map(len, self.rows.values()))
 
     def transpose(self):
-        return SparseMatrix._trusted(
-            self.ncols, self.nrows, self.domain,
-            {(j, i): v for (i, j), v in self.entries.items()})
+        cols = {}
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                cols.setdefault(j, {})[i] = v
+        return SparseMatrix._trusted(self.ncols, self.nrows, self.domain, cols)
 
     def to_dense(self):
         z = self.domain.coerce(0)
         dense = [[z] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                dense[i][j] = v
         return dense
 
     def matmul(self, other):
-        """self * other row by row, each row summed in one accumulator; over
-        F_p every entry is reduced mod p, and zeros are dropped.  Entries
-        keep the type of their sums: over Q an int stays an int."""
+        """self * other row by row; over F_p every entry is reduced mod p,
+        and zeros are dropped.  Entries keep the type of their sums: over Q
+        an int stays an int.
+
+        A row of self with one entry v gives v times one row of other, with
+        no accumulator, and a copy of that row when v is the int 1; the
+        other rows are summed in one accumulator."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %s x %s" % ((self.nrows, self.ncols), (other.nrows, other.ncols)))
-        if self.domain is not other.domain and self.domain != other.domain:
-            raise DomainError("domain mismatch %r vs %r" % (self.domain, other.domain))
+        _same_domain(self.domain, other.domain)
         p = self.domain.characteristic
-        other_rows = other.rows_dict()
-        # the keys of self by row: lists of shared keys weigh less than row dicts
-        rows = {}
-        for key in self.entries:
-            rows.setdefault(key[0], []).append(key)
-        entries = {}
-        for i, keys in rows.items():
+        other_rows = other.rows
+        out = {}
+        for i, row in self.rows.items():
+            if len(row) == 1:
+                [(j, v)] = row.items()
+                orow = other_rows.get(j)
+                if orow is None:
+                    continue
+                if v == 1 and type(v) is int:
+                    out[i] = dict(orow)
+                elif p:
+                    # v and every w are nonzero mod the prime p
+                    out[i] = {l: v * w % p for l, w in orow.items()}
+                else:
+                    out[i] = {l: v * w for l, w in orow.items()}
+                continue
             acc = {}
-            for key in keys:
-                j = key[1]
-                if j in other_rows:
-                    v = self.entries[key]
-                    for l, w in other_rows[j].items():
+            for j, v in row.items():
+                orow = other_rows.get(j)
+                if orow is not None:
+                    for l, w in orow.items():
                         acc[l] = acc.get(l, 0) + v * w
-            for l, x in acc.items():
-                if p:
-                    x %= p
-                if x:
-                    entries[(i, l)] = x
-        return SparseMatrix._trusted(self.nrows, other.ncols, self.domain, entries)
+            if p:
+                acc = {l: x % p for l, x in acc.items() if x % p}
+            else:
+                acc = {l: x for l, x in acc.items() if x}
+            if acc:
+                out[i] = acc
+        return SparseMatrix._trusted(self.nrows, other.ncols, self.domain, out)
 
     def add(self, other):
         return self._combine(other, 1)
@@ -224,14 +259,31 @@ class SparseMatrix:
     def _combine(self, other, sign):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        acc = dict(self.entries)
-        for key, v in other.entries.items():
-            acc[key] = acc.get(key, 0) + sign * v
-        return SparseMatrix(self.nrows, self.ncols, self.domain, acc)
+        _same_domain(self.domain, other.domain)
+        p = self.domain.characteristic
+        rows = {i: dict(row) for i, row in self.rows.items()}
+        for i, orow in other.rows.items():
+            row = rows.setdefault(i, {})
+            for j, v in orow.items():
+                x = row.get(j, 0) + sign * v
+                if p:
+                    x %= p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            if not row:
+                del rows[i]
+        return SparseMatrix._trusted(self.nrows, self.ncols, self.domain, rows)
 
     def scale(self, c):
-        return SparseMatrix(self.nrows, self.ncols, self.domain,
-                            {k: v * c for k, v in self.entries.items()})
+        coerce = self.domain.coerce
+        rows = {}
+        for i, row in self.rows.items():
+            row = {j: x for j, v in row.items() if (x := coerce(v * c))}
+            if row:
+                rows[i] = row
+        return SparseMatrix._trusted(self.nrows, self.ncols, self.domain, rows)
 
     @classmethod
     def vstack(cls, mats):
@@ -244,29 +296,33 @@ class SparseMatrix:
             raise ValueError("empty stack")
         nrows = mats[0].nrows
         domain = mats[0].domain
-        entries = {}
+        rows = {}
         offset = 0
         for m in mats:
             if m.nrows != nrows:
                 raise ValueError("shape mismatch in stack")
-            if m.domain != domain:
-                raise DomainError("domain mismatch %r vs %r" % (domain, m.domain))
-            for (i, j), v in m.entries.items():
-                entries[(i, j + offset)] = v
+            _same_domain(domain, m.domain)
+            for i, row in m.rows.items():
+                rows.setdefault(i, {}).update({j + offset: v for j, v in row.items()})
             offset += m.ncols
-        return cls._trusted(nrows, offset, domain, entries)
+        return cls._trusted(nrows, offset, domain, rows)
 
     def is_zero(self):
-        return not self.entries
+        return not self.rows
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __repr__(self):
         return "SparseMatrix(%dx%d over %r, %d nonzero)" % (
             self.nrows, self.ncols, self.domain, self.nnz)
+
+
+def _same_domain(a, b):
+    if a is not b and a != b:
+        raise DomainError("domain mismatch %r vs %r" % (a, b))
 
 
 def _row_content(row):
@@ -279,23 +335,23 @@ def _row_content(row):
 
 
 def _strip_content(row):
+    """row divided by its content: a new dict if the content is > 1, else
+    row itself."""
     g = _row_content(row)
-    if g > 1:
-        for j in list(row):
-            row[j] //= g
-    return row
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def _integer_rows(m):
-    """Rows of a Q matrix as primitive integer dicts, in row order
-    (denominators cleared, content stripped).  A row of int entries is
-    stripped in place, since rows_dict builds fresh rows."""
-    rows = []
-    for _, row in sorted(m.rows_dict().items()):
+    """The rows of a Q matrix as primitive integer vectors, by row index in
+    increasing order.  A row that already is one is shared; a new dict is
+    built only to clear denominators or to strip content."""
+    rows = {}
+    for i in sorted(m.rows):
+        row = m.rows[i]
         if any(type(v) is not int for v in row.values()):
             den = lcm(*(v.denominator for v in row.values()))
             row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        rows.append(_strip_content(row))
+        rows[i] = _strip_content(row)
     return rows
 
 
@@ -390,25 +446,26 @@ def _eliminate(m, limit=None, reduce=False):
     """The one elimination behind rank, kernel_basis, invert and the unit
     pivots of smith_normal_form.
 
-    Returns (pivots, rows, rest): pivots lists (column, row id) in pivot
-    order, and rows maps each pivot's row id to its row (pivot entry 1 over
-    F_p, +-1 over Z, a primitive integer vector over Q).  Each pivot row has
-    no entry in the columns of earlier pivots; with reduce,
+    Returns (pivots, rows, rest): pivots lists (column, row index of m) in
+    pivot order, and rows maps each pivot's row index to its row (pivot
+    entry 1 over F_p, +-1 over Z, a primitive integer vector over Q).  Each
+    pivot row has no entry in the columns of earlier pivots; with reduce,
     back-substitution also clears the columns of later ones.  Pivot columns
     are chosen below limit (default: all), and over Z only at an entry +-1.
     rest lists the rows left with no admissible column; they have no entry
     in a pivot column.  Over Z every step is unimodular, so the Smith form
-    of m is one factor 1 per pivot and the Smith form of rest.
+    of m is one factor 1 per pivot and the Smith form of rest.  A row that
+    no update touched may be a row of m itself: the eliminator never writes
+    to a row it did not build, so neither may its callers.
     """
     # p: the characteristic over the fields, None over Z
     p = m.domain.characteristic if m.domain.is_field else None
     if p == 0:
-        rows = _integer_rows(m)
+        active = _integer_rows(m)
     else:
-        rows = [row for _, row in sorted(m.rows_dict().items())]
+        active = {i: m.rows[i] for i in sorted(m.rows)}
     if limit is None:
         limit = m.ncols
-    active = dict(enumerate(rows))
     col_rows = {}
     for i, row in active.items():
         for j in row:
@@ -430,14 +487,17 @@ def _eliminate(m, limit=None, reduce=False):
         for r in list(col_rows.get(j, ())):
             row = active[r]
             queue.remove(r, len(row))
-            for jj in row:
-                col_rows[jj].discard(r)
-            row = _row_update(row, prow, j, p)
-            if row:
-                active[r] = row
-                queue.add(r, len(row))
-                for jj in row:
-                    col_rows.setdefault(jj, set()).add(r)
+            out = _row_update(row, prow, j, p)
+            # the support of the row can change only at the columns of prow
+            for jj in prow:
+                if jj in row:
+                    if jj not in out:
+                        col_rows[jj].discard(r)
+                elif jj in out:
+                    col_rows[jj].add(r)
+            if out:
+                active[r] = out
+                queue.add(r, len(out))
             else:
                 del active[r]
         pivots.append((j, i))
@@ -487,14 +547,14 @@ def kernel_basis(m):
     p = m.domain.characteristic
     pivot_cols = {j for j, _ in pivots}
     free = {f: c for c, f in enumerate(f for f in range(m.ncols) if f not in pivot_cols)}
-    entries = {(f, c): 1 for f, c in free.items()}
+    out = {f: {c: 1} for f, c in free.items()}
     for j, i in pivots:
         row = rows[i]
         a = row[j]
-        for f, v in row.items():
-            if f != j:
-                entries[(j, free[f])] = -v % p if p else Fraction(-v, a)
-    return SparseMatrix(m.ncols, len(free), m.domain, entries)
+        krow = {free[f]: -v % p if p else Fraction(-v, a) for f, v in row.items() if f != j}
+        if krow:
+            out[j] = krow
+    return SparseMatrix._trusted(m.ncols, len(free), m.domain, out)
 
 
 def invert(m):

@@ -87,7 +87,6 @@ class GModule:
         self.taus = taus
         self.basis = basis
         self._powers = None
-        self._aug = None
         self._norm = None
         self._rank_aug = None
         self._complement = None
@@ -108,11 +107,9 @@ class GModule:
         return self._powers
 
     def aug(self):
-        """sigma - 1, the augmentation-stage differential."""
-        if self._aug is None:
-            ident = SparseMatrix.identity(self.dim, self.field)
-            self._aug = self.sigma.sub(ident)
-        return self._aug
+        """sigma - 1, the augmentation-stage differential, formed afresh on
+        each call: it is needed once per route, and not kept in memory."""
+        return self.sigma.sub(SparseMatrix.identity(self.dim, self.field))
 
     def norm(self):
         """N = 1 + sigma + ... + sigma^(p-1); the stable route forms it only
@@ -149,14 +146,12 @@ class GModule:
         is formed.  For a free module C is 1/p of V."""
         if self._rank_norm is None:
             self.rank_aug()
-            x = SparseMatrix(self.dim, len(self._complement), self.field,
-                             {(r, c): 1 for c, r in enumerate(self._complement)})
-            acc = dict(x.entries)
+            x = acc = SparseMatrix(self.dim, len(self._complement), self.field,
+                                   {(r, c): 1 for c, r in enumerate(self._complement)})
             for _ in range(self.p - 1):
                 x = self.sigma.matmul(x)
-                for key, v in x.entries.items():
-                    acc[key] = acc.get(key, 0) + v
-            self._rank_norm = rank(SparseMatrix(x.nrows, x.ncols, self.field, acc))
+                acc = acc.add(x)
+            self._rank_norm = rank(acc)
         return self._rank_norm
 
     # -- construction-time checks -------------------------------------------
@@ -241,7 +236,8 @@ def conf_module(p, n, t):
         swap = {x: x for x in range(1, p + 1)}
         swap[i], swap[i + 1] = i + 1, i
         taus.append(forests.action_matrix(swap, p, n, t, basis=basis, domain=field))
-    v = GModule(p, sigma, taus=taus, basis=basis)
+    # a plain tuple, so that the IndexedBasis lookups are freed
+    v = GModule(p, sigma, taus=taus, basis=tuple(basis))
     _conf_cache[key] = v
     return v
 
@@ -311,10 +307,7 @@ def _freeness_certificate(v):
         if moved == pi:
             return False
         shifted.append(moved)
-    for (r, c) in v.sigma.entries:
-        if parts[r] != shifted[c]:
-            return False
-    return True
+    return all(parts[r] == shifted[c] for r, row in v.sigma.rows.items() for c in row)
 
 
 def verify_vanishing(p, n):
@@ -516,9 +509,10 @@ def bar_cohomology(v, s_max):
         for ri, tup in enumerate(rows_t):
             base = ri * dm
             c0 = col_pos[tup[1:]] * dm
-            for (i, j), val in mats[tup[0]].entries.items():
-                key = (base + i, c0 + j)
-                entries[key] = entries.get(key, 0) + val
+            for i, row in mats[tup[0]].rows.items():
+                for j, val in row.items():
+                    key = (base + i, c0 + j)
+                    entries[key] = entries.get(key, 0) + val
             for i in range(1, s + 1):
                 merged = compose(tup[i - 1], tup[i])
                 if merged == ident_el:

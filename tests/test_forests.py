@@ -121,6 +121,11 @@ def test_rewrite_rejects_bad_labels():
         forests.rewrite_to_tall(((1, 3),), 2)
     with pytest.raises(forests.ForestError):
         forests.rewrite_to_tall(((1, 1), 2), 2)
+    # an internal vertex that is not a pair, and a leaf label below 1
+    with pytest.raises(forests.ForestError):
+        forests.rewrite_to_tall(((1, 2, 3),), 2)
+    with pytest.raises(forests.ForestError):
+        forests.rewrite_to_tall(((0, 1),), 2)
 
 
 def test_pairing_unimodular_small():

@@ -15,6 +15,7 @@ from confspace.linalg import (
     invert,
     is_prime,
     kernel_basis,
+    pivot_columns,
     rank,
     smith_normal_form,
 )
@@ -288,6 +289,52 @@ def test_matmul_matches_dense_product_with_entry_types(case):
     assert all(v != 0 for v in c.entries.values())
 
 
+def test_matmul_single_entry_rows_keep_entry_types():
+    """A left row with one entry scales one row of the right factor, copies
+    it at an int 1, and multiplies at a Fraction 1, so that the entries
+    become Fractions; a missing right row gives no row."""
+    half = Fraction(1, 2)
+    b = SparseMatrix(3, 2, QQ, {(0, 0): half, (0, 1): 3, (1, 1): 2})
+    a = SparseMatrix(5, 3, QQ, {(0, 0): 1, (1, 1): Fraction(1), (2, 0): -2,
+                                (3, 2): 5, (4, 0): 4, (4, 1): -1, (4, 2): 7})
+    got = {key: (v, type(v)) for key, v in a.matmul(b).entries.items()}
+    assert got == {(0, 0): (half, Fraction), (0, 1): (3, int),
+                   (1, 1): (2, Fraction),
+                   (2, 0): (-1, Fraction), (2, 1): (-6, int),
+                   (4, 0): (2, Fraction), (4, 1): (10, int)}
+    g = SparseMatrix(2, 2, GF(7), {(0, 0): 3, (1, 0): 2, (1, 1): 1})
+    assert g.matmul(SparseMatrix(2, 1, GF(7), {(0, 0): 5})).entries == {(0, 0): 1, (1, 0): 3}
+    # the accumulator drops an entry that cancels mod p
+    assert g.matmul(SparseMatrix(2, 1, GF(7), {(0, 0): 3, (1, 0): 1})).entries == {(0, 0): 2}
+
+
+def test_integer_rows_share_only_primitive_int_rows():
+    m = SparseMatrix(5, 3, QQ, {(0, 0): 2, (0, 2): -3, (1, 0): 4, (1, 1): 6,
+                                (2, 0): Fraction(1, 2), (2, 1): Fraction(1, 3),
+                                (3, 0): Fraction(2, 3), (3, 2): Fraction(4, 3),
+                                (4, 1): Fraction(5)})
+    before = m.entries
+    rows = linalg._integer_rows(m)
+    assert list(rows) == [0, 1, 2, 3, 4]
+    assert rows[0] is m.rows[0]
+    assert [rows[i] for i in range(1, 5)] == [{0: 2, 1: 3}, {0: 3, 1: 2}, {0: 1, 2: 2}, {1: 1}]
+    assert all(type(v) is int for row in rows.values() for v in row.values())
+    assert m.entries == before
+
+
+def test_add_and_sub_refuse_mixed_domains():
+    """GF(7) 3 + QQ 1/2 once gave the zero matrix (7/2 is 0 mod 7), and QQ
+    1/2 + GF(7) 3 a QQ 7/2; both orders are refused."""
+    gf = SparseMatrix(1, 1, GF(7), {(0, 0): 3})
+    qq = SparseMatrix(1, 1, QQ, {(0, 0): Fraction(1, 2)})
+    for a, b in ((gf, qq), (qq, gf)):
+        for op in (a.add, a.sub):
+            with pytest.raises(DomainError):
+                op(b)
+    with pytest.raises(DomainError):
+        SparseMatrix.identity(2, GF(3)).add(SparseMatrix.identity(2, GF(5)))
+
+
 def test_matmul_refuses_shape_and_domain_mismatch():
     a = SparseMatrix.from_rows([[1, 2]], QQ)
     with pytest.raises(ValueError):
@@ -408,8 +455,7 @@ def _signed_strip(row):
     (lowest-column) entry positive."""
     row = _strip_content(row)
     if row and row[min(row)] < 0:
-        for j in row:
-            row[j] = -row[j]
+        return {j: -v for j, v in row.items()}
     return row
 
 
@@ -487,3 +533,82 @@ def test_pivot_queue_picks_a_readded_row_once():
         queue.remove(i, 2)
         picked.append(i)
     assert picked == [0, 1, 2]
+
+
+def store_dense(rows, domain):
+    return [[domain.coerce(x) for x in row] for row in rows]
+
+
+@st.composite
+def store_rows(draw, nrows, ncols, domain):
+    """Dense rows with mostly zero entries; over QQ a row may be an int
+    row, an int row with content 2 or 6, or a row of Fractions."""
+    out = []
+    for _ in range(nrows):
+        row = [draw(sparse_entry) for _ in range(ncols)]
+        if domain is QQ:
+            kind = draw(st.sampled_from(["int", "content", "fraction"]))
+            if kind == "content":
+                c = draw(st.sampled_from([2, 6]))
+                row = [c * x for x in row]
+            elif kind == "fraction":
+                row = [Fraction(x, draw(st.integers(1, 5))) for x in row]
+        out.append(row)
+    return out
+
+
+@st.composite
+def row_store_case(draw):
+    domain = draw(st.sampled_from([QQ, GF(7), ZZ]))
+    n, m, k = (draw(st.integers(0, 5)) for _ in range(3))
+    a, c = draw(store_rows(n, m, domain)), draw(store_rows(n, m, domain))
+    b = draw(store_rows(m, k, domain))
+    s = draw(small_int if domain is ZZ else st.one_of(small_int, st.just(Fraction(1, 2))))
+    return domain, (n, m, k), a, b, c, s
+
+
+def assert_row_store(got, want):
+    """got keeps no empty row and no zero entry, and matches want densely."""
+    assert all(got.rows.values())
+    assert all(v != 0 for row in got.rows.values() for v in row.values())
+    assert all(0 <= i < got.nrows and all(0 <= j < got.ncols for j in row)
+               for i, row in got.rows.items())
+    assert got.to_dense() == want
+
+
+def typed(m):
+    return {key: (v, type(v)) for key, v in m.entries.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_store_case())
+def test_row_store_invariants_and_inputs_left_unchanged(case):
+    domain, (n, m, k), a_rows, b_rows, c_rows, s = case
+    coerce = domain.coerce
+    da, db, dc = (store_dense(r, domain) for r in (a_rows, b_rows, c_rows))
+    a, b, c = (SparseMatrix(len(r), cols, domain,
+                            {(i, j): x for i, row in enumerate(r) for j, x in enumerate(row)})
+               for r, cols in ((a_rows, m), (b_rows, k), (c_rows, m)))
+    for got, want in ((a, da), (b, db), (c, dc)):
+        assert_row_store(got, want)
+    assert_row_store(a.matmul(b), [[coerce(sum(row[t] * db[t][l] for t in range(m)))
+                                    for l in range(k)] for row in da])
+    assert_row_store(a.transpose(), [[da[i][j] for i in range(n)] for j in range(m)])
+    assert_row_store(SparseMatrix.hstack([a, c]), [x + y for x, y in zip(da, dc)])
+    assert_row_store(SparseMatrix.vstack([a, c]), da + dc)
+    assert_row_store(a.add(c), [[coerce(x + y) for x, y in zip(r1, r2)] for r1, r2 in zip(da, dc)])
+    assert_row_store(a.sub(c), [[coerce(x - y) for x, y in zip(r1, r2)] for r1, r2 in zip(da, dc)])
+    assert_row_store(a.scale(s), [[coerce(x * s) for x in row] for row in da])
+    assert_row_store(SparseMatrix.identity(n, domain),
+                     [[coerce(int(i == j)) for j in range(n)] for i in range(n)])
+    d = min(n, m)
+    square = SparseMatrix.from_rows([row[:d] for row in a_rows[:d]], domain)
+    for x in (a, square):
+        before = typed(x)
+        if domain is ZZ:
+            smith_normal_form(x)
+        else:
+            rank(x), pivot_columns(x), kernel_basis(x)
+            if x is square:
+                outcome(invert, x)
+        assert typed(x) == before
