@@ -21,6 +21,15 @@ So the occurrences of a repeated slot are interchangeable, and the sum is
 taken over pairs of slots a <= b with a nonzero bracket, weighted by the
 e_a * e_b pairs of occurrences (C(e_a, 2) when a = b).  Entries are ints.
 
+betti computes a block's homology piece by piece.  d preserves every
+integer grading phi of the algebra's classes with phi(w) = phi(u) + phi(v)
+for each term w of a bracket [u, v] (a~ graded like a), so a block is the
+direct sum of its pieces of fixed phi.  A signed permutation of the
+classes that passes a check on every bracket is a Lie automorphism, and
+carries each piece isomorphically onto a piece; only one piece per orbit
+of the automorphisms found is built and ranked.  ce_block and GMLie.block
+build whole blocks, which stability_report and euler_series use.
+
 The stabilization map (adding a point near infinity) is the formal
 derivative by the slot dual to the point class; it is a surjective chain
 map whose kernel is spanned by the monomials not divisible by that slot.
@@ -30,6 +39,10 @@ its differential, and ranks phi Z against the target's boundaries.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from math import lcm
 
 from .graded import GradedDims, PoincareSeries, series_equal, sym_series
 from .linalg import QQ, SparseMatrix, kernel_basis, rank
@@ -294,10 +307,11 @@ class CEComplexBlock:
         return sorted(self.bases)
 
 
-def _enumerate_monomials(slots, sdeg, k):
-    """(degree, exponent vector) of every monomial of total weight k, in
-    increasing order of the vectors; exterior (odd shifted degree) slots
-    capped at exponent 1.
+def _enumerate_monomials(slots, sdeg, key, k):
+    """(degree, grading key, exponent vector) of every monomial of total
+    weight k, in increasing order of the vectors; exterior (odd shifted
+    degree) slots capped at exponent 1.  A monomial's key is the sum of
+    key[i] over its factors, carried like its degree.
 
     Bit w of reach[i] says weight w <= k is a sum over slots i, i+1, ...;
     the search enters a slot only with a remaining weight it can reach."""
@@ -308,22 +322,28 @@ def _enumerate_monomials(slots, sdeg, k):
         for e in range(1, min(caps[i], k // w) + 1):
             r |= reach[i + 1] << (e * w)
         reach[i] = r & ((1 << (k + 1)) - 1)
+    # exponent bounds per slot and remaining weight, tabulated once: the
+    # enumeration reads them once per partial monomial
+    tops = [[min(c, rem // s.weight) + 1 for rem in range(k + 1)] for c, s in zip(caps, slots)]
     out = []
     exps = [0] * len(slots)
 
-    def rec(i, rem, deg):
-        if rem == 0:
-            out.append((deg, tuple(exps)))
-            return
+    def rec(i, rem, deg, kk):
         w, nxt = slots[i].weight, reach[i + 1]
-        for e in range(min(caps[i], rem // w) + 1):
-            if nxt >> (rem - e * w) & 1:
+        for e in range(tops[i][rem]):
+            left = rem - e * w
+            if nxt >> left & 1:
                 exps[i] = e
-                rec(i + 1, rem - e * w, deg + e * sdeg[i])
+                if left:
+                    rec(i + 1, left, deg + e * sdeg[i], kk + e * key[i])
+                else:
+                    out.append((deg + e * sdeg[i], kk + e * key[i], tuple(exps)))
         exps[i] = 0
 
-    if reach[0] >> k & 1:
-        rec(0, k, 0)
+    if k == 0:
+        out.append((0, 0, tuple(exps)))
+    elif reach[0] >> k & 1:
+        rec(0, k, 0, 0)
     return out
 
 
@@ -368,14 +388,11 @@ def _d_monomial(g, mono, sdeg):
     return {key: v for key, v in out.items() if v}
 
 
-def ce_block(g, k):
-    """Build the weight-k complex; verifies d has square zero."""
-    if k < 0:
-        raise ValueError("weight must be nonnegative")
+def _assemble(g, k, bases):
+    """The complex on bases, degree -> exponent vectors in increasing order,
+    whose span d maps into itself: a whole weight-k block or one piece of
+    it.  Verifies d has square zero."""
     sdeg = [s.sdeg for s in g.slots]
-    bases = {}
-    for deg, m in _enumerate_monomials(g.slots, sdeg, k):
-        bases.setdefault(deg, []).append(m)
     block = CEComplexBlock(k, bases, {})
     diffs = block.diffs
     for deg, ms in bases.items():
@@ -393,10 +410,201 @@ def ce_block(g, k):
     return block
 
 
+def _monomials(g, k, key=None):
+    if k < 0:
+        raise ValueError("weight must be nonnegative")
+    return _enumerate_monomials(g.slots, [s.sdeg for s in g.slots],
+                                key or [0] * len(g.slots), k)
+
+
+def ce_block(g, k):
+    """Build the weight-k complex; verifies d has square zero."""
+    bases = {}
+    for deg, _, m in _monomials(g, k):
+        bases.setdefault(deg, []).append(m)
+    return _assemble(g, k, bases)
+
+
+def chain_dims(g, k):
+    """Counter degree -> number of chains of the weight-k block, by
+    enumeration."""
+    return Counter(deg for deg, _, _ in _monomials(g, k))
+
+
+# ---------------------------------------------------------------------------
+# grading and symmetries
+
+
+def _grading(g, k):
+    """Grading key of each slot, for monomials of weight k.
+
+    The bracket preserves every integer functional phi on the algebra's
+    classes with phi(src w) = phi(src u) + phi(src v) for each nonzero
+    term c w of [u, v]: the rational kernel of that relation matrix, each
+    kernel vector scaled to integers.  A slot is graded by its source
+    class, so a~ like a.  The functionals are packed into one int in
+    balanced radix 2kM + 1, M the largest |phi|, which holds each sum of
+    at most k values exactly, so equal keys mean equal gradings."""
+    col = {}
+    for s in g.slots:
+        col.setdefault(s.source, len(col))
+    src = {s.name: col[s.source] for s in g.slots}
+    entries = {}
+    r = 0
+    for (u, v), res in g.bracket.items():
+        for w, c in res.items():
+            if c:
+                for j, x in ((src[w], 1), (src[u], -1), (src[v], -1)):
+                    entries[(r, j)] = entries.get((r, j), 0) + x
+                r += 1
+    phis = []
+    for vec in kernel_basis(SparseMatrix(r, len(col), QQ, entries)).transpose().rows.values():
+        scale = lcm(*(Fraction(v).denominator for v in vec.values()))
+        phis.append({j: int(v * scale) for j, v in vec.items()})
+    radix = 2 * k * max((abs(v) for phi in phis for v in phi.values()), default=0) + 1
+    packed = [sum(phi.get(j, 0) * radix ** t for t, phi in enumerate(phis))
+              for j in range(len(col))]
+    return [packed[col[s.source]] for s in g.slots]
+
+
+def _bracket_holds(g, image, u, v):
+    """Whether [image u, image v] = s_u s_v sum_w c_w s_w image(w), where
+    [u, v] = sum_w c_w w and image maps a slot to (slot, sign)."""
+    (iu, su), (iv, sv) = image[u], image[v]
+    want = {image[w][0]: su * sv * image[w][1] * c for w, c in g.bracket_of(u, v).items() if c}
+    return want == {w: c for w, c in g.bracket_of(iu, iv).items() if c}
+
+
+def _slot_image(g, cmap):
+    """Slot -> (slot, sign) under the signed class map cmap, class ->
+    (class, sign), on the classes it maps: a and a~ go to sign * sigma(a)
+    and sign * sigma(a)~.  None if an image slot is missing or of another
+    degree."""
+    slot = {(s.source, s.weight): s for s in g.slots}
+    image = {}
+    for s in g.slots:
+        if s.source in cmap:
+            t = slot.get((cmap[s.source][0], s.weight))
+            if t is None or t.gdeg != s.gdeg:
+                return None
+            image[s.name] = (t.name, cmap[s.source][1])
+    return image
+
+
+def _is_automorphism(g, cmap):
+    """Whether the signed permutation cmap of the algebra's classes keeps
+    every slot's degree and satisfies _bracket_holds on every entry of
+    g.bracket.  It then maps the pairs with a nonzero bracket injectively
+    into themselves, hence onto, so it is a Lie automorphism of g."""
+    classes = {s.source for s in g.slots}
+    if set(cmap) != classes or {c for c, _ in cmap.values()} != classes:
+        return False
+    image = _slot_image(g, cmap)
+    return image is not None and all(_bracket_holds(g, image, u, v) for u, v in g.bracket)
+
+
+def _root(parent, x):
+    """Union-find root of x; parent maps each element to its parent."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+_SEARCH_NODES = 64  # search budget per candidate x -> +-y
+
+
+def _symmetries(g):
+    """Slot permutations of Lie automorphisms of g that permute the
+    algebra's classes up to sign.
+
+    For each pair of classes x, y with equal slot degrees and not yet in
+    one orbit of the maps found, a depth-first search tries to extend
+    x -> +-y.  A node fails if a bracket of mapped slots breaks
+    _bracket_holds, or is nonzero and maps to zero.  It next maps a class
+    that is a term of a bracket of mapped slots, else the first unmapped
+    class, trying itself first, then the other classes of its slot
+    degrees, with either sign.  The search gives up after _SEARCH_NODES
+    nodes, and a map is kept only if _is_automorphism passes it, so
+    missing a symmetry costs time only."""
+    src = {s.name: s.source for s in g.slots}
+    sig = {}
+    for s in g.slots:
+        sig.setdefault(s.source, []).append((s.weight, s.gdeg))
+    nonzero = {u: {v for v in src if any(g.bracket_of(u, v).values())} for u in src}
+
+    def extend(cmap, budget):
+        if budget[0] <= 0:
+            return None
+        budget[0] -= 1
+        image = _slot_image(g, cmap)
+        free = []
+        for u, (iu, _) in image.items():
+            for v, (iv, _) in image.items():
+                if v in nonzero[u] or iv in nonzero[iu]:
+                    terms = [w for w, c in g.bracket_of(u, v).items() if c and w not in image]
+                    if terms and iv not in nonzero[iu] or not (terms or _bracket_holds(g, image, u, v)):
+                        return None
+                    free += [src[w] for w in terms]
+        free += [c for c in sig if c not in cmap]
+        if not free:
+            return cmap
+        x, used = free[0], {c for c, _ in cmap.values()}
+        for y in sorted(sig, key=lambda y: y != x):
+            for sign in (1, -1):
+                if y not in used and sig[y] == sig[x]:
+                    found = extend({**cmap, x: (y, sign)}, budget)
+                    if found is not None:
+                        return found
+        return None
+
+    orbit = {c: c for c in sig}
+    index = {(s.source, s.weight): i for i, s in enumerate(g.slots)}
+    perms = []
+    for x in sig:
+        for y in sig:
+            for sign in (1, -1):
+                if _root(orbit, x) == _root(orbit, y) or sig[x] != sig[y]:
+                    break
+                cmap = extend({x: (y, sign)}, [_SEARCH_NODES])
+                if cmap is not None and _is_automorphism(g, cmap):
+                    for a, (b, _) in cmap.items():
+                        orbit[_root(orbit, a)] = _root(orbit, b)
+                    perms.append([index[(cmap[s.source][0], s.weight)] for s in g.slots])
+    return perms
+
+
 def betti(g, k):
-    """Homology dimensions of the weight-k block over Q."""
-    block = g.block(k)
-    return GradedDims({i: h for i in block.degrees() if (h := block.homology(i))})
+    """Homology dimensions of the weight-k block over Q, piece by piece.
+
+    d preserves the grading key of _grading, so the block is the direct sum
+    of its pieces, one per key.  A symmetry of _symmetries is a Lie
+    automorphism, so it carries each piece isomorphically onto a piece; the
+    pieces are joined into orbits with union-find, and only the first
+    piece of each orbit is built and ranked, counted once per member."""
+    key = _grading(g, k)
+    pieces = {}
+    for deg, kk, m in _monomials(g, k, key):
+        pieces.setdefault(kk, {}).setdefault(deg, []).append(m)
+    parent = {p: p for p in pieces}
+    for perm in _symmetries(g):
+        for p, bases in pieces.items():
+            mono = next(iter(bases.values()))[0]
+            q = sum(e * key[perm[i]] for i, e in enumerate(mono))
+            parent[_root(parent, p)] = _root(parent, q)
+    orbits = {}
+    for p in pieces:
+        orbits.setdefault(_root(parent, p), []).append(p)
+    out = {}
+    for rep, *others in orbits.values():
+        counts = {deg: len(ms) for deg, ms in pieces[rep].items()}
+        for p in others:
+            if {deg: len(ms) for deg, ms in pieces[p].items()} != counts:
+                raise AssertionError("weight-%d pieces %d and %d of one orbit differ in size"
+                                     % (k, rep, p))
+        block = _assemble(g, k, pieces[rep])
+        for i in block.degrees():
+            out[i] = out.get(i, 0) + (1 + len(others)) * block.homology(i)
+    return GradedDims(out)
 
 
 # ---------------------------------------------------------------------------

@@ -283,15 +283,14 @@ def cmd_ce_stress(args):
     else:
         a = ce.load_algebra(_closed_surface_doc(args.genus))
     g = ce.build_gm(a)
-    _progress("building weight-%d block for %s" % (args.k, a.name))
-    block = ce.ce_block(g, args.k)
-    degrees = ([args.degree] if args.degree is not None
-               else sorted(block.degrees()))
+    _progress("computing weight-%d homology for %s" % (args.k, a.name))
+    chains = ce.chain_dims(g, args.k)
+    dims = ce.betti(g, args.k)
+    degrees = [args.degree] if args.degree is not None else sorted(chains)
     rows = []
     for d in degrees:
-        dim = block.dim(d)
-        _progress("degree %d: %d chains" % (d, dim))
-        rows.append((d, dim, block.homology(d)))
+        _progress("degree %d: %d chains" % (d, chains[d]))
+        rows.append((d, chains[d], dims.get(d)))
     _emit_rows(args, ("degree", "chains", "dim"), rows, {
         "algebra": a.name, "k": args.k,
         "rows": [{"degree": d, "chains": c, "dim": h} for d, c, h in rows],

@@ -78,16 +78,25 @@ def shifted_degree(t, n):
 
 
 def is_tall(t):
-    """Left comb whose first leaf is the minimal label."""
-    seq = tree_leaves(t)
-    if seq[0] != min(seq):
-        return False
-    node = t
-    while not is_leaf(node):
-        if not is_leaf(node[1]):
+    """Left comb whose first leaf is the minimal label, decided in one walk
+    down the left spine."""
+    rights = []
+    while not is_leaf(t):
+        t, r = t
+        if not is_leaf(r):
             return False
-        node = node[0]
-    return True
+        rights.append(r)
+    return not rights or t <= min(rights)
+
+
+def _spine(t):
+    """(first leaf, leaf count) of a leaf or left comb, read off its left
+    spine; for a tall tree the first leaf is its minimum."""
+    m = 1
+    while not is_leaf(t):
+        t = t[0]
+        m += 1
+    return t, m
 
 
 def tall_from_seq(seq):
@@ -270,9 +279,9 @@ def _graft(T, U, par):
     if hit is not None:
         return hit
     step = 1 - par  # (n-1) mod 2
-    mT = len(tree_leaves(T))
-    mU = len(tree_leaves(U))
-    if tree_min(T) > tree_min(U):
+    minT, mT = _spine(T)
+    minU, mU = _spine(U)
+    if minT > minU:
         s = -((-1) ** (mT * mU * step))
         out = tuple((V, s * c) for V, c in _graft(U, T, par))
     elif is_leaf(U):
@@ -283,8 +292,7 @@ def _graft(T, U, par):
         for V, c in _graft(T, U1, par):
             for W, c2 in _graft(V, u, par):
                 acc[W] = acc.get(W, 0) + c * c2
-        m1 = len(tree_leaves(U1))
-        s = (-1) ** (m1 * 1 * step)
+        s = (-1) ** ((mU - 1) * step)
         for V, c in _graft(T, u, par):
             for W, c2 in _graft(V, U1, par):
                 acc[W] = acc.get(W, 0) - s * c * c2
@@ -302,7 +310,7 @@ def _tree_to_tall(t, par):
     hit = _TALL_CACHE.get(key)
     if hit is not None:
         return hit
-    if is_leaf(t) or is_tall(t):
+    if is_tall(t):
         out = ((t, 1),)
     else:
         acc = {}

@@ -211,14 +211,24 @@ def check_coinvariants():
 
 
 def check_surfaces():
-    """Two-point degree-2 Betti numbers of punctured surfaces."""
+    """Two-point degree-2 Betti numbers of punctured surfaces; the Betti
+    numbers of closed surfaces from symmetry orbits of pieces against the
+    homology of the whole blocks."""
     g = ce.build_gm(presets.load_preset("punctured-torus"))
     b = ce.betti(g, 2)
     assert b.get(2) == 2, "punctured torus: H_2 of the 2-point space is %d" % b.get(2)
     g = ce.build_gm(presets.load_preset("twice-punctured-plane"))
     b = ce.betti(g, 2)
     assert b.get(2) == 3, "twice-punctured plane: H_2 is %d" % b.get(2)
-    return "two-point degree-2 Betti numbers: 2 (punctured torus), 3 (twice-punctured plane)"
+    for name in ("closed-surface-1", "closed-surface-2"):
+        g = ce.build_gm(presets.load_preset(name))
+        for k in range(6):
+            block = g.block(k)
+            want = GradedDims({i: block.homology(i) for i in block.degrees()})
+            got = ce.betti(g, k)
+            assert got == want, "%s, k=%d: pieces %r, whole block %r" % (name, k, got, want)
+    return ("two-point degree-2 Betti numbers: 2 (punctured torus), 3 (twice-punctured "
+            "plane); pieces = whole blocks for genus 1, 2, k <= 5")
 
 
 def check_odd_manifolds():

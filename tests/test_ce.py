@@ -1,6 +1,7 @@
 """Lie-algebra chain complexes for unordered configurations."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +151,93 @@ def test_betti_invariant_under_bracket_sign(name):
         block = g.block(k)
         for i, d in flipped.block(k).diffs.items():
             assert d == block.diffs[i].scale(-1), (name, k, i)
+
+
+def whole_block_betti(g, k):
+    block = g.block(k)
+    return GradedDims({i: block.homology(i) for i in block.degrees()})
+
+
+def renamed_surface(genus, rng):
+    """A closed-surface algebra with its basis names shuffled, so that its
+    slots sort in another order."""
+    doc = cli._closed_surface_doc(genus)
+    old = [b["name"] for b in doc["basis"]]
+    new = ["c%d" % i for i in range(len(old))]
+    rng.shuffle(new)
+    rename = dict(zip(old, new))
+    doc["basis"] = [dict(b, name=rename[b["name"]]) for b in doc["basis"]]
+    doc["products"] = [
+        {"left": rename[p["left"]], "right": rename[p["right"]],
+         "result": [dict(r, basis=rename[r["basis"]]) for r in p["result"]]}
+        for p in doc["products"]]
+    return ce.load_algebra(doc)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_betti_from_pieces_equals_whole_block_on_presets(name):
+    g = gm(name)
+    flipped = flip_bracket(g)
+    for k in range(9):
+        want = whole_block_betti(g, k)
+        assert ce.betti(g, k) == want, (name, k)
+        assert ce.betti(flipped, k) == want, (name, k)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_betti_from_pieces_equals_whole_block_on_shuffled_surfaces(genus):
+    rng = random.Random(genus)
+    for k in range(8):
+        g = ce.build_gm(renamed_surface(genus, rng))
+        want = whole_block_betti(g, k)
+        assert ce.betti(g, k) == want, (genus, k)
+        assert ce.betti(flip_bracket(g), k) == want, (genus, k)
+
+
+def test_symmetries_found_on_surfaces():
+    # x_i <-> y_i and the swaps of handles join the degree-1 classes of a
+    # genus-g surface into one orbit of the permutations found
+    for genus in (1, 2, 3):
+        g = ce.build_gm(renamed_surface(genus, random.Random(genus)))
+        perms = ce._symmetries(g)
+        assert perms, genus
+        odd = {i for i, s in enumerate(g.slots) if s.weight == 1 and s.gdeg == 0}
+        orbit = {min(odd)}
+        for _ in odd:
+            orbit |= {p[i] for p in perms for i in orbit}
+        assert orbit == odd, genus
+
+
+def test_signed_permutation_with_one_wrong_sign_is_refused():
+    g = gm("closed-surface-1")
+    fixed = {"e": ("e", 1), "z": ("z", 1)}
+    assert not ce._is_automorphism(g, {**fixed, "x1": ("y1", 1), "y1": ("x1", 1)})
+    # [x1, y1] = z~ and [y1, x1] = -z~: the swap needs one sign flipped
+    assert ce._is_automorphism(g, {**fixed, "x1": ("y1", 1), "y1": ("x1", -1)})
+    assert ce._is_automorphism(g, {"e": ("e", 1), "z": ("z", -1),
+                                   "x1": ("y1", 1), "y1": ("x1", 1)})
+    # not a permutation, or not degree-preserving
+    assert not ce._is_automorphism(g, {**fixed, "x1": ("x1", 1), "y1": ("x1", 1)})
+    assert not ce._is_automorphism(g, {"e": ("z", 1), "z": ("e", 1),
+                                       "x1": ("x1", 1), "y1": ("y1", 1)})
+    # the sign-flipped copy has the same automorphisms
+    flipped = flip_bracket(g)
+    assert not ce._is_automorphism(flipped, {**fixed, "x1": ("y1", 1), "y1": ("x1", 1)})
+    assert ce._is_automorphism(flipped, {**fixed, "x1": ("y1", 1), "y1": ("x1", -1)})
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_differential_preserves_grading_key(name):
+    g = gm(name)
+    sdeg = [s.sdeg for s in g.slots]
+    for k in range(7):
+        key = ce._grading(g, k)
+        keys = {m: kk for _, kk, m in ce._enumerate_monomials(g.slots, sdeg, key, k)}
+        block = ce.ce_block(g, k)
+        for i, d in block.diffs.items():
+            for r, row in d.rows.items():
+                for c in row:
+                    assert keys[block.bases[i - 1][r]] == keys[block.bases[i][c]], (name, k, i)
 
 
 def test_stability_report_stable_range():
