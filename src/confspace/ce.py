@@ -28,7 +28,8 @@ direct sum of its pieces of fixed phi.  A signed permutation of the
 classes that passes a check on every bracket is a Lie automorphism, and
 carries each piece isomorphically onto a piece; only one piece per orbit
 of the automorphisms found is built and ranked.  ce_block and GMLie.block
-build whole blocks, which stability_report and euler_series use.
+build whole blocks, which stability_report uses; euler_series reads only
+the chain counts of chain_dims.
 
 The stabilization map (adding a point near infinity) is the formal
 derivative by the slot dual to the point class; it is a surjective chain
@@ -116,6 +117,25 @@ def _validate_algebra(a):
                         "associativity fails on (%s, %s, %s)" % (x, y, z))
 
 
+def _fields(item, what, **types):
+    """The values of a document item at the keys of types, each of its
+    type; an AlgebraError naming the item otherwise."""
+    try:
+        values = [item[key] for key in types]
+    except (KeyError, TypeError):
+        values = None
+    if values is None or any(type(v) is not t for v, t in zip(values, types.values())):
+        raise AlgebraError("malformed %s %r: needs %s" % (what, item, ", ".join(
+            "%s %r" % (t.__name__, key) for key, t in types.items())))
+    return values
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise AlgebraError("%s must be a list, got %r" % (what, value))
+    return value
+
+
 def load_algebra(document):
     """Validate and load an algebra document (the JSON schema of README).
 
@@ -127,29 +147,29 @@ def load_algebra(document):
     try:
         name = document["name"]
         n = int(document["ambient_dim"])
-        basis = document["basis"]
-    except (KeyError, TypeError) as exc:
+        basis = _list(document["basis"], "basis")
+        products = _list(document.get("products", []), "products")
+    except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraError("malformed algebra document: %s" % exc)
     if n < 1:
         raise AlgebraError("ambient_dim must be positive")
     degrees = {}
     for item in basis:
-        bname = item["name"]
+        bname, degree = _fields(item, "basis item", name=str, degree=int)
         if bname in degrees:
             raise AlgebraError("duplicate basis name %r" % bname)
-        degrees[bname] = int(item["degree"])
+        degrees[bname] = degree
     prod = {}
-    for item in document.get("products", []):
-        left, right = item["left"], item["right"]
+    for item in products:
+        left, right = _fields(item, "product", left=str, right=str)
         if left not in degrees or right not in degrees:
             raise AlgebraError("product names unknown basis element (%r, %r)"
                                % (left, right))
         res = {}
-        for term in item.get("result", []):
-            z = term["basis"]
+        for term in _list(item.get("result", []), "product result"):
+            z, c = _fields(term, "product result term", basis=str, coeff=int)
             if z not in degrees:
                 raise AlgebraError("product result names unknown basis %r" % z)
-            c = int(term["coeff"])
             if c:
                 res[z] = res.get(z, 0) + c
         if (left, right) in prod:
@@ -691,9 +711,9 @@ def stability_report(g, k_max):
 
 
 def euler_series(g, weight_bound):
-    """sum_k chi(weight-k block) s^k, computed from chain dimensions and,
-    independently, from the symmetric-algebra series at t -> -1; the two
-    must agree."""
+    """sum_k chi(weight-k block) s^k, computed from the chain counts of
+    chain_dims and, independently, from the symmetric-algebra series at
+    t -> -1; the two must agree.  No block is built."""
     max_sd = max((s.sdeg for s in g.slots), default=0)
     deg_bound = weight_bound * max_sd
     gens = {}
@@ -704,8 +724,7 @@ def euler_series(g, weight_bound):
     by_weight = sym.euler_by_weight()
     coeffs = {}
     for k in range(weight_bound + 1):
-        block = g.block(k)
-        chi = sum(((-1) ** i) * block.dim(i) for i in block.degrees())
+        chi = sum((-1) ** i * c for i, c in chain_dims(g, k).items())
         if chi != by_weight.get(k, 0):
             raise AssertionError(
                 "Euler mismatch at weight %d: chain sum %d vs series %d"

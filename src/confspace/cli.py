@@ -55,19 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(self, message)
 
 
-def _default_workers():
-    env = os.environ.get("CONFSPACE_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise CliError("CONFSPACE_WORKERS must be an integer, got %r" % env)
-        if value < 1:
-            raise CliError("CONFSPACE_WORKERS must be positive")
-        return value
-    return os.cpu_count() or 1
-
-
 def _progress(message):
     print(message, file=sys.stderr, flush=True)
 
@@ -484,7 +471,7 @@ def cmd_selftest(args):
                or [num for num, _, _, _ in selftest.CHECKS])
     if args.workers is not None and args.workers < 1:
         raise CliError("--workers must be positive")
-    workers = _default_workers() if args.workers is None else args.workers
+    workers = args.workers or os.cpu_count() or 1
     if workers > 1 and len(numbers) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         results = []
@@ -699,8 +686,7 @@ def _build_parser():
                    help="subset such as 1,4,11-13 (default: all)")
     q.add_argument("--workers", type=int,
                    help="worker processes; 1 forces serial execution "
-                        "(default: CONFSPACE_WORKERS or the available "
-                        "parallelism)")
+                        "(default: the CPU count)")
 
     return parser
 

@@ -27,8 +27,10 @@ every update is unimodular.  Pivots are chosen Markowitz-style: a row of
 fewest entries, then its column with the fewest active rows, with a
 deterministic tie-break on the lowest row index, then the lowest column
 index, so results and orderings are reproducible across runs.  Rows wait
-in buckets by entry count, each with a heap of row ids that drops stale
-ids lazily, so a pick costs O(log n) and makes the choice a scan would.
+in one heap of (entry count, row id) pairs, and an updated row is pushed
+with its new count; a pair whose row is gone or has another count is
+skipped when it comes up, so a pick costs O(log n) amortised and makes the
+choice a scan would.
 Over Q row signs are not normalised.  A row with no admissible column is
 set aside until an update changes it; the rows still set aside at the end
 are returned.  rank counts the pivots.  For kernel_basis and invert a
@@ -43,7 +45,7 @@ the rows set aside.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
 
@@ -355,58 +357,6 @@ def _integer_rows(m):
     return rows
 
 
-class _PivotQueue:
-    """Bucket queue over active rows keyed by nnz, with a heap of row ids
-    beside each bucket.
-
-    Pivot choice: a row of minimal nnz (lowest id on ties), then its
-    admissible column with the fewest active rows (lowest index on ties) -
-    the cheap end of the Markowitz heuristic, with every choice
-    deterministic.  A column is admissible below limit, and with units only
-    at an entry +-1.  A row with none leaves the queue, and the column is
-    None; add puts the row back once an update changes it.
-
-    Every member of a bucket is in its heap; remove leaves the id there, and
-    pick pops such stale ids off the top, so the top it picks is the
-    bucket's lowest id in O(log n) amortised rather than a scan.
-    """
-
-    def __init__(self, active):
-        self.buckets = {}
-        for i, row in active.items():
-            self.buckets.setdefault(len(row), set()).add(i)
-        self.heaps = {size: sorted(b) for size, b in self.buckets.items()}
-
-    def remove(self, i, size):
-        b = self.buckets.get(size)
-        if b is not None:
-            b.discard(i)
-            if not b:
-                del self.buckets[size], self.heaps[size]
-
-    def add(self, i, size):
-        b = self.buckets.get(size)
-        if b is None:
-            self.buckets[size], self.heaps[size] = {i}, [i]
-        elif i not in b:
-            b.add(i)
-            heappush(self.heaps[size], i)
-
-    def pick(self, active, col_rows, limit, units):
-        size = min(self.buckets)
-        b, heap = self.buckets[size], self.heaps[size]
-        while heap[0] not in b:
-            heappop(heap)
-        i = heap[0]
-        row = active[i]
-        cols = ((jj for jj in row if jj < limit) if not units
-                else (jj for jj in row if jj < limit and row[jj] in (1, -1)))
-        j = min(cols, key=lambda jj: (len(col_rows[jj]), jj), default=None)
-        if j is None:
-            self.remove(i, size)
-        return i, j
-
-
 def _row_update(row, prow, j, p):
     """a*row - b*prow with a = prow[j] and b = row[j], so column j drops out.
 
@@ -470,15 +420,24 @@ def _eliminate(m, limit=None, reduce=False):
     for i, row in active.items():
         for j in row:
             col_rows.setdefault(j, set()).add(i)
-    queue = _PivotQueue(active)
+    # (entry count, row id) of every row waiting for a pick; a pair whose
+    # row is gone or has another count now is stale and skipped
+    heap = [(len(row), i) for i, row in active.items()]
+    heapify(heap)
     pivots = []
     done = {}
-    while queue.buckets:
-        i, j = queue.pick(active, col_rows, limit, p is None)
+    while heap and active:
+        n, i = heappop(heap)
+        row = active.get(i)
+        if row is None or len(row) != n:
+            continue
+        cols = ((jj for jj in row if jj < limit) if p is not None
+                else (jj for jj in row if jj < limit and row[jj] in (1, -1)))
+        j = min(cols, key=lambda jj: (len(col_rows[jj]), jj), default=None)
         if j is None:
+            # set aside until an update pushes it again
             continue
         prow = active.pop(i)
-        queue.remove(i, len(prow))
         for jj in prow:
             col_rows[jj].discard(i)
         if p and prow[j] != 1:
@@ -486,7 +445,6 @@ def _eliminate(m, limit=None, reduce=False):
             prow = {jj: v * inv % p for jj, v in prow.items()}
         for r in list(col_rows.get(j, ())):
             row = active[r]
-            queue.remove(r, len(row))
             out = _row_update(row, prow, j, p)
             # the support of the row can change only at the columns of prow
             for jj in prow:
@@ -497,7 +455,7 @@ def _eliminate(m, limit=None, reduce=False):
                     col_rows[jj].add(r)
             if out:
                 active[r] = out
-                queue.add(r, len(out))
+                heappush(heap, (len(out), r))
             else:
                 del active[r]
         pivots.append((j, i))

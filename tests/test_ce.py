@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,6 +326,12 @@ def test_euler_series_matches_betti_euler():
             assert series.coefficient(0, k) == chi, (name, k)
 
 
+def test_euler_series_builds_no_block():
+    g = gm("closed-surface-1")
+    ce.euler_series(g, 6)
+    assert not g._blocks
+
+
 def test_labeled_series_identity_and_guards():
     a = presets.load_preset("solid-torus")
     assert ce.labeled_series_check(a, 2, 16)
@@ -359,6 +366,46 @@ def test_load_algebra_validation():
                          "result": [{"basis": "z", "coeff": 1}]}]}
     with pytest.raises(ce.AlgebraError):
         ce.load_algebra(doc)
+
+
+def _torus_doc(**changes):
+    doc = {"name": "t", "ambient_dim": 2,
+           "basis": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1},
+                     {"name": "z", "degree": 2}],
+           "products": [{"left": "x", "right": "y",
+                         "result": [{"basis": "z", "coeff": 1}]},
+                        {"left": "y", "right": "x",
+                         "result": [{"basis": "z", "coeff": -1}]}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_torus_doc(basis=[{"name": "x"}]), "{'name': 'x'}"),
+    (_torus_doc(basis=[{"name": "x", "degree": "one"}]), "'one'"),
+    (_torus_doc(basis=[{"name": 3, "degree": 1}]), "{'name': 3"),
+    (_torus_doc(basis=[{"name": "x", "degree": 1.5}]), "1.5"),
+    (_torus_doc(basis=["x"]), "'x'"),
+    (_torus_doc(basis="xyz"), "'xyz'"),
+    (_torus_doc(products=[{"left": "x", "result": []}]), "{'left': 'x'"),
+    (_torus_doc(products=[{"left": "x", "right": "y", "result": [{"basis": "z"}]}]),
+     "{'basis': 'z'}"),
+    (_torus_doc(products=[{"left": "x", "right": "y", "result": "z"}]), "'z'"),
+    (_torus_doc(products={"left": "x"}), "{'left': 'x'}"),
+], ids=["no-degree", "degree-not-int", "name-not-str", "degree-fractional", "item-not-object",
+        "basis-not-list", "no-right", "term-no-coeff", "result-not-list",
+        "products-not-list"])
+def test_load_algebra_refuses_malformed_items(doc, named, tmp_path, capsys):
+    assert ce.load_algebra(_torus_doc()).names
+    with pytest.raises(ce.AlgebraError, match=re.escape(named)):
+        ce.load_algebra(doc)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["ce", "betti", "--algebra", str(path), "--k", "2",
+                     "--format", "json"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["type"]) == (2, "AlgebraError")
+    assert named in error["message"]
 
 
 def test_algebra_document_round_trip(tmp_path):

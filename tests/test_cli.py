@@ -283,18 +283,6 @@ def test_workers_is_a_selftest_option(capsys):
     assert err == "error: --workers must be positive\n"
 
 
-def test_workers_env(monkeypatch, capsys):
-    monkeypatch.setenv("CONFSPACE_WORKERS", "junk")
-    code, out, err = run(capsys, "selftest", "--checks", "6")
-    assert code == 2
-    # only selftest reads the worker count
-    code, out, err = run(capsys, "arnold", "poincare", "--k", "3", "--n", "2")
-    assert code == 0
-    monkeypatch.setenv("CONFSPACE_WORKERS", "1")
-    code, out, err = run(capsys, "selftest", "--checks", "6")
-    assert code == 0
-
-
 def test_missing_algebra_source(capsys):
     code, out, err = run(capsys, "ce", "betti", "--k", "2")
     assert code == 2

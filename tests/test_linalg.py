@@ -1,6 +1,7 @@
 """Sparse exact linear algebra against dense and sympy oracles."""
 
 from fractions import Fraction
+from heapq import heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -431,20 +432,46 @@ def test_transpose_rank_invariance():
     assert rank(m) == rank(m.transpose()) == 2
 
 
-class _ScanQueue(linalg._PivotQueue):
-    """The pick as it was before the heaps: a linear scan of the smallest
-    bucket for its lowest row id."""
-
-    def pick(self, active, col_rows, limit, units):
-        size = min(self.buckets)
-        i = min(self.buckets[size])
+def scan_eliminate(m, limit=None, reduce=False):
+    """linalg._eliminate with no heap and no column bookkeeping: each pick
+    scans the rows not set aside for the fewest entries, then the lowest
+    id, and counts each column's active rows afresh."""
+    p = m.domain.characteristic if m.domain.is_field else None
+    active = (linalg._integer_rows(m) if p == 0
+              else {i: m.rows[i] for i in sorted(m.rows)})
+    limit = m.ncols if limit is None else limit
+    aside, pivots, done = set(), [], {}
+    while len(aside) < len(active):
+        i = min((i for i in active if i not in aside),
+                key=lambda i: (len(active[i]), i))
         row = active[i]
-        cols = ((jj for jj in row if jj < limit) if not units
-                else (jj for jj in row if jj < limit and row[jj] in (1, -1)))
-        j = min(cols, key=lambda jj: (len(col_rows[jj]), jj), default=None)
-        if j is None:
-            self.remove(i, size)
-        return i, j
+        cols = [jj for jj, v in row.items()
+                if jj < limit and (p is not None or v in (1, -1))]
+        if not cols:
+            aside.add(i)
+            continue
+        j = min(cols, key=lambda jj: (sum(jj in r for r in active.values()), jj))
+        prow = active.pop(i)
+        if p and prow[j] != 1:
+            inv = pow(prow[j], -1, p)
+            prow = {jj: v * inv % p for jj, v in prow.items()}
+        for r in [r for r, row in active.items() if j in row]:
+            out = linalg._row_update(active[r], prow, j, p)
+            aside.discard(r)
+            if out:
+                active[r] = out
+            else:
+                del active[r]
+        pivots.append((j, i))
+        done[i] = prow
+    if reduce:
+        row_of = dict(pivots)
+        for j, i in reversed(pivots):
+            row = done[i]
+            for jj in [jj for jj in row if jj != j and jj in row_of]:
+                row = linalg._row_update(row, done[row_of[jj]], jj, p)
+            done[i] = row
+    return pivots, done, list(active.values())
 
 
 _strip_content = linalg._strip_content
@@ -460,9 +487,9 @@ def _signed_strip(row):
 
 
 def scan_reference(fn, *args):
-    """fn run with the scanning pick and the sign-normalised rows."""
+    """fn run with the scanning eliminator and the sign-normalised rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_PivotQueue", _ScanQueue)
+        mp.setattr(linalg, "_eliminate", scan_eliminate)
         mp.setattr(linalg, "_strip_content", _signed_strip)
         return fn(*args)
 
@@ -492,13 +519,13 @@ def sparse_rows(draw, max_dim=12):
 @settings(max_examples=200, deadline=None)
 @given(sparse_rows(), st.sampled_from([0, 7, None]), st.booleans(), st.data())
 def test_heap_pick_matches_scan_reference(rows, p, reduce, data):
-    """The heaps pick the rows the scan picked: the same pivots and rest,
+    """The heap picks the rows the scan picks: the same pivots and rest,
     the same rows over F_p and Z, and over Q the same rows up to sign."""
     domain = ZZ if p is None else GF(p) if p else QQ
     m = SparseMatrix.from_rows(rows, domain)
     limit = data.draw(st.none() | st.integers(0, m.ncols))
     pivots, done, rest = linalg._eliminate(m, limit, reduce)
-    ref_pivots, ref_done, ref_rest = scan_reference(linalg._eliminate, m, limit, reduce)
+    ref_pivots, ref_done, ref_rest = scan_reference(scan_eliminate, m, limit, reduce)
     assert pivots == ref_pivots
     assert done.keys() == ref_done.keys() and len(rest) == len(ref_rest)
     same = up_to_sign if p == 0 else (lambda a, b: a == b)
@@ -518,21 +545,23 @@ def test_public_outputs_match_scan_reference(rows, p):
     assert smith_normal_form(z) == scan_reference(smith_normal_form, z)
 
 
-def test_pivot_queue_picks_a_readded_row_once():
-    """A row removed and put back in the same bucket leaves a stale copy in
-    the heap; it is still picked once, in id order."""
-    active = {0: {0: 1, 1: 1}, 1: {0: 1, 2: 1}, 2: {1: 1, 2: 1}}
-    col_rows = {0: {0, 1}, 1: {0, 2}, 2: {1, 2}}
-    queue = linalg._PivotQueue(active)
-    queue.remove(0, 2)
-    queue.add(0, 2)
-    assert sorted(queue.heaps[2]) == [0, 0, 1, 2]
-    picked = []
-    while queue.buckets:
-        i, _ = queue.pick(active, col_rows, 3, False)
-        queue.remove(i, 2)
-        picked.append(i)
-    assert picked == [0, 1, 2]
+def test_row_back_at_an_old_count_is_pivoted_once(monkeypatch):
+    """Row 2 has 4 entries, 3 after the pivot on row 0 and 4 again after
+    the pivot on row 1, so the heap holds (4, 2) twice; the row is still
+    pivoted once, at the first of them."""
+    pushed = []
+    monkeypatch.setattr(linalg, "heappush",
+                        lambda heap, item: (pushed.append(item), heappush(heap, item)))
+    rows = [[1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 1, 1, 0, 0, 0, 0],
+            [1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]]
+    for domain in (QQ, GF(7), ZZ):
+        pushed.clear()
+        pivots, done, rest = linalg._eliminate(SparseMatrix.from_rows(rows, domain))
+        assert pushed == [(3, 2), (4, 2)], domain
+        assert pivots == [(0, 0), (1, 1), (2, 2), (4, 3)] and rest == [], domain
+        assert len(done[2]) == 4, domain
 
 
 def store_dense(rows, domain):
