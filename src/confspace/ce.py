@@ -28,8 +28,9 @@ direct sum of its pieces of fixed phi.  A signed permutation of the
 classes that passes a check on every bracket is a Lie automorphism, and
 carries each piece isomorphically onto a piece; only one piece per orbit
 of the automorphisms found is built and ranked.  ce_block and GMLie.block
-build whole blocks, which stability_report uses; euler_series reads only
-the chain counts of chain_dims.
+build whole blocks, which stability_report uses; euler_series counts the
+chains and builds no block, and chain_dims reads the chain counts off the
+symmetric-algebra series.
 
 The stabilization map (adding a point near infinity) is the formal
 derivative by the slot dual to the point class; it is a surjective chain
@@ -144,12 +145,11 @@ def load_algebra(document):
      "products": [{"left": str, "right": str,
                    "result": [{"basis": str, "coeff": int}]}]}
     """
+    name, n = _fields(document, "algebra document", name=str, ambient_dim=int)
     try:
-        name = document["name"]
-        n = int(document["ambient_dim"])
         basis = _list(document["basis"], "basis")
         products = _list(document.get("products", []), "products")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise AlgebraError("malformed algebra document: %s" % exc)
     if n < 1:
         raise AlgebraError("ambient_dim must be positive")
@@ -445,10 +445,21 @@ def ce_block(g, k):
     return _assemble(g, k, bases)
 
 
+def _sym_series(g, weight_bound):
+    """sym_series of the slots of g up to weight_bound, in every degree
+    those weights reach."""
+    gens = Counter((s.sdeg, s.weight) for s in g.slots)
+    max_sd = max((s.sdeg for s in g.slots), default=0)
+    return sym_series(gens, weight_bound * max_sd, weight_bound)
+
+
 def chain_dims(g, k):
-    """Counter degree -> number of chains of the weight-k block, by
-    enumeration."""
-    return Counter(deg for deg, _, _ in _monomials(g, k))
+    """Counter degree -> number of chains of the weight-k block, read off
+    the weight-k slice of the symmetric-algebra series of the slots; no
+    monomial is listed."""
+    if k < 0:
+        raise ValueError("weight must be nonnegative")
+    return Counter({d: c for (d, w), c in _sym_series(g, k).coeffs.items() if w == k and c})
 
 
 # ---------------------------------------------------------------------------
@@ -711,20 +722,13 @@ def stability_report(g, k_max):
 
 
 def euler_series(g, weight_bound):
-    """sum_k chi(weight-k block) s^k, computed from the chain counts of
-    chain_dims and, independently, from the symmetric-algebra series at
-    t -> -1; the two must agree.  No block is built."""
-    max_sd = max((s.sdeg for s in g.slots), default=0)
-    deg_bound = weight_bound * max_sd
-    gens = {}
-    for s in g.slots:
-        key = (s.sdeg, s.weight)
-        gens[key] = gens.get(key, 0) + 1
-    sym = sym_series(gens, deg_bound, weight_bound)
-    by_weight = sym.euler_by_weight()
+    """sum_k chi(weight-k block) s^k, computed from the enumerated chains
+    and, independently, from the symmetric-algebra series at t -> -1; the
+    two must agree.  No block is built."""
+    by_weight = _sym_series(g, weight_bound).euler_by_weight()
     coeffs = {}
     for k in range(weight_bound + 1):
-        chi = sum((-1) ** i * c for i, c in chain_dims(g, k).items())
+        chi = sum((-1) ** deg for deg, _, _ in _monomials(g, k))
         if chi != by_weight.get(k, 0):
             raise AssertionError(
                 "Euler mismatch at weight %d: chain sum %d vs series %d"

@@ -240,27 +240,8 @@ def cmd_ce_labeled_check(args):
     return 0
 
 
-def _closed_surface_doc(genus):
-    basis = [{"name": "e", "degree": 0}]
-    for i in range(1, genus + 1):
-        basis.append({"name": "x%d" % i, "degree": 1})
-        basis.append({"name": "y%d" % i, "degree": 1})
-    basis.append({"name": "z", "degree": 2})
-    products = [{"left": "e", "right": "e",
-                 "result": [{"basis": "e", "coeff": 1}]}]
-    for b in basis[1:]:
-        x = b["name"]
-        products.append({"left": "e", "right": x,
-                         "result": [{"basis": x, "coeff": 1}]})
-        products.append({"left": x, "right": "e",
-                         "result": [{"basis": x, "coeff": 1}]})
-    for i in range(1, genus + 1):
-        products.append({"left": "x%d" % i, "right": "y%d" % i,
-                         "result": [{"basis": "z", "coeff": 1}]})
-        products.append({"left": "y%d" % i, "right": "x%d" % i,
-                         "result": [{"basis": "z", "coeff": -1}]})
-    return {"name": "closed-surface-%d" % genus, "ambient_dim": 2,
-            "basis": basis, "products": products}
+# bench/workloads.py builds its closed surfaces through this name
+_closed_surface_doc = presets.closed_surface_doc
 
 
 def cmd_ce_stress(args):
@@ -268,7 +249,7 @@ def cmd_ce_stress(args):
     if args.preset is not None or args.algebra_path is not None:
         a = _load_calgebra(args)
     else:
-        a = ce.load_algebra(_closed_surface_doc(args.genus))
+        a = ce.load_algebra(presets.closed_surface_doc(args.genus))
     g = ce.build_gm(a)
     _progress("computing weight-%d homology for %s" % (args.k, a.name))
     chains = ce.chain_dims(g, args.k)

@@ -360,7 +360,8 @@ def invariants_sigma_p(p, n):
 
 
 def _primitive_root(p):
-    for r in range(2, p):
+    """The least generator of the units mod p; 1 when p = 2."""
+    for r in range(1, p):
         x, seen = 1, set()
         for _ in range(p - 1):
             x = x * r % p
@@ -436,8 +437,6 @@ def sigma_p_cohomology_stable(v, s_max):
     if s_max < 0:
         raise ModpError("negative cohomological window")
     p = v.p
-    if p == 2:
-        return cyclic_cohomology(v, s_max)
     r = _primitive_root(p)
     rinv = pow(r, -1, p)
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r

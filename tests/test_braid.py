@@ -1,5 +1,6 @@
 """Braid presentations, coset enumeration, and the Artin action."""
 
+import re
 from math import factorial
 
 import pytest
@@ -102,6 +103,26 @@ def test_coset_table_rejects_non_homomorphism():
     pres = braid.symmetric_presentation(3)
     with pytest.raises(braid.GroupError):
         braid.coset_table_from_hom(pres, [(2, 1, 3), (1, 2, 3)], "kernel")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: braid.Presentation(["a", "a"], []), "duplicate generator names"),
+    (lambda: braid.braid_presentation(0), "need k >= 1"),
+    (lambda: braid.symmetric_presentation(0), "need k >= 1"),
+    (lambda: braid.coset_table_from_hom(braid.symmetric_presentation(3), [(2, 1, 3)],
+                                        "kernel"), "one permutation per generator"),
+    (lambda: braid.coset_table_from_hom(braid.symmetric_presentation(3),
+                                        [(2, 1, 3), (1, 3)], "kernel"),
+     "permutations of the same degree"),
+    (lambda: braid.coset_table_from_hom(braid.symmetric_presentation(3),
+                                        [(2, 1, 3), (1, 3, 2)], "orbit"),
+     "kind must be 'kernel' or 'stabilizer'"),
+    (lambda: braid.artin_action((1, 3), 3), "letter 3 is not a valid B_3 generator"),
+], ids=["duplicate-generators", "braid-k-zero", "symmetric-k-zero", "image-count",
+        "image-degree", "unknown-kind", "artin-letter"])
+def test_refusals(call, message):
+    with pytest.raises(braid.GroupError, match=re.escape(message)):
+        call()
 
 
 def test_schreier_transversal_prefix_closed():

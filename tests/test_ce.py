@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,7 +110,7 @@ def test_differential_matches_occurrence_pair_reference(name):
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_closed_surface_differential_matches_reference(genus):
-    g = ce.build_gm(ce.load_algebra(cli._closed_surface_doc(genus)))
+    g = ce.build_gm(ce.load_algebra(presets.closed_surface_doc(genus)))
     assert g.bracket
     flipped = flip_bracket(g)
     for k in range(7):
@@ -162,7 +163,7 @@ def whole_block_betti(g, k):
 def renamed_surface(genus, rng):
     """A closed-surface algebra with its basis names shuffled, so that its
     slots sort in another order."""
-    doc = cli._closed_surface_doc(genus)
+    doc = presets.closed_surface_doc(genus)
     old = [b["name"] for b in doc["basis"]]
     new = ["c%d" % i for i in range(len(old))]
     rng.shuffle(new)
@@ -332,6 +333,18 @@ def test_euler_series_builds_no_block():
     assert not g._blocks
 
 
+def test_chain_dims_equal_enumerated_counts():
+    algebras = [presets.load_preset(name) for name in ALL_PRESETS]
+    algebras += [ce.load_algebra(presets.closed_surface_doc(genus)) for genus in range(5)]
+    for a in algebras:
+        g = ce.build_gm(a)
+        for k in range(8):
+            enumerated = Counter(deg for deg, _, _ in ce._monomials(g, k))
+            assert ce.chain_dims(g, k) == enumerated, (a.name, k)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        ce.chain_dims(g, -1)
+
+
 def test_labeled_series_identity_and_guards():
     a = presets.load_preset("solid-torus")
     assert ce.labeled_series_check(a, 2, 16)
@@ -392,9 +405,31 @@ def _torus_doc(**changes):
      "{'basis': 'z'}"),
     (_torus_doc(products=[{"left": "x", "right": "y", "result": "z"}]), "'z'"),
     (_torus_doc(products={"left": "x"}), "{'left': 'x'}"),
+    (_torus_doc(name=["t"]), "'name': ['t']"),
+    (_torus_doc(ambient_dim=2.5), "'ambient_dim': 2.5"),
+    (_torus_doc(ambient_dim="3"), "'ambient_dim': '3'"),
+    (_torus_doc(ambient_dim=True), "'ambient_dim': True"),
+    ({"ambient_dim": 2, "basis": []}, "needs str 'name', int 'ambient_dim'"),
+    ({"name": "t", "ambient_dim": 2}, "malformed algebra document: 'basis'"),
+    (_torus_doc(ambient_dim=0), "ambient_dim must be positive"),
+    (_torus_doc(basis=[{"name": "x", "degree": 3}], products=[]), "degree 3 outside [0, 2]"),
+    (_torus_doc(basis=[{"name": "x", "degree": 1}] * 2), "duplicate basis name 'x'"),
+    (_torus_doc(products=[{"left": "x", "right": "q"}]), "unknown basis element ('x', 'q')"),
+    (_torus_doc(products=[{"left": "x", "right": "y", "result": [{"basis": "q", "coeff": 1}]}]),
+     "names unknown basis 'q'"),
+    (_torus_doc(products=_torus_doc()["products"][:1] * 2), "duplicate product entry ('x', 'y')"),
+    ({"name": "t", "ambient_dim": 2,
+      "basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 0}],
+      "products": [{"left": "a", "right": "a", "result": [{"basis": "b", "coeff": 1}]},
+                   {"left": "a", "right": "b", "result": [{"basis": "a", "coeff": 1}]},
+                   {"left": "b", "right": "a", "result": [{"basis": "a", "coeff": 1}]}]},
+     "associativity fails on (a, a, b)"),
 ], ids=["no-degree", "degree-not-int", "name-not-str", "degree-fractional", "item-not-object",
         "basis-not-list", "no-right", "term-no-coeff", "result-not-list",
-        "products-not-list"])
+        "products-not-list", "doc-name-not-str", "ambient-dim-fractional", "ambient-dim-str",
+        "ambient-dim-bool", "no-name", "no-basis", "ambient-dim-zero", "degree-above-n",
+        "duplicate-basis", "product-unknown-name", "result-unknown-name", "duplicate-product",
+        "not-associative"])
 def test_load_algebra_refuses_malformed_items(doc, named, tmp_path, capsys):
     assert ce.load_algebra(_torus_doc()).names
     with pytest.raises(ce.AlgebraError, match=re.escape(named)):

@@ -283,6 +283,16 @@ def test_workers_is_a_selftest_option(capsys):
     assert err == "error: --workers must be positive\n"
 
 
+@pytest.mark.parametrize("checks, message", [
+    ("14-16", "no check numbered 16"),
+    ("1,17", "no check numbered 17"),
+])
+def test_selftest_refuses_unknown_checks(capsys, checks, message):
+    code, out, _ = run(capsys, "--format", "json", "selftest", "--checks", checks,
+                       "--workers", "1")
+    assert (code, json.loads(out)["error"]) == (2, {"type": "CliError", "message": message})
+
+
 def test_missing_algebra_source(capsys):
     code, out, err = run(capsys, "ce", "betti", "--k", "2")
     assert code == 2

@@ -1,6 +1,7 @@
 """Tall-forest basis, rewrite, pairing, and symmetric-group structure."""
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -126,6 +127,22 @@ def test_rewrite_rejects_bad_labels():
         forests.rewrite_to_tall(((1, 2, 3),), 2)
     with pytest.raises(forests.ForestError):
         forests.rewrite_to_tall(((0, 1),), 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: forests.parse_tree("((12)3"), forests.ForestError, "missing ')'"),
+    (lambda: forests.parse_tree("(1x)"), forests.ForestError, "unexpected character 'x'"),
+    (lambda: forests.parse_tree("(12)3"), forests.ForestError, "trailing junk"),
+    (lambda: forests.tall_basis(0, 2, 0), ValueError, "need k >= 1 and n >= 2"),
+    (lambda: forests.rewrite_to_tall(((1, 2),), 1), ValueError, "need n >= 2"),
+    (lambda: forests.coinvariants_dims(3, 2, ZZ), ValueError, "must form a field"),
+    (lambda: forests.coinvariants_dims(3, 2, GF(3)), ValueError,
+     "field characteristic 3 <= k = 3"),
+], ids=["unclosed", "bad-character", "trailing", "tall-k-zero", "rewrite-n-one",
+        "coinvariants-over-ZZ", "coinvariants-small-characteristic"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_pairing_unimodular_small():

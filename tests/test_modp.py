@@ -1,6 +1,7 @@
 """Mod-p group cohomology: cyclic groups, Tate splice, symmetric groups."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,26 @@ def test_gmodule_rejects_non_prime_and_bad_shapes():
     sigma = SparseMatrix.from_rows([[1, 0]], GF(3))
     with pytest.raises(modp.ModpError):
         modp.GModule(3, sigma)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: modp.GModule(3, SparseMatrix.identity(2, GF(5))),
+     "sigma must have GF(3) coefficients"),
+    (lambda: modp.GModule(3, SparseMatrix.identity(2, GF(3)),
+                          taus=[SparseMatrix.identity(2, GF(3))]),
+     "expected 2 Coxeter generators, got 1"),
+    (lambda: modp.GModule(3, SparseMatrix.identity(2, GF(3)),
+                          taus=[SparseMatrix.identity(1, GF(3))] * 2),
+     "Coxeter generator shape or domain mismatch"),
+    (lambda: modp.conf_module(3, 1, 0), "need n >= 2"),
+    (lambda: modp.conf_module(3, 2, 5), "degree 5 is not a multiple of 1 inside [0, 2]"),
+    (lambda: modp.cyclic_cohomology(modp.trivial_module(3), -1),
+     "negative cohomological window"),
+], ids=["sigma-field", "tau-count", "tau-shape", "conf-n-one", "conf-degree",
+        "cyclic-negative-window"])
+def test_refusals(call, message):
+    with pytest.raises(modp.ModpError, match=re.escape(message)):
+        call()
 
 
 def test_gmodule_validation_catches_broken_sigma():
@@ -481,6 +502,12 @@ def test_stable_route_refusals_and_p_two():
     # Sigma_2 = C_2, so H^s(Sigma_2; F_2) = F_2 in every degree
     dims = modp.sigma_p_cohomology_stable(modp.trivial_module(2), 3)
     assert [dims.get(s) for s in range(4)] == [1, 1, 1, 1]
+    # p = 2 takes the general route, with r = 1 and g = 1
+    assert modp._primitive_root(2) == 1
+    swap = SparseMatrix(2, 2, GF(2), {(0, 1): 1, (1, 0): 1})
+    for v in (modp.trivial_module(2), modp.GModule(2, swap, taus=[swap])):
+        a = modp.sigma_p_cohomology_stable(v, 4)
+        assert a == modp.bar_cohomology(v, 4) == modp.cyclic_cohomology(v, 4), v.dim
 
 
 def test_bar_cohomology_refuses_large_groups():
