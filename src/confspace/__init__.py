@@ -8,7 +8,7 @@ Subpackages by topic:
 - arnold: the cohomology algebra of ordered configurations of points in R^n
 - forests: the dual homology basis of rooted forests and the tall rewrite
 - ce: Chevalley-Eilenberg complexes for unordered configurations in open
-  manifolds, with stabilization maps
+  manifolds, with their stable range
 - braid: braid and symmetric group presentations, Reidemeister-Schreier
   subgroup presentations, Artin's faithfulness check
 - modp: mod-p cohomology of cyclic and symmetric groups acting on
@@ -47,7 +47,6 @@ from .ce import (
     load_algebra,
     build_gm,
     betti,
-    stabilization_map,
     stability_report,
     euler_series,
     sym_homology_odd,
@@ -66,7 +65,6 @@ from .braid import (
 from .modp import (
     GModule,
     conf_module,
-    cyclic_cohomology,
     tate,
     verify_vanishing,
     invariants_sigma_p,
@@ -106,7 +104,6 @@ __all__ = [
     "load_algebra",
     "build_gm",
     "betti",
-    "stabilization_map",
     "stability_report",
     "euler_series",
     "sym_homology_odd",
@@ -121,7 +118,6 @@ __all__ = [
     "verify_paper_relations",
     "GModule",
     "conf_module",
-    "cyclic_cohomology",
     "tate",
     "verify_vanishing",
     "invariants_sigma_p",

@@ -28,16 +28,19 @@ direct sum of its pieces of fixed phi.  A signed permutation of the
 classes that passes a check on every bracket is a Lie automorphism, and
 carries each piece isomorphically onto a piece; only one piece per orbit
 of the automorphisms found is built and ranked.  ce_block and GMLie.block
-build whole blocks, which stability_report uses; euler_series counts the
-chains and builds no block, and chain_dims reads the chain counts off the
+build whole blocks, as an oracle for betti; euler_series counts the chains
+and builds no block, and chain_dims reads the chain counts off the
 symmetric-algebra series.
 
 The stabilization map (adding a point near infinity) is the formal
-derivative by the slot dual to the point class; it is a surjective chain
-map whose kernel is spanned by the monomials not divisible by that slot.
-stabilization_map returns it as one matrix per degree.  stability_report
-multiplies that matrix by the source's cycles, the kernel basis matrix Z of
-its differential, and ranks phi Z against the target's boundaries.
+derivative d/dx by the slot x dual to the point class.  On an open M the
+point class multiplies every class to zero, so x brackets trivially,
+multiplication by x is a chain map, and d/dx after it is the diagonal
+automorphism m -> (e_x(m) + 1) m.  So d/dx is onto in homology, and
+stability_report reads where it is an isomorphism off the Betti numbers:
+where the two agree.  A closed M has a degree-0 class, x brackets with it,
+and the splitting fails (H_2(B_2(S^2); Q) = 0 maps to H_2(S^2; Q) = Q);
+stability_report refuses such an algebra.
 """
 
 from __future__ import annotations
@@ -211,7 +214,6 @@ class GMLie:
         self.slots = slots
         self.index = {s.name: i for i, s in enumerate(slots)}
         self.bracket = bracket  # (name, name) -> {name: coeff}
-        self._blocks = {}
         self._check_lie()
         # slot a -> [(b >= a, [(z, c), ...])], nonzero brackets only
         self.bracket_table = [[] for _ in slots]
@@ -265,9 +267,7 @@ class GMLie:
                                 "Jacobi fails: [[%s,%s],%s] nonzero" % (x, y, w))
 
     def block(self, k):
-        if k not in self._blocks:
-            self._blocks[k] = ce_block(self, k)
-        return self._blocks[k]
+        return ce_block(self, k)
 
 
 def build_gm(a):
@@ -642,60 +642,17 @@ def betti(g, k):
 # stabilization
 
 
-def stabilization_map(g, x_name, k):
-    """The chain map d/dx: weight k+1 -> weight k as {degree: matrix}, with
-    built-in checks: commutes with differentials, surjective, kernel
-    spanned by the monomials without x."""
-    if x_name not in g.index:
-        raise StabilityError("unknown slot %r" % x_name)
-    xs = g.slots[g.index[x_name]]
-    if xs.weight != 1 or xs.sdeg != 0:
-        raise StabilityError(
-            "slot %r is not the point-dual slot (weight 1, shifted degree 0)" % x_name)
-    xi = g.index[x_name]
-    src = g.block(k + 1)
-    tgt = g.block(k)
-    maps = {}
-    for i in src.degrees():
-        tgt_index = tgt.index.get(i, {})
-        entries = {}
-        kernel_count = 0
-        for col, mono in enumerate(src.bases[i]):
-            e = mono[xi]
-            if e == 0:
-                kernel_count += 1
-                continue
-            new = list(mono)
-            new[xi] -= 1
-            entries[(tgt_index[tuple(new)], col)] = e
-        m = SparseMatrix(len(tgt_index), src.dim(i), QQ, entries)
-        r = rank(m)
-        if r != len(tgt_index):
-            raise AssertionError("derivative not surjective in degree %d" % i)
-        if src.dim(i) - r != kernel_count:
-            raise AssertionError("kernel is not spanned by x-free monomials")
-        maps[i] = m
-    for i in src.degrees():
-        d_src = src.diffs[i]
-        if i - 1 in maps:
-            lhs = maps[i - 1].matmul(d_src)
-        else:
-            lhs = SparseMatrix.zero(tgt.dim(i - 1), src.dim(i), QQ)
-        d_tgt = tgt.diffs.get(i)
-        if d_tgt is None:
-            d_tgt = SparseMatrix.zero(tgt.dim(i - 1), tgt.dim(i), QQ)
-        rhs = d_tgt.matmul(maps[i])
-        if not lhs.sub(rhs).is_zero():
-            raise AssertionError("derivative is not a chain map in degree %d" % i)
-    return maps
-
-
 def stability_report(g, k_max):
-    """Rows (k, i, iso?) for the maps weight k+1 -> k, k < k_max.
+    """Rows (k, i, iso?) for the maps weight k+1 -> k, k < k_max, one per
+    degree i with chains in weight k+1.
 
-    The induced map on H_i is an isomorphism when its rank, that of
-    [phi Z | B] less rank B with Z the cycles of the source and B the
-    boundaries of the target, equals both homology dimensions.
+    Adding a point near infinity is the derivative phi = d/dx by the point
+    slot x.  When x brackets trivially with every slot, as for an open M,
+    multiplication by x is a chain map iota, and phi iota multiplies each
+    monomial m by e_x(m) + 1, a chain automorphism over Q.  So phi_* is
+    onto, and an isomorphism exactly when the two Betti numbers agree.  A
+    nonzero bracket of x needs a degree-0 class, as for a closed M, and
+    there phi_* need not be onto; such an algebra is refused.
 
     Requires ambient dimension > 2; the stable range is i <= k there."""
     if g.n <= 2:
@@ -703,18 +660,13 @@ def stability_report(g, k_max):
             "stability range is only guaranteed for ambient dimension > 2; "
             "got n = %d" % g.n)
     x = g.point_slot()
-    rows = []
-    for k in range(k_max):
-        phi = stabilization_map(g, x, k)
-        src, tgt = g.block(k + 1), g.block(k)
-        for i in sorted(phi):
-            b_t = tgt.diffs.get(i + 1)
-            if b_t is None:
-                b_t = SparseMatrix.zero(tgt.dim(i), 0, QQ)
-            image = phi[i].matmul(kernel_basis(src.diffs[i]))
-            r_ind = rank(SparseMatrix.hstack([image, b_t])) - tgt.diff_rank(i + 1)
-            rows.append((k, i, r_ind == src.homology(i) == tgt.homology(i)))
-    return rows
+    if any(any(g.bracket_of(x, s.name).values()) for s in g.slots):
+        raise StabilityError(
+            "the point slot %r has a nonzero bracket, so adding a point need not "
+            "be onto in homology; stability needs an open manifold" % x)
+    dims = [betti(g, k) for k in range(k_max + 1)]
+    return [(k, i, dims[k + 1].get(i) == dims[k].get(i))
+            for k in range(k_max) for i in sorted(chain_dims(g, k + 1))]
 
 
 # ---------------------------------------------------------------------------

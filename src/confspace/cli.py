@@ -452,31 +452,15 @@ def cmd_selftest(args):
                or [num for num, _, _, _ in selftest.CHECKS])
     if args.workers is not None and args.workers < 1:
         raise CliError("--workers must be positive")
-    workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and len(numbers) > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        results = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(numbers))) as pool:
-            futures = {pool.submit(selftest.run_check, num): num
-                       for num in numbers}
-            done = 0
-            for fut in as_completed(futures):
-                r = fut.result()
-                done += 1
-                _progress("[%d/%d] %s: %s (%.2fs)"
-                          % (done, len(numbers), r.name,
-                             "ok" if r.ok else "FAIL", r.elapsed))
-                results.append(r)
-        results.sort(key=lambda r: r.number)
-    else:
-        results = []
-        for idx, num in enumerate(numbers, 1):
-            name = next(name for n, name, _, _ in selftest.CHECKS if n == num)
-            _progress("[%d/%d] %s ..." % (idx, len(numbers), name))
-            r = selftest.run_check(num)
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(args.workers or os.cpu_count() or 1, len(numbers))
+    results = []
+    # a pool starts no process before its first task, so one worker costs none
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        runs = (pool.map if workers > 1 else map)(selftest.run_check, numbers)
+        for idx, r in enumerate(runs, 1):
             _progress("[%d/%d] %s: %s (%.2fs)"
-                      % (idx, len(numbers), r.name,
-                         "ok" if r.ok else "FAIL", r.elapsed))
+                      % (idx, len(numbers), r.name, "ok" if r.ok else "FAIL", r.elapsed))
             results.append(r)
     rows = []
     for r in results:

@@ -516,7 +516,9 @@ def _adjacent_transposition(i, k):
 
 
 def coinvariants_dims(k, n, field):
-    """Per degree, dim of the coinvariants of the symmetric-group action.
+    """Per degree, dim of the coinvariants of the symmetric-group action:
+    dim V - rank [tau_1 - 1 | ... | tau_(k-1) - 1], tau_i the transposition
+    (i, i+1).
 
     field must have characteristic 0 or > k (the transfer hypothesis); this
     computes H_*(B_k(R^n)) with those coefficients.
@@ -539,7 +541,7 @@ def coinvariants_dims(k, n, field):
             a = action_matrix(_adjacent_transposition(i, k), k, n, degree,
                               basis=basis, domain=field)
             stack.append(a.sub(ident))
-        stacked = SparseMatrix.vstack(stack) if stack else SparseMatrix.zero(0, dim, field)
+        stacked = SparseMatrix.hstack(stack) if stack else SparseMatrix.zero(dim, 0, field)
         d = dim - rank(stacked)
         if d:
             out[degree] = out.get(degree, 0) + d

@@ -288,10 +288,6 @@ class SparseMatrix:
         return SparseMatrix._trusted(self.nrows, self.ncols, self.domain, rows)
 
     @classmethod
-    def vstack(cls, mats):
-        return cls.hstack([m.transpose() for m in mats]).transpose()
-
-    @classmethod
     def hstack(cls, mats):
         mats = list(mats)
         if not mats:

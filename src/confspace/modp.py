@@ -255,20 +255,6 @@ def _periodic_dim(v):
     return v.dim - v.rank_aug() - v.rank_norm()
 
 
-def cyclic_cohomology(v, s_max):
-    """H^s(C_p; V) for s = 0..s_max.
-
-    H^0 = ker(sigma-1); every H^s with s >= 1 has dimension _periodic_dim(v).
-    """
-    if s_max < 0:
-        raise ModpError("negative cohomological window")
-    dims = {0: v.dim - v.rank_aug()}
-    if s_max >= 1:
-        h = _periodic_dim(v)
-        dims.update((s, h) for s in range(1, s_max + 1))
-    return GradedDims(dims)
-
-
 def tate(v, window):
     """Tate cohomology dims of C_p on the window (s_min, s_max), inclusive,
     as GradedDims: read them with get(s) for s in the window, since zero

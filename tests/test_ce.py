@@ -303,19 +303,69 @@ def test_stability_rejects_small_dimension():
         ce.stability_report(gm("euclidean-2"), 3)
 
 
-def test_stabilization_map_shapes():
-    for name in ("euclidean-3", "handlebody-2", "r3-minus-2"):
-        g = gm(name)
-        for k in range(4):
-            phi = ce.stabilization_map(g, g.point_slot(), k)
-            src, tgt = g.block(k + 1), g.block(k)
-            assert sorted(phi) == src.degrees(), (name, k)
-            for i, m in phi.items():
-                assert (m.nrows, m.ncols) == (tgt.dim(i), src.dim(i)), (name, k, i)
-    g = gm("handlebody-1")
-    for slot in ("q", "a1"):  # unknown; not the point-dual slot
-        with pytest.raises(ce.StabilityError):
-            ce.stabilization_map(g, slot, 1)
+# Open 4- and 6-manifolds whose cohomology has nonzero products, each minus
+# a point: their CE differentials are nonzero.  The rows were recorded with
+# the rank of [phi Z | B], phi Z the image of the source's cycles and B the
+# target's boundaries, before stability_report read them off Betti numbers.
+OPEN_WITH_BRACKETS = {
+    "cp2-minus-point": (
+        4, [("a", 2), ("b", 4)], [("a", "a", [("b", 1)])],
+        [([0, 2], [2]), ([0, 2, 3, 4, 5], [5]), ([0, 2, 3, 4, 5, 6, 7], [7]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9], []), ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], []),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], [])]),
+    "s2xs2-minus-point": (
+        4, [("a", 2), ("b", 2), ("p", 4)],
+        [("a", "b", [("p", 1)]), ("b", "a", [("p", 1)])],
+        [([0, 2], [2]), ([0, 2, 3, 4, 5], [4, 5]), ([0, 2, 3, 4, 5, 6, 7], [6, 7]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10], [8, 9, 10]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], [10, 11, 12]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14], [12, 13, 14])]),
+    "cp2-cp2-minus-point": (
+        4, [("a", 2), ("b", 2), ("p", 4)],
+        [("a", "a", [("p", 1)]), ("b", "b", [("p", 1)])],
+        [([0, 2], [2]), ([0, 2, 3, 4, 5], [4, 5]), ([0, 2, 3, 4, 5, 6, 7], [6, 7]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10], [8, 9, 10]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], [10, 11, 12]),
+         ([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14], [12, 13, 14])]),
+    "s3xs3-minus-point": (
+        6, [("a", 3), ("b", 3), ("p", 6)],
+        [("a", "b", [("p", 1)]), ("b", "a", [("p", -1)])],
+        [([0, 3], [3]), ([0, 3, 5, 6, 8], [8]), ([0, 3, 5, 6, 8, 11], [8, 11]),
+         ([0, 3, 5, 6, 8, 11, 13, 14, 16], [11, 16]),
+         ([0, 3, 5, 6, 8, 11, 13, 14, 16, 19], [16, 19]),
+         ([0, 3, 5, 6, 8, 11, 13, 14, 16, 19, 21, 22, 24], [19, 24])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_WITH_BRACKETS))
+def test_stability_rows_with_brackets_are_pinned(name):
+    n, basis, products, per_k = OPEN_WITH_BRACKETS[name]
+    g = ce.build_gm(ce.load_algebra(presets.doc(name, n, basis, products)))
+    assert g.bracket
+    want = [(k, i, i not in bad) for k, (degrees, bad) in enumerate(per_k) for i in degrees]
+    assert ce.stability_report(g, 6) == want
+
+
+# closed even-dimensional manifolds: the unit brackets with the point slot
+CLOSED_EVEN = {
+    "s4": presets.doc("s4", 4, [("e", 0), ("p", 4)], [
+        ("e", "e", [("e", 1)]), ("e", "p", [("p", 1)]), ("p", "e", [("p", 1)])]),
+    "cp2": presets.doc("cp2", 4, [("e", 0), ("a", 2), ("b", 4)], [
+        ("e", "e", [("e", 1)]), ("e", "a", [("a", 1)]), ("a", "e", [("a", 1)]),
+        ("e", "b", [("b", 1)]), ("b", "e", [("b", 1)]), ("a", "a", [("b", 1)])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_EVEN))
+def test_stability_refuses_closed_even_manifolds(name, tmp_path, capsys):
+    with pytest.raises(ce.StabilityError, match="nonzero bracket"):
+        ce.stability_report(ce.build_gm(ce.load_algebra(CLOSED_EVEN[name])), 3)
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps(CLOSED_EVEN[name]))
+    code = cli.main(["ce", "stability", "--algebra", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "StabilityError"
 
 
 def test_euler_series_matches_betti_euler():
@@ -327,10 +377,15 @@ def test_euler_series_matches_betti_euler():
             assert series.coefficient(0, k) == chi, (name, k)
 
 
-def test_euler_series_builds_no_block():
-    g = gm("closed-surface-1")
-    ce.euler_series(g, 6)
-    assert not g._blocks
+def test_euler_series_builds_no_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(ce, "ce_block", refuse)
+    monkeypatch.setattr(ce, "_assemble", refuse)
+    series = ce.euler_series(gm("closed-surface-1"), 6)
+    # chi(B_k(T^2)) = binomial(chi(T^2), k) = 0 for k >= 1
+    assert series.coeffs == {(0, 0): 1}
 
 
 def test_chain_dims_equal_enumerated_counts():
