@@ -20,15 +20,26 @@ and the Jacobi regrafting
 applied recursively; reordering forest components uses the unshifted
 Koszul rule (-1)^(|T_i| |T_j|).
 
-The pairing with the cohomology basis of arnold is computed blockwise per
-partition: path monomials a_{s1 s2} a_{s2 s3} ... pair delta-wise with
+The pairing with the cohomology basis of arnold is block-diagonal over leaf
+partitions: path monomials a_{s1 s2} a_{s2 s3} ... pair delta-wise with
 tall trees, so each block is the inverse transpose of the path-to-
-admissible change of basis.
+admissible change of basis.  That change of basis factors over the trees
+of the partition.  A tree's path word rewrites to admissible monomials on
+its own labels, through comparisons of labels only, so the block of one
+tree on m labels is the block P_m of the one-tree partition of [1, m],
+relabelled in order.  The product of admissible monomials on disjoint
+label sets is admissible once its factors are sorted by b, with the Koszul
+sign of that sort.  For a partition with trees T_1, ..., T_r ordered by
+minima the block is therefore eps * P_|T_1| (x) ... (x) P_|T_r|, where
+eps = 1 for n odd and, for n even, eps = (-1)^inv with inv the number of
+pairs x > y of non-minimal labels, x in an earlier tree than y: each
+non-minimal label is the b of exactly one factor.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from operator import itemgetter
 
 from . import arnold
 from .graded import GradedDims, LinearCombination
@@ -383,25 +394,6 @@ def _forest_partition(f):
     return tuple(sorted((tuple(sorted(tree_leaves(t))) for t in f)))
 
 
-def _monomial_partition(mono, k):
-    parent = list(range(k + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in mono:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    blocks = {}
-    for v in range(1, k + 1):
-        blocks.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(b) for b in blocks.values()))
-
-
 def _path_word(f):
     word = []
     for t in f:
@@ -411,46 +403,90 @@ def _path_word(f):
     return word
 
 
+def _unit_pairing(m, n):
+    """The pairing block P_m of the one-tree partition of [1, m]: maps the
+    leaf sequence of each tall tree to its row, a list of (admissible
+    monomial, entry).  It is the inverse transpose of the change of basis
+    from path monomials to admissible monomials."""
+    degree = (m - 1) * (n - 1)
+    trees = tall_basis(m, n, degree)
+    monos = arnold.admissible_basis(m, n, degree)
+    col = {mono: b for b, mono in enumerate(monos)}
+    d_entries = {}
+    for a, f in enumerate(trees):
+        for mono, c in arnold.normal_form(_path_word(f), m, n).terms.items():
+            d_entries[(a, col[mono])] = c
+    p = invert(SparseMatrix(len(trees), len(monos), QQ, d_entries).transpose())
+    rows = {}
+    for a, prow in p.rows.items():
+        if any(v.denominator != 1 for v in prow.values()):
+            raise AssertionError("pairing block not integral for one tree on %d leaves" % m)
+        rows[tree_leaves(trees[a][0])] = [(monos[b], int(v)) for b, v in prow.items()]
+    return rows
+
+
+def _merge_sign(blocks, n):
+    """Koszul sign of sorting by b the factors of admissible monomials on
+    these label blocks, listed block by block: (-1)^inv for n even, inv the
+    pairs x > y of non-minimal labels with x in an earlier block than y."""
+    if n % 2:
+        return 1
+    bs = [b for block in blocks for b in block[1:]]
+    inv = sum(x > y for i, x in enumerate(bs) for y in bs[i + 1:])
+    return -1 if inv % 2 else 1
+
+
 def pairing_matrix(k, n, degree):
     """Matrix of the pairing between tall_basis and admissible_basis.
 
-    Block-diagonal over the common partition of [1, k]; each block is the
-    inverse transpose of the path-monomial-to-admissible change of basis,
-    so the whole matrix is invertible over the integers.
+    The block of a leaf partition with trees T_1, ..., T_r ordered by
+    minima is eps * P_|T_1| (x) ... (x) P_|T_r| (see the module docstring):
+    the entry at a tall forest and an admissible monomial is eps times the
+    product over trees of the entry of the unit block P_m at the tree and
+    at the factors on its labels, both relabelled in order to [1, m].  Each
+    P_m with m >= 2 that occurs is inverted once and checked integral, so
+    every block, and the whole matrix, is invertible over the integers.
     """
     forests = tall_basis(k, n, degree)
     monos = arnold.admissible_basis(k, n, degree)
     if len(forests) != len(monos):
         raise AssertionError("basis size mismatch: %d forests vs %d monomials"
                              % (len(forests), len(monos)))
-    row_blocks = {}
+    col = {mono: j for j, mono in enumerate(monos)}
+    units = {1: {(1,): [((), 1)]}}
+    tree_rows = {}  # leaf sequence -> (sorted labels, unit row on them)
+    rows = {}
     for i, f in enumerate(forests):
-        row_blocks.setdefault(_forest_partition(f), []).append(i)
-    col_blocks = {}
-    for j, m in enumerate(monos):
-        col_blocks.setdefault(_monomial_partition(m, k), []).append(j)
-    if sorted(row_blocks) != sorted(col_blocks):
-        raise AssertionError("partition supports of the two bases differ")
-    entries = {}
-    for part, rows in row_blocks.items():
-        cols = col_blocks[part]
-        if len(rows) != len(cols):
-            raise AssertionError("block size mismatch at partition %r" % (part,))
-        col_pos = {monos[j]: a for a, j in enumerate(cols)}
-        m = len(rows)
-        d_entries = {}
-        for a, i in enumerate(rows):
-            expansion = arnold.normal_form(_path_word(forests[i]), k, n)
-            for mono, c in expansion.terms.items():
-                d_entries[(a, col_pos[mono])] = c
-        d = SparseMatrix(m, m, QQ, d_entries)
-        p = invert(d.transpose())
-        for a, prow in p.rows.items():
-            for b, v in prow.items():
-                if v.denominator != 1:
-                    raise AssertionError("pairing block not integral at partition %r" % (part,))
-                entries[(rows[a], cols[b])] = int(v)
-    return SparseMatrix(len(forests), len(monos), ZZ, entries)
+        blocks, factors = [], []
+        for t in f:
+            seq = tree_leaves(t)
+            hit = tree_rows.get(seq)
+            if hit is None:
+                labels = sorted(seq)
+                m = len(labels)
+                if m not in units:
+                    units[m] = _unit_pairing(m, n)
+                pos = {x: r for r, x in enumerate(labels, 1)}
+                unit_row = [
+                    (tuple((labels[a - 1], labels[b - 1]) for a, b in mono), c)
+                    for mono, c in units[m][tuple(pos[x] for x in seq)]]
+                hit = tree_rows[seq] = (labels, unit_row)
+            blocks.append(hit[0])
+            factors.append(hit[1])
+        eps = _merge_sign(blocks, n)
+        row = rows[i] = {}
+        for combo in product(*factors):
+            c = eps
+            pairs = []
+            for mono, v in combo:
+                c *= v
+                pairs.extend(mono)
+            j = col.get(tuple(sorted(pairs, key=itemgetter(1))))
+            if j is None:
+                raise AssertionError("monomial %r of forest %r is not admissible"
+                                     % (pairs, f))
+            row[j] = c
+    return SparseMatrix._trusted(len(forests), len(monos), ZZ, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import forests
 from . import modp
 from . import presets
 from .graded import GradedDims
-from .linalg import QQ, smith_normal_form
+from .linalg import QQ, ZZ, SparseMatrix, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,39 @@ def check_triple_relation():
     return "three-term relation zero for %d ordered triples" % cases
 
 
+def _admissible_action(perm, k, n, degree):
+    """Matrix of arnold.sigma_act on admissible_basis: column j is the image
+    of the j-th admissible monomial."""
+    monos = arnold.admissible_basis(k, n, degree)
+    row_of = {mono: i for i, mono in enumerate(monos)}
+    entries = {}
+    for j, mono in enumerate(monos):
+        image = arnold.sigma_act(perm, arnold.CohomologyClass(k, n, {mono: 1}))
+        for image_mono, c in image.terms.items():
+            entries[(row_of[image_mono], j)] = c
+    return SparseMatrix(len(monos), len(monos), ZZ, entries)
+
+
+def assert_pairing_invariant(p, k, n, degree):
+    """Assert A(tau)^T P B(tau) = P for the pairing matrix P and each
+    adjacent transposition tau, with A and B the actions of tau on the two
+    bases; return the number of transpositions checked.  Unimodularity
+    cannot see a sign error; invariance can."""
+    for i in range(1, k):
+        tau = forests._adjacent_transposition(i, k)
+        a = forests.action_matrix(tau, k, n, degree)
+        b = _admissible_action(tau, k, n, degree)
+        assert a.transpose().matmul(p).matmul(b) == p, \
+            "pairing not invariant under (%d %d) at k=%d, n=%d, degree %d" \
+            % (i, i + 1, k, n, degree)
+    return k - 1
+
+
 def check_pairing():
-    """Forest/monomial pairing matrices are unimodular in every degree."""
+    """Forest/monomial pairing matrices are unimodular in every degree, and
+    for k <= 5 invariant under each adjacent transposition."""
     cases = 0
+    invariant = 0
     for n in (2, 3):
         for k in range(1, 7):
             for j in range(k):
@@ -165,7 +195,10 @@ def check_pairing():
                 assert rnk == m.nrows == m.ncols and all(x == 1 for x in factors), \
                     "pairing not unimodular at k=%d, n=%d, degree %d" % (k, n, d)
                 cases += 1
-    return "pairing unimodular in %d degrees" % cases
+                if k <= 5:
+                    invariant += assert_pairing_invariant(m, k, n, d)
+    return ("pairing unimodular in %d degrees, invariant under %d transpositions"
+            % (cases, invariant))
 
 
 def check_rewrite():

@@ -1,13 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: dense Gaussian elimination over
-Fraction, textbook recurrences, brute-force enumeration.  The library must
-agree with these on small inputs; none of this code is imported by the
-package itself.
+Fraction, textbook recurrences, brute-force enumeration, one inversion per
+block.  The library must agree with these on small inputs; none of this
+code is imported by the package itself.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, combinations
+
+from confspace import arnold, forests
+from confspace.linalg import QQ, ZZ, SparseMatrix, invert
 
 
 def dense_rank_qq(rows):
@@ -149,3 +152,57 @@ def perm_sign(p):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _monomial_partition(mono, k):
+    """Leaf partition of [1, k] joined by the factors a_ab of a monomial."""
+    parent = list(range(k + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in mono:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    blocks = {}
+    for v in range(1, k + 1):
+        blocks.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
+
+
+def pairing_by_partition(k, n, degree):
+    """Pairing of tall_basis with admissible_basis, one inversion per leaf
+    partition: each block is the inverse transpose of the change of basis
+    from the forests' path monomials to admissible monomials."""
+    trees = forests.tall_basis(k, n, degree)
+    monos = arnold.admissible_basis(k, n, degree)
+    row_blocks = {}
+    for i, f in enumerate(trees):
+        row_blocks.setdefault(forests._forest_partition(f), []).append(i)
+    col_blocks = {}
+    for j, m in enumerate(monos):
+        col_blocks.setdefault(_monomial_partition(m, k), []).append(j)
+    assert sorted(row_blocks) == sorted(col_blocks)
+    entries = {}
+    for part, rows in row_blocks.items():
+        cols = col_blocks[part]
+        assert len(rows) == len(cols)
+        col_pos = {monos[j]: a for a, j in enumerate(cols)}
+        d_entries = {}
+        for a, i in enumerate(rows):
+            word = []
+            for t in trees[i]:
+                seq = forests.tree_leaves(t)
+                word.extend(zip(seq, seq[1:]))
+            for mono, c in arnold.normal_form(word, k, n).terms.items():
+                d_entries[(a, col_pos[mono])] = c
+        p = invert(SparseMatrix(len(rows), len(rows), QQ, d_entries).transpose())
+        for a, prow in p.rows.items():
+            for b, v in prow.items():
+                assert v.denominator == 1
+                entries[(rows[a], cols[b])] = int(v)
+    return SparseMatrix(len(trees), len(monos), ZZ, entries)

@@ -55,6 +55,12 @@ def test_format_flag_after_subcommand(capsys):
     assert json.loads(out)["swan_period"] == 12
 
 
+def test_modp_swan_closed_form_json(capsys):
+    code, out, _ = run(capsys, "modp", "swan", "--p", "11", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"p": 11, "swan_period": 20}
+
+
 def test_csv_format(capsys):
     code, out, _ = run(capsys, "--format", "csv", "unordered-betti",
                        "--k", "4", "--n", "3")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from confspace import arnold, forests
 from confspace.graded import ContextError
 from confspace.linalg import GF, QQ, ZZ, SparseMatrix, rank, smith_normal_form
-from confspace.selftest import _iota_forest, _random_forest
+from confspace.selftest import _iota_forest, _random_forest, assert_pairing_invariant
 
 import oracles
 
@@ -153,6 +153,25 @@ def test_pairing_unimodular_small():
                 factors, rnk = smith_normal_form(m)
                 assert rnk == m.nrows == m.ncols
                 assert all(x == 1 for x in factors)
+
+
+@pytest.mark.parametrize("k, n, j_max", [(k, n, k - 1) for k in range(1, 7)
+                                          for n in (2, 3, 4, 5)]
+                         + [(7, n, 5) for n in (2, 3)])
+def test_pairing_matches_per_partition_inverse(k, n, j_max):
+    for j in range(j_max + 1):
+        degree = j * (n - 1)
+        assert forests.pairing_matrix(k, n, degree) == \
+            oracles.pairing_by_partition(k, n, degree)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairing_is_invariant_under_transpositions(k, n):
+    """<tau f, tau a> = <f, a>; unimodularity is blind to signs, this is not."""
+    for j in range(k):
+        degree = j * (n - 1)
+        assert_pairing_invariant(forests.pairing_matrix(k, n, degree), k, n, degree)
 
 
 @settings(max_examples=40, deadline=None)

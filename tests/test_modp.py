@@ -545,6 +545,11 @@ def test_swan_period_brute_force_matches_closed_form():
         assert modp.swan_period(p) == 2 * (p - 1)
 
 
+def test_swan_period_closed_form_beyond_brute_force():
+    assert modp.swan_period(11) == 20
+    assert modp.swan_period(13) == 24
+
+
 def test_stable_cohomology_of_trivial_module_is_nakaoka():
     for p in (3, 5):
         v = modp.trivial_module(p)
