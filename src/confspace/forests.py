@@ -20,30 +20,38 @@ and the Jacobi regrafting
 applied recursively; reordering forest components uses the unshifted
 Koszul rule (-1)^(|T_i| |T_j|).
 
-The pairing with the cohomology basis of arnold is block-diagonal over leaf
-partitions: path monomials a_{s1 s2} a_{s2 s3} ... pair delta-wise with
-tall trees, so each block is the inverse transpose of the path-to-
-admissible change of basis.  That change of basis factors over the trees
-of the partition.  A tree's path word rewrites to admissible monomials on
-its own labels, through comparisons of labels only, so the block of one
-tree on m labels is the block P_m of the one-tree partition of [1, m],
-relabelled in order.  The product of admissible monomials on disjoint
-label sets is admissible once its factors are sorted by b, with the Koszul
-sign of that sort.  For a partition with trees T_1, ..., T_r ordered by
-minima the block is therefore eps * P_|T_1| (x) ... (x) P_|T_r|, where
-eps = 1 for n odd and, for n even, eps = (-1)^inv with inv the number of
-pairs x > y of non-minimal labels, x in an earlier tree than y: each
-non-minimal label is the b of exactly one factor.
+The pairing with the cohomology basis of arnold has a closed form (Sinha,
+The homology of the little disks operad, arXiv:math/0610236): <T, G> = +-1
+when the map sending each factor a_ab of G to the vertex of T where the
+leaves a and b meet is a bijection onto the internal vertices, and 0
+otherwise.  For a tall forest f and an admissible monomial
+G = a_{a1 b1} ... a_{aj bj} this reads
+
+    P[f, G] = eps_f  if each a_i lies to the left of b_i in the same tree,
+    P[f, G] = 0      otherwise,
+
+with eps_f = 1 for n odd and, for n even, eps_f = (-1)^inv, inv the number
+of inversions among the non-first leaves of f read left to right across
+the whole forest.  Why the two agree: in a left comb two leaves meet at
+the vertex that joins the later of them, so the internal vertices match
+the non-first leaves.  When every a_i shares a tree with b_i, the b's of G
+are j distinct non-first leaves (a_i < b_i, and a tall tree starts at its
+minimum), hence all of them.  If each a_i lies left of b_i, a_{a_i b_i}
+goes to b_i's vertex and the map is a bijection.  Conversely, let the map
+be a bijection and suppose some a lay right of its b.  Then a_ab takes
+a's vertex, so a's own factor a_{a'a}, with a' < a, must have a' to the
+right of a.  Repeating walks through strictly decreasing labels, each
+right of the last, down to the tree's minimum, which is leftmost: a
+contradiction.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from operator import itemgetter
 
 from . import arnold
 from .graded import GradedDims, LinearCombination
-from .linalg import QQ, ZZ, SparseMatrix, invert, rank
+from .linalg import ZZ, SparseMatrix, rank
 
 
 class ForestError(Exception):
@@ -82,10 +90,6 @@ def tree_min(t):
 
 def tree_degree(t, n):
     return (len(tree_leaves(t)) - 1) * (n - 1)
-
-
-def shifted_degree(t, n):
-    return len(tree_leaves(t)) * (n - 1)
 
 
 def is_tall(t):
@@ -394,58 +398,13 @@ def _forest_partition(f):
     return tuple(sorted((tuple(sorted(tree_leaves(t))) for t in f)))
 
 
-def _path_word(f):
-    word = []
-    for t in f:
-        seq = tree_leaves(t)
-        for i in range(len(seq) - 1):
-            word.append((seq[i], seq[i + 1]))
-    return word
-
-
-def _unit_pairing(m, n):
-    """The pairing block P_m of the one-tree partition of [1, m]: maps the
-    leaf sequence of each tall tree to its row, a list of (admissible
-    monomial, entry).  It is the inverse transpose of the change of basis
-    from path monomials to admissible monomials."""
-    degree = (m - 1) * (n - 1)
-    trees = tall_basis(m, n, degree)
-    monos = arnold.admissible_basis(m, n, degree)
-    col = {mono: b for b, mono in enumerate(monos)}
-    d_entries = {}
-    for a, f in enumerate(trees):
-        for mono, c in arnold.normal_form(_path_word(f), m, n).terms.items():
-            d_entries[(a, col[mono])] = c
-    p = invert(SparseMatrix(len(trees), len(monos), QQ, d_entries).transpose())
-    rows = {}
-    for a, prow in p.rows.items():
-        if any(v.denominator != 1 for v in prow.values()):
-            raise AssertionError("pairing block not integral for one tree on %d leaves" % m)
-        rows[tree_leaves(trees[a][0])] = [(monos[b], int(v)) for b, v in prow.items()]
-    return rows
-
-
-def _merge_sign(blocks, n):
-    """Koszul sign of sorting by b the factors of admissible monomials on
-    these label blocks, listed block by block: (-1)^inv for n even, inv the
-    pairs x > y of non-minimal labels with x in an earlier block than y."""
-    if n % 2:
-        return 1
-    bs = [b for block in blocks for b in block[1:]]
-    inv = sum(x > y for i, x in enumerate(bs) for y in bs[i + 1:])
-    return -1 if inv % 2 else 1
-
-
 def pairing_matrix(k, n, degree):
     """Matrix of the pairing between tall_basis and admissible_basis.
 
-    The block of a leaf partition with trees T_1, ..., T_r ordered by
-    minima is eps * P_|T_1| (x) ... (x) P_|T_r| (see the module docstring):
-    the entry at a tall forest and an admissible monomial is eps times the
-    product over trees of the entry of the unit block P_m at the tree and
-    at the factors on its labels, both relabelled in order to [1, m].  Each
-    P_m with m >= 2 that occurs is inverted once and checked integral, so
-    every block, and the whole matrix, is invertible over the integers.
+    Read off leaf order (see the module docstring): row f is eps_f on every
+    monomial in the product, over the non-first leaves b of f in increasing
+    order, of {a_ab : a < b, a left of b in b's tree}, and 0 elsewhere.
+    Every such monomial is admissible by construction.
     """
     forests = tall_basis(k, n, degree)
     monos = arnold.admissible_basis(k, n, degree)
@@ -453,39 +412,19 @@ def pairing_matrix(k, n, degree):
         raise AssertionError("basis size mismatch: %d forests vs %d monomials"
                              % (len(forests), len(monos)))
     col = {mono: j for j, mono in enumerate(monos)}
-    units = {1: {(1,): [((), 1)]}}
-    tree_rows = {}  # leaf sequence -> (sorted labels, unit row on them)
     rows = {}
     for i, f in enumerate(forests):
-        blocks, factors = [], []
-        for t in f:
-            seq = tree_leaves(t)
-            hit = tree_rows.get(seq)
-            if hit is None:
-                labels = sorted(seq)
-                m = len(labels)
-                if m not in units:
-                    units[m] = _unit_pairing(m, n)
-                pos = {x: r for r, x in enumerate(labels, 1)}
-                unit_row = [
-                    (tuple((labels[a - 1], labels[b - 1]) for a, b in mono), c)
-                    for mono, c in units[m][tuple(pos[x] for x in seq)]]
-                hit = tree_rows[seq] = (labels, unit_row)
-            blocks.append(hit[0])
-            factors.append(hit[1])
-        eps = _merge_sign(blocks, n)
-        row = rows[i] = {}
-        for combo in product(*factors):
-            c = eps
-            pairs = []
-            for mono, v in combo:
-                c *= v
-                pairs.extend(mono)
-            j = col.get(tuple(sorted(pairs, key=itemgetter(1))))
-            if j is None:
-                raise AssertionError("monomial %r of forest %r is not admissible"
-                                     % (pairs, f))
-            row[j] = c
+        seqs = [tree_leaves(t) for t in f]
+        left = {seq[r]: [a for a in seq[:r] if a < seq[r]]
+                for seq in seqs for r in range(1, len(seq))}
+        eps = 1
+        if n % 2 == 0:
+            bs = [b for seq in seqs for b in seq[1:]]
+            if sum(x > y for r, x in enumerate(bs) for y in bs[r + 1:]) % 2:
+                eps = -1
+        order = sorted(left)
+        rows[i] = {col[tuple(zip(aa, order))]: eps
+                   for aa in product(*map(left.get, order))}
     return SparseMatrix._trusted(len(forests), len(monos), ZZ, rows)
 
 
@@ -551,6 +490,15 @@ def _adjacent_transposition(i, k):
     return table
 
 
+def _coinvariants_dim(dim, taus, field):
+    """dim V - rank [tau_1 - 1 | ... ]: the dimension of the coinvariants
+    of the group that the square matrices taus generate on V = field^dim."""
+    if not taus:
+        return dim
+    ident = SparseMatrix.identity(dim, field)
+    return dim - rank(SparseMatrix.hstack([t.sub(ident) for t in taus]))
+
+
 def coinvariants_dims(k, n, field):
     """Per degree, dim of the coinvariants of the symmetric-group action:
     dim V - rank [tau_1 - 1 | ... | tau_(k-1) - 1], tau_i the transposition
@@ -571,14 +519,9 @@ def coinvariants_dims(k, n, field):
         dim = len(basis)
         if dim == 0:
             continue
-        stack = []
-        ident = SparseMatrix.identity(dim, field)
-        for i in range(1, k):
-            a = action_matrix(_adjacent_transposition(i, k), k, n, degree,
-                              basis=basis, domain=field)
-            stack.append(a.sub(ident))
-        stacked = SparseMatrix.hstack(stack) if stack else SparseMatrix.zero(dim, 0, field)
-        d = dim - rank(stacked)
+        taus = [action_matrix(_adjacent_transposition(i, k), k, n, degree,
+                              basis=basis, domain=field) for i in range(1, k)]
+        d = _coinvariants_dim(dim, taus, field)
         if d:
             out[degree] = out.get(degree, 0) + d
     return GradedDims(out)

@@ -231,11 +231,8 @@ def conf_module(p, n, t):
     basis = forests.IndexedBasis(forests.tall_basis(p, n, t))
     cycle = {i: i % p + 1 for i in range(1, p + 1)}
     sigma = forests.action_matrix(cycle, p, n, t, basis=basis, domain=field)
-    taus = []
-    for i in range(1, p):
-        swap = {x: x for x in range(1, p + 1)}
-        swap[i], swap[i + 1] = i + 1, i
-        taus.append(forests.action_matrix(swap, p, n, t, basis=basis, domain=field))
+    taus = [forests.action_matrix(forests._adjacent_transposition(i, p), p, n, t,
+                                  basis=basis, domain=field) for i in range(1, p)]
     # a plain tuple, so that the IndexedBasis lookups are freed
     v = GModule(p, sigma, taus=taus, basis=tuple(basis))
     _conf_cache[key] = v
@@ -339,9 +336,7 @@ def invariants_sigma_p(p, n):
     for j in range(p):
         t = j * (n - 1)
         v = conf_module(p, n, t)
-        ident = SparseMatrix.identity(v.dim, v.field)
-        stacked = SparseMatrix.hstack([m.sub(ident) for m in v.taus])
-        out[t] = v.dim - rank(stacked)
+        out[t] = forests._coinvariants_dim(v.dim, v.taus, v.field)
     return GradedDims(out)
 
 

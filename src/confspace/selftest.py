@@ -182,12 +182,12 @@ def assert_pairing_invariant(p, k, n, degree):
 
 
 def check_pairing():
-    """Forest/monomial pairing matrices are unimodular in every degree, and
-    for k <= 5 invariant under each adjacent transposition."""
+    """Forest/monomial pairing matrices are unimodular in every degree for
+    k <= 7, and for k <= 5 invariant under each adjacent transposition."""
     cases = 0
     invariant = 0
     for n in (2, 3):
-        for k in range(1, 7):
+        for k in range(1, 8):
             for j in range(k):
                 d = j * (n - 1)
                 m = forests.pairing_matrix(k, n, d)

@@ -21,7 +21,6 @@ def test_tree_helpers():
     assert forests.tree_leaves(t) == (1, 3, 2)
     assert forests.tree_min(t) == 1
     assert forests.tree_degree(t, 3) == 4
-    assert forests.shifted_degree(t, 3) == 6
     assert forests.is_tall(((1, 3), 2))
     assert not forests.is_tall((1, (3, 2)))
 
@@ -163,6 +162,26 @@ def test_pairing_matches_per_partition_inverse(k, n, j_max):
         degree = j * (n - 1)
         assert forests.pairing_matrix(k, n, degree) == \
             oracles.pairing_by_partition(k, n, degree)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_pairing_is_dual_to_path_words(k, n):
+    """D P^T = I, D[f, G] the coefficient of G in the normal form of f's path
+    word a_{s1 s2} a_{s2 s3} ..., tree by tree: the tall forests and the path
+    monomials are dual bases.  This is the pairing's definition."""
+    for j in range(k):
+        degree = j * (n - 1)
+        trees = forests.tall_basis(k, n, degree)
+        col = {mono: c for c, mono in enumerate(arnold.admissible_basis(k, n, degree))}
+        entries = {}
+        for r, f in enumerate(trees):
+            word = [pair for seq in map(forests.tree_leaves, f) for pair in zip(seq, seq[1:])]
+            for mono, c in arnold.normal_form(word, k, n).terms.items():
+                entries[(r, col[mono])] = c
+        d = SparseMatrix(len(trees), len(col), ZZ, entries)
+        p = forests.pairing_matrix(k, n, degree)
+        assert d.matmul(p.transpose()) == SparseMatrix.identity(len(trees), ZZ), degree
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
