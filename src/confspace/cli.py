@@ -430,6 +430,10 @@ def cmd_modp_swan(args):
 
 
 def _parse_checks(text):
+    """The check numbers that --checks names; all of them when it is absent."""
+    known = [num for num, _, _, _ in selftest.CHECKS]
+    if text is None:
+        return known
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -437,10 +441,13 @@ def _parse_checks(text):
             continue
         if "-" in piece[1:]:
             a, b = piece.split("-", 1)
+            if int(b) < int(a):
+                raise CliError("check range %s runs backwards" % piece)
             out.extend(range(int(a), int(b) + 1))
         else:
             out.append(int(piece))
-    known = {num for num, _, _, _ in selftest.CHECKS}
+    if not out:
+        raise CliError("--checks %r names no check" % text)
     for num in out:
         if num not in known:
             raise CliError("no check numbered %d" % num)
@@ -448,8 +455,7 @@ def _parse_checks(text):
 
 
 def cmd_selftest(args):
-    numbers = (_parse_checks(args.checks or "")
-               or [num for num, _, _, _ in selftest.CHECKS])
+    numbers = _parse_checks(args.checks)
     if args.workers is not None and args.workers < 1:
         raise CliError("--workers must be positive")
     from concurrent.futures import ProcessPoolExecutor

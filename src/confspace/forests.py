@@ -8,8 +8,13 @@ partition [1, k].  A tree with m leaves sits in homological degree
 ||x|| = |x| + n - 1 = m(n-1).
 
 Tall trees (left combs ((...((i1 i2) i3)...) im) whose first leaf is the
-minimum) with components ordered by minimal leaf form a basis.  Arbitrary
-forests rewrite into it via shifted antisymmetry
+minimum) with components ordered by minimal leaf form a basis.  A tall
+forest is a permutation of [1, k] in cycle form, each tree a cycle read
+from its minimum, so those with r trees are counted by the Stirling number
+c(k, r) = c(k-1, r-1) + (k-1) c(k-1, r), and tall_basis builds them by that
+recurrence: k is a tree of its own, or goes right after one of the k-1
+smaller leaves.  Arbitrary forests rewrite into the basis via shifted
+antisymmetry
 
     [x, y] = -(-1)^(||x|| ||y||) [y, x]
 
@@ -47,7 +52,8 @@ contradiction.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
+from math import prod
 
 from . import arnold
 from .graded import GradedDims, LinearCombination
@@ -226,33 +232,21 @@ class HomologyClass(LinearCombination):
 # basis enumeration
 
 
-def _set_partitions(items, r):
-    """Partitions of items into exactly r blocks, each block ascending,
-    blocks ordered by minimum.  items must be sorted ascending."""
-    n = len(items)
-    if r < 1 or r > n:
+def _tall_sequences(k, r):
+    """Leaf sequences of the tall forests on [1, k] with r trees, by
+    c(k, r) = c(k-1, r-1) + (k-1) c(k-1, r): k is a tree of its own, or
+    goes right after one of the k-1 smaller leaves."""
+    if not 0 <= r <= k:
         return
-    blocks = []
-
-    def rec(i):
-        if i == n:
-            if len(blocks) == r:
-                yield tuple(tuple(b) for b in blocks)
-            return
-        # remaining items must suffice to open the missing blocks
-        if len(blocks) + (n - i) < r:
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1)
-            b.pop()
-        if len(blocks) < r:
-            blocks.append([x])
-            yield from rec(i + 1)
-            blocks.pop()
-
-    yield from rec(0)
+    if k == 0:
+        yield ()
+        return
+    for f in _tall_sequences(k - 1, r - 1):
+        yield f + ((k,),)
+    for f in _tall_sequences(k - 1, r):
+        for i, seq in enumerate(f):
+            for pos in range(1, len(seq) + 1):
+                yield f[:i] + (seq[:pos] + (k,) + seq[pos:],) + f[i + 1:]
 
 
 def tall_basis(k, n, degree):
@@ -261,19 +255,8 @@ def tall_basis(k, n, degree):
         raise ValueError("need k >= 1 and n >= 2")
     if degree < 0 or degree % (n - 1) != 0:
         return []
-    j = degree // (n - 1)
-    if j > k - 1:
-        return []
-    out = []
-    for part in _set_partitions(list(range(1, k + 1)), k - j):
-        per_block = []
-        for block in part:
-            per_block.append([tall_from_seq((block[0],) + p)
-                              for p in permutations(block[1:])])
-        for combo in product(*per_block):
-            out.append(tuple(combo))
-    out.sort(key=_forest_key)
-    return out
+    seqs = sorted(_tall_sequences(k, k - degree // (n - 1)))
+    return [tuple(map(tall_from_seq, f)) for f in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +359,11 @@ def rewrite_to_tall(f, n, seqs=None):
     sign = _reorder_sign(seqs, n)
     order = sorted(range(len(f)), key=lambda i: min(seqs[i]))
     expansions = [_tree_to_tall(f[i], par) for i in order]
-    acc = {}
-    for combo in product(*expansions):
-        forest = tuple(tc[0] for tc in combo)
-        c = sign
-        for tc in combo:
-            c *= tc[1]
-        v = acc.get(forest, 0) + c
-        if v == 0:
-            acc.pop(forest, None)
-        else:
-            acc[forest] = v
-    return HomologyClass(sum(map(len, seqs)), n, acc)
+    # the trees have disjoint labels and each expansion lists distinct trees
+    # with nonzero coefficients: every combination is a new forest, none cancels
+    terms = {tuple(t for t, _ in combo): sign * prod(c for _, c in combo)
+             for combo in product(*expansions)}
+    return HomologyClass(sum(map(len, seqs)), n, terms)
 
 
 # ---------------------------------------------------------------------------

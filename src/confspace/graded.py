@@ -161,20 +161,6 @@ class PoincareSeries:
             return min(a, b)
         return merge(self.deg_bound, other.deg_bound), merge(self.weight_bound, other.weight_bound)
 
-    def add(self, other):
-        db, wb = self._merge_bounds(other)
-        acc = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            acc[key] = acc.get(key, 0) + c
-        return PoincareSeries(acc, db, wb)
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, c):
-        return PoincareSeries({k: c * v for k, v in self.coeffs.items()},
-                              self.deg_bound, self.weight_bound)
-
     def mul(self, other):
         db, wb = self._merge_bounds(other)
         acc = {}

@@ -16,7 +16,7 @@ of the module data is small homological algebra over F_p:
     V and C onto the same image, so rank N is the rank of the columns of N
     at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
     They are the sum of sigma^k E_C, each a product of sigma with the last;
-    the powers of sigma themselves are formed only by the stable route.
+    no power of sigma is stored, and the stable route forms only sigma^r.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -60,9 +60,10 @@ class GModule:
     Validated on construction, every check a full matrix equation: with
     taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for
     j > i+1 and sigma = tau_1 tau_2 ... tau_{p-1}, which imply sigma^p = 1;
-    without them, sigma^p = 1 itself.  Otherwise the powers of sigma are
-    formed only by the stable route, and N and the partial norms only when
-    the periodic dimension is nonzero.
+    without them, sigma^p = 1 itself, by running products.  No power of
+    sigma is stored: the stable route forms sigma^r for its conjugation
+    check, and N and the partial norms only when the periodic dimension is
+    nonzero.
     """
 
     def __init__(self, p, sigma, taus=None, basis=None):
@@ -86,7 +87,6 @@ class GModule:
         self.sigma = sigma
         self.taus = taus
         self.basis = basis
-        self._powers = None
         self._norm = None
         self._rank_aug = None
         self._complement = None
@@ -95,16 +95,12 @@ class GModule:
 
     # -- lazy matrix data ---------------------------------------------------
 
-    def powers(self):
-        """[1, sigma, ..., sigma^(p-1)]; verifies sigma^p = 1 exactly."""
-        if self._powers is None:
-            mats = [SparseMatrix.identity(self.dim, self.field)]
-            for _ in range(self.p - 1):
-                mats.append(self.sigma.matmul(mats[-1]))
-            if self.sigma.matmul(mats[self.p - 1]) != mats[0]:
-                raise ModpError("sigma^%d is not the identity" % self.p)
-            self._powers = mats
-        return self._powers
+    def sigma_power(self, e):
+        """sigma^e for e >= 1, by e - 1 products with sigma; not kept."""
+        m = self.sigma
+        for _ in range(e - 1):
+            m = self.sigma.matmul(m)
+        return m
 
     def aug(self):
         """sigma - 1, the augmentation-stage differential, formed afresh on
@@ -119,12 +115,14 @@ class GModule:
         return self._norm
 
     def partial_norm(self, r):
-        """1 + sigma + ... + sigma^(r-1)."""
+        """1 + sigma + ... + sigma^(r-1), the sum of the X's of X <- sigma X
+        from X = 1."""
         if not 1 <= r <= self.p:
             raise ModpError("partial norm length %d out of range" % r)
-        acc = self.powers()[0]
-        for m in self.powers()[1:r]:
-            acc = acc.add(m)
+        x = acc = SparseMatrix.identity(self.dim, self.field)
+        for _ in range(r - 1):
+            x = self.sigma.matmul(x)
+            acc = acc.add(x)
         return acc
 
     def rank_aug(self):
@@ -159,16 +157,17 @@ class GModule:
     def _validate(self):
         """The group relations as full matrix equations.
 
-        Without taus, sigma^p = 1 is checked by forming the powers.  With
+        Without taus, sigma^p = 1 is checked by running products.  With
         taus it is implied by the checks below: once tau_i^2 = 1 and the
         braid and commutation relators hold, the taus define a homomorphism
         from Sigma_p (Moore's Coxeter presentation), and sigma = tau_1 ...
         tau_{p-1} is the image of a p-cycle, which has order p."""
         p = self.p
-        if self.taus is None:
-            self.powers()  # the sigma^p = 1 check happens in there
-            return
         ident = SparseMatrix.identity(self.dim, self.field)
+        if self.taus is None:
+            if self.sigma_power(p) != ident:
+                raise ModpError("sigma^%d is not the identity" % p)
+            return
         ts = self.taus
         for i, t in enumerate(ts, start=1):
             if t.matmul(t) != ident:
@@ -423,7 +422,7 @@ def sigma_p_cohomology_stable(v, s_max):
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
     g = _element_matrix(v, q)
-    if v.sigma.matmul(g) != g.matmul(v.powers()[r]):
+    if v.sigma.matmul(g) != g.matmul(v.sigma_power(r)):
         raise ModpError("normalizer conjugation identity fails")
     if _periodic_dim(v) == 0:
         # restriction to the Sylow C_p is injective and H^s(C_p; V) has

@@ -7,7 +7,7 @@ code is imported by the package itself.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, combinations
+from itertools import combinations_with_replacement, combinations, permutations
 
 from confspace import arnold, forests
 from confspace.linalg import QQ, ZZ, SparseMatrix, invert
@@ -97,6 +97,39 @@ def stirling_sets(k, j):
     if j < 1 or j > k:
         return 0
     return stirling_sets(k - 1, j - 1) + j * stirling_sets(k - 1, j)
+
+
+def tall_forests_by_cycles(k, j):
+    """Tall forests on [1, k] with k - j trees, by brute force over Sigma_k.
+
+    Each permutation is written in cycles; a cycle, read from its minimum,
+    is a left comb, and the cycles are ordered by minimum.  Sorted by leaf
+    sequences."""
+    out = []
+    for perm in permutations(range(1, k + 1)):
+        seen, cycles = set(), []
+        for start in range(1, k + 1):
+            if start in seen:
+                continue
+            cycle = [start]
+            x = perm[start - 1]
+            while x != start:
+                cycle.append(x)
+                x = perm[x - 1]
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+        if len(cycles) == k - j:
+            out.append(tuple(cycles))
+    forests_out = []
+    for cycles in sorted(out):
+        forest = []
+        for cycle in cycles:
+            tree = cycle[0]
+            for leaf in cycle[1:]:
+                tree = (tree, leaf)
+            forest.append(tree)
+        forests_out.append(tuple(forest))
+    return forests_out
 
 
 def sym_monomial_count(gens, degree, weight):

@@ -294,6 +294,8 @@ def test_workers_is_a_selftest_option(capsys):
 @pytest.mark.parametrize("checks, message", [
     ("14-16", "no check numbered 16"),
     ("1,17", "no check numbered 17"),
+    ("5-3", "check range 5-3 runs backwards"),
+    (",", "--checks ',' names no check"),
 ])
 def test_selftest_refuses_unknown_checks(capsys, checks, message):
     code, out, _ = run(capsys, "--format", "json", "selftest", "--checks", checks,

@@ -33,10 +33,11 @@ def test_parse_and_str_round_trip():
 
 def test_tall_basis_counts_are_stirling():
     for n in (2, 3):
-        for k in range(1, 7):
+        for k in range(1, 8):
             for j in range(k):
-                dim = len(forests.tall_basis(k, n, j * (n - 1)))
-                assert dim == oracles.stirling_cycles(k, k - j)
+                basis = forests.tall_basis(k, n, j * (n - 1))
+                assert len(basis) == oracles.stirling_cycles(k, k - j)
+                assert basis == oracles.tall_forests_by_cycles(k, j)
 
 
 def test_rewrite_fixes_tall_forests():

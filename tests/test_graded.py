@@ -41,14 +41,13 @@ def test_product_formula_step_spacing():
 
 
 def test_series_arithmetic_and_truncation():
-    a = PoincareSeries({(0, 0): 1, (2, 1): 3}, 4, 2)
-    b = PoincareSeries({(2, 1): -3, (3, 2): 1}, 4, 2)
-    s = a.add(b)
-    assert s.coefficient(2, 1) == 0
-    assert s.coefficient(3, 2) == 1
+    s = PoincareSeries({(0, 0): 1, (2, 1): 0, (3, 2): 1}, 4, 2)
+    assert s.coeffs == {(0, 0): 1, (3, 2): 1}
     t = PoincareSeries(s.coeffs, 2, 2)
     assert t.coefficient(3, 2) == 0
-    assert series_equal(a.sub(a), PoincareSeries({}, 4, 2))
+    assert series_equal(s, PoincareSeries({(0, 0): 1, (3, 2): 1, (5, 1): 7}, None, 2))
+    assert not series_equal(s, PoincareSeries({(0, 0): 1, (3, 2): 2}, 4, 2))
+    assert series_equal(s, PoincareSeries({(0, 0): 1, (3, 2): 2}, 2, 2))
 
 
 def test_series_window_mismatch_is_error():

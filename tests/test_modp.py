@@ -316,6 +316,11 @@ def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     """Tate groups, vanishing and fixed spaces need rank(sigma-1), rank N
     and the taus only: sigma^p = 1 follows from the Coxeter relators, and
     rank N is taken on a complement, so no module forms its powers."""
+    def refuse(*args):
+        raise AssertionError("a power of sigma was formed")
+
+    monkeypatch.setattr(modp.GModule, "sigma_power", refuse)
+    monkeypatch.setattr(modp.GModule, "partial_norm", refuse)
     monkeypatch.setattr(modp, "_conf_cache", {})
     ts = all_t(7, 3)
     for t in ts:
@@ -323,7 +328,6 @@ def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     assert modp.verify_vanishing(7, 3)
     assert dict(modp.invariants_sigma_p(7, 3).items()) == {0: 1}
     assert sorted(modp._conf_cache) == [(7, 3, t) for t in ts]
-    assert all(v._powers is None for v in modp._conf_cache.values())
 
 
 def test_element_matrix_starts_at_the_first_tau():
