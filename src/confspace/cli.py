@@ -440,10 +440,10 @@ def _parse_checks(text):
         if not piece:
             continue
         if "-" in piece[1:]:
-            a, b = piece.split("-", 1)
-            if int(b) < int(a):
+            a, b = map(int, piece.split("-", 1))
+            if b < a:
                 raise CliError("check range %s runs backwards" % piece)
-            out.extend(range(int(a), int(b) + 1))
+            out.extend(range(a, b + 1))
         else:
             out.append(int(piece))
     if not out:
