@@ -13,17 +13,26 @@ forest is a permutation of [1, k] in cycle form, each tree a cycle read
 from its minimum, so those with r trees are counted by the Stirling number
 c(k, r) = c(k-1, r-1) + (k-1) c(k-1, r), and tall_basis builds them by that
 recurrence: k is a tree of its own, or goes right after one of the k-1
-smaller leaves.  Arbitrary forests rewrite into the basis via shifted
-antisymmetry
+smaller leaves.  Brackets obey shifted antisymmetry
 
-    [x, y] = -(-1)^(||x|| ||y||) [y, x]
+    [x, y] = -(-1)^(||x|| ||y||) [y, x],
 
-and the Jacobi regrafting
+and reordering forest components uses the unshifted Koszul rule
+(-1)^(|T_i| |T_j|).
 
-    [x, [y, z]] = [[x, y], z] - (-1)^(||y|| ||z||) [[x, z], y],
-
-applied recursively; reordering forest components uses the unshifted
-Koszul rule (-1)^(|T_i| |T_j|).
+Arbitrary trees rewrite into the basis by reading words.  Expand a tree in
+the tensor algebra on its leaf labels, a bracket going to the graded
+commutator [x, y] -> xy - (-1)^(||x|| ||y||) yx; on the free Lie algebra
+this map is injective (the PBW theorem; Reutenauer, Free Lie Algebras,
+1993).  In the expansion of a left comb l(x1 x2 ... xm) the only word that
+starts with x1 is x1 x2 ... xm, with coefficient 1: at each bracket
+[X, x_j] only the term X x_j keeps x1 in front.  So for a tree T with
+minimum leaf m, l(m.w) is the only tall comb whose expansion contains the
+word m.w, and its coefficient in T is the coefficient of m.w in the
+expansion of T.  Those words are read by walking up from m: at each vertex
+the sibling subtree contributes every word of its expansion as a suffix,
+with the antisymmetry sign -(-1)^(||x|| ||y||) when m came from the right.
+The words of one tree are distinct, so every coefficient is +-1.
 
 The pairing with the cohomology basis of arnold has a closed form (Sinha,
 The homology of the little disks operad, arXiv:math/0610236): <T, G> = +-1
@@ -108,16 +117,6 @@ def is_tall(t):
             return False
         rights.append(r)
     return not rights or t <= min(rights)
-
-
-def _spine(t):
-    """(first leaf, leaf count) of a leaf or left comb, read off its left
-    spine; for a tall tree the first leaf is its minimum."""
-    m = 1
-    while not is_leaf(t):
-        t = t[0]
-        m += 1
-    return t, m
 
 
 def tall_from_seq(seq):
@@ -263,66 +262,55 @@ def tall_basis(k, n, degree):
 # rewriting
 
 
-_GRAFT_CACHE = {}
+_WORDS_CACHE = {}
 
 
-def _graft(T, U, par):
-    """Expand the bracket [T, U] of tall trees in the tall basis.
-
-    par = n mod 2 (only the parity of n enters signs).  Returns a tuple of
-    (tall tree, coeff) pairs.
-    """
-    key = (T, U, par)
-    hit = _GRAFT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    step = 1 - par  # (n-1) mod 2
-    minT, mT = _spine(T)
-    minU, mU = _spine(U)
-    if minT > minU:
-        s = -((-1) ** (mT * mU * step))
-        out = tuple((V, s * c) for V, c in _graft(U, T, par))
-    elif is_leaf(U):
-        out = (((T, U), 1),)
-    else:
-        U1, u = U
-        acc = {}
-        for V, c in _graft(T, U1, par):
-            for W, c2 in _graft(V, u, par):
-                acc[W] = acc.get(W, 0) + c * c2
-        s = (-1) ** ((mU - 1) * step)
-        for V, c in _graft(T, u, par):
-            for W, c2 in _graft(V, U1, par):
-                acc[W] = acc.get(W, 0) - s * c * c2
-        out = tuple((W, c) for W, c in acc.items() if c != 0)
-    _GRAFT_CACHE[key] = out
+def _words(t, step):
+    """The expansion of a tree in the tensor algebra on its leaves, as a
+    tuple of (word, coeff) pairs: [x, y] -> xy - (-1)^(||x|| ||y||) yx with
+    step = (n-1) mod 2.  The 2^(m-1) words of a tree with m leaves are
+    distinct, so none cancels.  Kept per subtree: the prefixes of the
+    relabelled combs that action matrices rewrite recur from column to
+    column."""
+    if is_leaf(t):
+        return (((t,), 1),)
+    key = (t, step)
+    out = _WORDS_CACHE.get(key)
+    if out is None:
+        left, right = _words(t[0], step), _words(t[1], step)
+        s = -1 if step and len(left[0][0]) * len(right[0][0]) % 2 else 1
+        out = (tuple((u + v, c * d) for u, c in left for v, d in right)
+               + tuple((v + u, -s * c * d) for u, c in left for v, d in right))
+        _WORDS_CACHE[key] = out
     return out
 
 
-_TALL_CACHE = {}
-
-
-def _tree_to_tall(t, par):
-    """Expand one tree in the tall basis; returns tuple of (tree, coeff)."""
-    key = (t, par)
-    hit = _TALL_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _tall_terms(t, m, step):
+    """Expand one tree with minimum leaf m in the tall basis: (tall tree,
+    coeff) pairs, read off the words of its expansion that start with m
+    (see the module docstring).  Walking up from m, each sibling subtree
+    appends its words, with the antisymmetry sign when m came from the
+    right."""
     if is_tall(t):
-        out = ((t, 1),)
-    else:
-        acc = {}
-        for L, cl in _tree_to_tall(t[0], par):
-            for R, cr in _tree_to_tall(t[1], par):
-                for W, c in _graft(L, R, par):
-                    v = acc.get(W, 0) + cl * cr * c
-                    if v == 0:
-                        acc.pop(W, None)
-                    else:
-                        acc[W] = v
-        out = tuple(acc.items())
-    _TALL_CACHE[key] = out
-    return out
+        return ((t, 1),)
+    siblings = []
+    while not is_leaf(t):
+        left, right = t
+        if (right == m) if is_leaf(right) else (m in tree_leaves(right)):
+            siblings.append((left, True))
+            t = right
+        else:
+            siblings.append((right, False))
+            t = left
+    terms = (((m,), 1),)
+    for sib, from_right in reversed(siblings):
+        words = _words(sib, step)
+        s = 1
+        if from_right:
+            # -(-1)^(||x|| ||y||) for x, the subtree holding m, and y = sib
+            s = 1 if step and len(terms[0][0]) * len(words[0][0]) % 2 else -1
+        terms = tuple((u + v, s * c * d) for u, c in terms for v, d in words)
+    return tuple((tall_from_seq(u), c) for u, c in terms)
 
 
 def _reorder_sign(seqs, n):
@@ -343,8 +331,8 @@ def rewrite_to_tall(f, n, seqs=None):
     The forest's labels must partition [1, k] for k = total leaf count; the
     given component order is part of the input and contributes the Koszul
     reordering sign.  A caller that passes seqs, the leaf sequences of f's
-    trees, vouches for f, and f is not validated: action_matrix does so for
-    the forests it builds itself.
+    trees, vouches for f, and f is not validated: action_matrix and
+    transposition_matrices do so for the forests they build themselves.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -355,10 +343,10 @@ def rewrite_to_tall(f, n, seqs=None):
         if labels != list(range(1, len(labels) + 1)):
             raise ForestError("leaf labels must partition 1..%d, got %r"
                               % (len(labels), labels))
-    par = n % 2
+    step = (n - 1) % 2
     sign = _reorder_sign(seqs, n)
     order = sorted(range(len(f)), key=lambda i: min(seqs[i]))
-    expansions = [_tree_to_tall(f[i], par) for i in order]
+    expansions = [_tall_terms(f[i], min(seqs[i]), step) for i in order]
     # the trees have disjoint labels and each expansion lists distinct trees
     # with nonzero coefficients: every combination is a new forest, none cancels
     terms = {tuple(t for t, _ in combo): sign * prod(c for _, c in combo)
@@ -459,6 +447,61 @@ def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     return SparseMatrix._trusted(len(basis), len(basis), domain, rows)
 
 
+def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
+    """The matrices of tau_1 ... tau_(k-1), tau_i the transposition (i, i+1),
+    each equal to action_matrix's, built in one pass over the basis (an
+    IndexedBasis, or indexed here as in action_matrix).
+
+    Per column, i and i+1 are found once.  In different trees they swap,
+    and both trees stay tall: a head i becomes i+1 among larger leaves, a
+    head i+1 becomes i.  The trees trade places in the minimum order only
+    when both head their trees, with the Koszul sign of that swap, -1 iff
+    n is even and both have an even leaf count.  In one tree with i not its
+    head, neither heads it, and they swap in place with sign +1.  Only when
+    i heads a tree that holds i+1 does the column go through
+    rewrite_to_tall.
+    """
+    if basis is None:
+        basis = tall_basis(k, n, degree)
+    if not isinstance(basis, IndexedBasis):
+        basis = IndexedBasis(basis)
+    row_of_key, row_of_forest = basis.row_of_key, basis.row_of_forest
+    coerce = domain.coerce
+    one, minus_one = coerce(1), coerce(-1)
+    mats = [{} for _ in range(1, k)]
+    for j, key in enumerate(basis.keys):
+        where = {x: (a, pos) for a, seq in enumerate(key) for pos, x in enumerate(seq)}
+        for i in range(1, k):
+            (a, pa), (b, pb) = where[i], where[i + 1]
+            seqs = list(key)
+            if a != b:
+                sa, sb = key[a], key[b]
+                seqs[a] = sa[:pa] + (i + 1,) + sa[pa + 1:]
+                seqs[b] = sb[:pb] + (i,) + sb[pb + 1:]
+                c = one
+                if pa == pb == 0:
+                    # adjacent in the minimum order, and they trade places
+                    seqs[a], seqs[b] = seqs[b], seqs[a]
+                    if n % 2 == 0 and len(sa) % 2 == 0 and len(sb) % 2 == 0:
+                        c = minus_one
+                terms = [(row_of_key[tuple(seqs)], c)]
+            else:
+                seq = list(key[a])
+                seq[pa], seq[pb] = i + 1, i
+                seqs[a] = tuple(seq)
+                if pa:
+                    terms = [(row_of_key[tuple(seqs)], one)]
+                else:
+                    moved = tuple(tall_from_seq(s) for s in seqs)
+                    terms = [(row_of_forest[g], coerce(c))
+                             for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
+            # every coefficient is +-1, nonzero in every domain
+            rows = mats[i - 1]
+            for r, c in terms:
+                rows.setdefault(r, {})[j] = c
+    return [SparseMatrix._trusted(len(basis), len(basis), domain, rows) for rows in mats]
+
+
 def _adjacent_transposition(i, k):
     table = {v: v for v in range(1, k + 1)}
     table[i] = i + 1
@@ -468,11 +511,68 @@ def _adjacent_transposition(i, k):
 
 def _coinvariants_dim(dim, taus, field):
     """dim V - rank [tau_1 - 1 | ... ]: the dimension of the coinvariants
-    of the group that the square matrices taus generate on V = field^dim."""
-    if not taus:
-        return dim
-    ident = SparseMatrix.identity(dim, field)
-    return dim - rank(SparseMatrix.hstack([t.sub(ident) for t in taus]))
+    of the group that the square matrices taus generate on V = field^dim.
+
+    A column c where some tau is monomial, tau e_c = s e_c' with s = +-1,
+    gives the relation e_c = s e_c'.  A union-find with signs joins such
+    columns into classes, e_c = w_c e_root.  A relation that closes a loop
+    with product -1 gives 2 e_root = 0, so the class dies (in
+    characteristic 2, -1 = 1 and no loop has product -1).  The other
+    columns of the tau_i - 1 are projected onto the live classes and
+    ranked.
+    """
+    one, minus_one = field.coerce(1), field.coerce(-1)
+    parent = list(range(dim))
+    weight = [1] * dim  # e_c = weight[c] e_parent[c]
+    dead = [False] * dim
+
+    def find(c):
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        for x in reversed(path):
+            if parent[x] != c:
+                weight[x] *= weight[parent[x]]
+                parent[x] = c
+        return c
+
+    rest = []
+    for t in taus:
+        cols = t.transpose().rows
+        for c in range(dim):
+            col = cols.get(c, {})
+            if len(col) == 1:
+                [(r, v)] = col.items()
+                s = 1 if v == one else -1 if v == minus_one else 0
+                if s:
+                    rc, rr = find(c), find(r)
+                    # e_rc = w_c s w_r e_rr
+                    w = weight[c] * s * weight[r]
+                    if rc == rr:
+                        dead[rc] = dead[rc] or w != 1
+                    else:
+                        parent[rc], weight[rc] = rr, w
+                        dead[rr] = dead[rr] or dead[rc]
+                    continue
+            rest.append((c, col))
+    live = {}
+    for c in range(dim):
+        root = find(c)
+        if not dead[root] and root not in live:
+            live[root] = len(live)
+    if not rest or not live:
+        return len(live)
+
+    # (tau - 1) e_c, with each e_r replaced by weight[r] e_root, or 0 if dead
+    entries = {}
+    for j, (c, col) in enumerate(rest):
+        for r, v in [*col.items(), (c, -1)]:
+            root = find(r)
+            if not dead[root]:
+                key = (live[root], j)
+                entries[key] = entries.get(key, 0) + weight[r] * v
+    return len(live) - rank(SparseMatrix(len(live), len(rest), field, entries))
 
 
 def coinvariants_dims(k, n, field):
@@ -495,8 +595,7 @@ def coinvariants_dims(k, n, field):
         dim = len(basis)
         if dim == 0:
             continue
-        taus = [action_matrix(_adjacent_transposition(i, k), k, n, degree,
-                              basis=basis, domain=field) for i in range(1, k)]
+        taus = transposition_matrices(k, n, degree, basis=basis, domain=field)
         d = _coinvariants_dim(dim, taus, field)
         if d:
             out[degree] = out.get(degree, 0) + d

@@ -10,11 +10,11 @@ A SparseMatrix is stored by rows only: a dict row index -> row, each row a
 dict column -> nonzero entry, with no empty row.  Products, sums, stacks,
 transposes and the eliminator read and build rows directly; the flat
 (row, col) -> entry dict is made only on request.  A row of a product with
-a single entry on the left is a scaled (or, at an int 1, copied) row of
-the right factor.  Nothing writes to a row of an existing matrix: the
-eliminator starts from the input's rows as they are (over Q from the rows
-that already are primitive integer vectors) and builds every updated row
-anew.
+a single entry on the left is a scaled row of the right factor, or, at an
+int 1, that row itself, shared.  Nothing writes to a row of an existing
+matrix: the eliminator starts from the input's rows as they are (over Q
+from the rows that already are primitive integer vectors) and builds every
+updated row anew.
 
 One eliminator serves rank, pivot_columns, kernel_basis and invert over
 the fields, and the unit pivots of smith_normal_form over Z.  A row update is
@@ -138,8 +138,9 @@ class SparseMatrix:
     The constructor takes entries as a dict (row, col) -> scalar, coerces
     them to the domain and drops zeros; the entries property gives the
     stored entries back in that form, built afresh on each access for tests
-    and cold paths.  Every operation builds its result from new rows and
-    never writes to an operand's rows.
+    and cold paths.  Every operation builds its result from new rows, save
+    the rows matmul shares with its right factor, and never writes to an
+    operand's rows, so a shared row is never written either.
     """
 
     def __init__(self, nrows, ncols, domain, entries=None):
@@ -216,8 +217,8 @@ class SparseMatrix:
         an int stays an int.
 
         A row of self with one entry v gives v times one row of other, with
-        no accumulator, and a copy of that row when v is the int 1; the
-        other rows are summed in one accumulator."""
+        no accumulator, and that row itself, shared, when v is the int 1;
+        the other rows are summed in one accumulator."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %s x %s" % ((self.nrows, self.ncols), (other.nrows, other.ncols)))
         _same_domain(self.domain, other.domain)
@@ -231,7 +232,7 @@ class SparseMatrix:
                 if orow is None:
                     continue
                 if v == 1 and type(v) is int:
-                    out[i] = dict(orow)
+                    out[i] = orow
                 elif p:
                     # v and every w are nonzero mod the prime p
                     out[i] = {l: v * w % p for l, w in orow.items()}

@@ -16,7 +16,8 @@ of the module data is small homological algebra over F_p:
     V and C onto the same image, so rank N is the rank of the columns of N
     at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
     They are the sum of sigma^k E_C, each a product of sigma with the last;
-    no power of sigma is stored, and the stable route forms only sigma^r.
+    no power of sigma is stored, and the stable route forms sigma^r once,
+    with the partial norm 1 + ... + sigma^(r-1) on the way when it needs it.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -230,8 +231,7 @@ def conf_module(p, n, t):
     basis = forests.IndexedBasis(forests.tall_basis(p, n, t))
     cycle = {i: i % p + 1 for i in range(1, p + 1)}
     sigma = forests.action_matrix(cycle, p, n, t, basis=basis, domain=field)
-    taus = [forests.action_matrix(forests._adjacent_transposition(i, p), p, n, t,
-                                  basis=basis, domain=field) for i in range(1, p)]
+    taus = forests.transposition_matrices(p, n, t, basis=basis, domain=field)
     # a plain tuple, so that the IndexedBasis lookups are freed
     v = GModule(p, sigma, taus=taus, basis=tuple(basis))
     _conf_cache[key] = v
@@ -422,16 +422,24 @@ def sigma_p_cohomology_stable(v, s_max):
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
     g = _element_matrix(v, q)
-    if v.sigma.matmul(g) != g.matmul(v.sigma_power(r)):
+    h = _periodic_dim(v)
+    # sigma^r by running products; on the way, when h > 0, the partial norm
+    # 1 + sigma + ... + sigma^(r-1) of the odd stages
+    x, partial = v.sigma, SparseMatrix.identity(v.dim, v.field)
+    for _ in range(r - 1):
+        if h:
+            partial = partial.add(x)
+        x = v.sigma.matmul(x)
+    if v.sigma.matmul(g) != g.matmul(x):
         raise ModpError("normalizer conjugation identity fails")
-    if _periodic_dim(v) == 0:
+    if h == 0:
         # restriction to the Sylow C_p is injective and H^s(C_p; V) has
         # dimension _periodic_dim(v) = 0 for every s >= 1: only H^0 is left
         z = kernel_basis(v.aug())
         return GradedDims({0: z.ncols - rank(g.matmul(z).sub(z))})
     diffs = (v.aug(), v.norm())
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
-    phis = (g, g.matmul(v.partial_norm(r)))
+    phis = (g, g.matmul(partial))
 
     def phi(s):
         return phis[s % 2].scale(pow(r, s // 2, p))

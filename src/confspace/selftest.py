@@ -5,8 +5,8 @@ library error) on failure and returns a one-line summary on success.  The
 budgets are wall-clock seconds on a single core; `run_check` times each check
 so a performance regression is visible even while the mathematics stays right.
 
-The forest-rewrite check carries its own oracle, independent of the graft
-code it tests: a bracket monomial is expanded in the tensor algebra on its
+The forest-rewrite check carries its own oracle, independent of the
+rewriting code it tests: a bracket monomial is expanded in the tensor algebra on its
 leaf letters, where the bracket is the graded commutator in the shifted
 grading (a tree with m leaves sits in degree m(n-1)).  The rewrite into the
 tall basis must preserve that expansion word for word.

@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: dense Gaussian elimination over
 Fraction, textbook recurrences, brute-force enumeration, one inversion per
-block.  The library must agree with these on small inputs; none of this
-code is imported by the package itself.
+block, one rank of the stacked tau_i - 1 for coinvariants, Jacobi
+regrafting for the tall rewrite.  The library must agree with these on
+small inputs; none of this code is imported by the package itself.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, combinations, permutations
+from functools import lru_cache
+from itertools import combinations_with_replacement, combinations, permutations, product
 
 from confspace import arnold, forests
-from confspace.linalg import QQ, ZZ, SparseMatrix, invert
+from confspace.linalg import QQ, ZZ, SparseMatrix, invert, rank
 
 
 def dense_rank_qq(rows):
@@ -239,3 +241,82 @@ def pairing_by_partition(k, n, degree):
                 assert v.denominator == 1
                 entries[(rows[a], cols[b])] = int(v)
     return SparseMatrix(len(trees), len(monos), ZZ, entries)
+
+
+def coinvariants_dim_stacked(dim, taus, field):
+    """dim V - rank [tau_1 - 1 | ... | tau_r - 1], by one rank of the
+    stacked matrix."""
+    if not taus:
+        return dim
+    ident = SparseMatrix.identity(dim, field)
+    return dim - rank(SparseMatrix.hstack([t.sub(ident) for t in taus]))
+
+
+def _spine(t):
+    """(first leaf, leaf count) of a leaf or left comb."""
+    m = 1
+    while not forests.is_leaf(t):
+        t = t[0]
+        m += 1
+    return t, m
+
+
+@lru_cache(maxsize=None)
+def _graft(T, U, par):
+    """The bracket [T, U] of tall trees in the tall basis, by shifted
+    antisymmetry [x, y] = -(-1)^(||x|| ||y||) [y, x] and the Jacobi
+    regrafting [x, [y, z]] = [[x, y], z] - (-1)^(||y|| ||z||) [[x, z], y];
+    par = n mod 2.  A tuple of (tall tree, coeff) pairs."""
+    step = 1 - par  # (n-1) mod 2
+    minT, mT = _spine(T)
+    minU, mU = _spine(U)
+    if minT > minU:
+        s = -((-1) ** (mT * mU * step))
+        return tuple((V, s * c) for V, c in _graft(U, T, par))
+    if forests.is_leaf(U):
+        return (((T, U), 1),)
+    U1, u = U
+    acc = {}
+    for V, c in _graft(T, U1, par):
+        for W, c2 in _graft(V, u, par):
+            acc[W] = acc.get(W, 0) + c * c2
+    s = (-1) ** ((mU - 1) * step)
+    for V, c in _graft(T, u, par):
+        for W, c2 in _graft(V, U1, par):
+            acc[W] = acc.get(W, 0) - s * c * c2
+    return tuple((W, c) for W, c in acc.items() if c != 0)
+
+
+def tree_to_tall_by_grafting(t, par):
+    """Expand one tree in the tall basis by regrafting its two subtrees'
+    expansions, recursively; a dict tall tree -> coeff."""
+    if forests.is_tall(t):
+        return {t: 1}
+    acc = {}
+    for L, cl in tree_to_tall_by_grafting(t[0], par).items():
+        for R, cr in tree_to_tall_by_grafting(t[1], par).items():
+            for W, c in _graft(L, R, par):
+                acc[W] = acc.get(W, 0) + cl * cr * c
+    return {W: c for W, c in acc.items() if c}
+
+
+def rewrite_by_grafting(f, n):
+    """Expand a forest in the tall basis: each tree by regrafting, the trees
+    put in minimum order by adjacent swaps, each swap of trees of degrees d
+    and e costing (-1)^(d e).  A dict tall forest -> coeff."""
+    trees = list(f)
+    sign = 1
+    for i in range(len(trees)):
+        for j in range(len(trees) - 1 - i):
+            a, b = trees[j], trees[j + 1]
+            if forests.tree_min(a) > forests.tree_min(b):
+                if forests.tree_degree(a, n) * forests.tree_degree(b, n) % 2:
+                    sign = -sign
+                trees[j], trees[j + 1] = b, a
+    out = {}
+    for combo in product(*(tree_to_tall_by_grafting(t, n % 2).items() for t in trees)):
+        c = sign
+        for _, x in combo:
+            c *= x
+        out[tuple(t for t, _ in combo)] = c
+    return out

@@ -8,10 +8,11 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace import arnold, forests
+from confspace import arnold, forests, modp
 from confspace.graded import ContextError
 from confspace.linalg import GF, QQ, ZZ, SparseMatrix, rank, smith_normal_form
-from confspace.selftest import _iota_forest, _random_forest, assert_pairing_invariant
+from confspace.selftest import (_iota_forest, _random_forest, _random_tree,
+                                assert_pairing_invariant)
 
 import oracles
 
@@ -38,6 +39,8 @@ def test_tall_basis_counts_are_stirling():
                 basis = forests.tall_basis(k, n, j * (n - 1))
                 assert len(basis) == oracles.stirling_cycles(k, k - j)
                 assert basis == oracles.tall_forests_by_cycles(k, j)
+    # a degree that is not a multiple of n - 1 holds no forest
+    assert forests.tall_basis(5, 3, 3) == []
 
 
 def test_rewrite_fixes_tall_forests():
@@ -63,6 +66,19 @@ def test_rewrite_matches_tensor_oracle(k, n, seed):
             else:
                 got.pop(key, None)
     assert got == _iota_forest(f, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_word_rule_matches_regrafting(n):
+    """The tall expansion read off leaf words equals the Jacobi regrafting,
+    on random single trees and forests with up to 7 leaves."""
+    rng = random.Random(n)
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        labels = list(range(1, k + 1))
+        rng.shuffle(labels)
+        for f in ((_random_tree(labels, rng),), _random_forest(k, rng)):
+            assert forests.rewrite_to_tall(f, n).terms == oracles.rewrite_by_grafting(f, n), f
 
 
 def test_single_tree_antisymmetry():
@@ -259,6 +275,68 @@ def test_action_matrix_matches_relabel_and_rewrite(k, n):
                 want = reference_action_matrix(perm, k, n, degree, b, domain)
                 assert got.entries == want.entries, (perm, degree, domain)
                 assert all(type(v) is int for v in got.entries.values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transposition_matrices_match_action_matrix(k, n):
+    for j in range(k):
+        degree = j * (n - 1)
+        basis = forests.tall_basis(k, n, degree)
+        for domain, b in ((ZZ, basis), (QQ, forests.IndexedBasis(basis)), (GF(5), None)):
+            got = forests.transposition_matrices(k, n, degree, b, domain=domain)
+            assert len(got) == k - 1
+            for i, m in enumerate(got, start=1):
+                want = forests.action_matrix(forests._adjacent_transposition(i, k),
+                                             k, n, degree, basis, domain=domain)
+                assert m.entries == want.entries, (i, degree, domain)
+                assert m.domain == domain
+                assert all(type(v) is int for v in m.entries.values())
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_coinvariants_match_stacked_rank(p, n):
+    """The signed-orbit coinvariants equal one rank of the stacked
+    tau_i - 1 on every degree of the mod-p modules, where loops of sign -1
+    kill classes (at (5, 2, 2), for one)."""
+    for j in range(p):
+        v = modp.conf_module(p, n, j * (n - 1))
+        assert forests._coinvariants_dim(v.dim, v.taus, v.field) == \
+            oracles.coinvariants_dim_stacked(v.dim, v.taus, v.field), (p, n, j)
+
+
+def test_coinvariants_dims_match_stacked_rank_over_qq():
+    for n in (2, 3):
+        for k in range(2, 6):
+            dims = forests.coinvariants_dims(k, n, QQ)
+            for j in range(k):
+                degree = j * (n - 1)
+                taus = forests.transposition_matrices(k, n, degree, domain=QQ)
+                dim = len(forests.tall_basis(k, n, degree))
+                assert dims.get(degree) == oracles.coinvariants_dim_stacked(dim, taus, QQ)
+
+
+def test_orbit_coinvariants_on_non_monomial_and_zero_columns():
+    """A column that is not +-1 times a unit vector, zero columns included,
+    goes to the projected rank."""
+    field = GF(5)
+    cases = [
+        # tau e_0 = 2 e_1, tau e_1 = 3 e_0: (tau - 1) has rank 1 mod 5
+        [SparseMatrix(2, 2, field, {(1, 0): 2, (0, 1): 3})],
+        # tau = 0 kills everything
+        [SparseMatrix.zero(3, 3, field)],
+        # tau_1 e_0 = -e_0 kills e_0 and joins e_1 to e_2; then
+        # tau_2 e_0 = e_0 + e_1 kills the class of e_1
+        [SparseMatrix(3, 3, field, {(0, 0): -1, (2, 1): 1, (1, 2): 1}),
+         SparseMatrix(3, 3, field, {(0, 0): 1, (1, 0): 1, (1, 1): 1, (2, 2): 1})],
+        # the same without tau_2: the class of e_1 and e_2 lives
+        [SparseMatrix(3, 3, field, {(0, 0): -1, (2, 1): 1, (1, 2): 1})],
+    ]
+    for taus in cases:
+        dim = taus[0].nrows
+        assert forests._coinvariants_dim(dim, taus, field) == \
+            oracles.coinvariants_dim_stacked(dim, taus, field)
 
 
 def coinvariant_dim_oracle(k, n, degree):
