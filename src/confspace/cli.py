@@ -134,7 +134,7 @@ def cmd_arnold_normalform(args):
 
 def cmd_forest_basis(args):
     basis = forests.tall_basis(args.k, args.n, args.degree)
-    names = [forests.forest_str(f) for f in basis]
+    names = [forests.key_str(f) for f in basis]
     _emit_rows(args, ("forest",), [(x,) for x in names], {
         "k": args.k, "n": args.n, "degree": args.degree,
         "dimension": len(names), "basis": names,
@@ -145,7 +145,7 @@ def cmd_forest_basis(args):
 def cmd_forest_rewrite(args):
     f = forests.parse_forest(args.forest)
     x = forests.rewrite_to_tall(f, args.n)
-    rows = [(forests.forest_str(g), c) for g, c in x.items()]
+    rows = [(forests.key_str(g), c) for g, c in x.items()]
     _emit_rows(args, ("forest", "coefficient"), rows, {
         "k": x.k, "n": x.n, "input": args.forest,
         "expansion": x.to_json_obj(), "text": repr(x),

@@ -13,7 +13,12 @@ forest is a permutation of [1, k] in cycle form, each tree a cycle read
 from its minimum, so those with r trees are counted by the Stirling number
 c(k, r) = c(k-1, r-1) + (k-1) c(k-1, r), and tall_basis builds them by that
 recurrence: k is a tree of its own, or goes right after one of the k-1
-smaller leaves.  Brackets obey shifted antisymmetry
+smaller leaves.  Its leaf sequences, one tuple per tree in minimum order,
+determine it and are its key: tall_basis returns the sorted keys, and
+HomologyClass terms, action matrices and the pairing are all keyed by them.
+Nested trees appear only at parse and print time (parse_forest, key_str),
+and as the relabelled combs of action-matrix columns that leave the tall
+basis, which rewrite_to_tall expands.  Brackets obey shifted antisymmetry
 
     [x, y] = -(-1)^(||x|| ||y||) [y, x],
 
@@ -215,16 +220,21 @@ def parse_forest(text):
 # classes
 
 
-def _forest_key(f):
-    return tuple(tree_leaves(t) for t in f)
+def key_str(key):
+    """forest_str of the tall forest with these leaf sequences."""
+    return forest_str(tuple(map(tall_from_seq, key)))
 
 
 class HomologyClass(LinearCombination):
-    """Finitely supported map tall forest -> coefficient, in context (k, n)."""
+    """Finitely supported map tall forest -> coefficient, in context (k, n).
+
+    A term is keyed by the forest's leaf sequences, one tuple per tree in
+    minimum order, e.g. ((1, 3, 2), (4,)) for ((13)2),4; key_str labels it.
+    """
 
     normalize = staticmethod(tuple)
-    sort_key = staticmethod(_forest_key)
-    label = staticmethod(forest_str)
+    sort_key = staticmethod(tuple)
+    label = staticmethod(key_str)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +259,13 @@ def _tall_sequences(k, r):
 
 
 def tall_basis(k, n, degree):
-    """All tall forests of the given degree, sorted by leaf-sequence key."""
+    """The keys (leaf sequences) of all tall forests of the given degree,
+    sorted."""
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
     if degree < 0 or degree % (n - 1) != 0:
         return []
-    seqs = sorted(_tall_sequences(k, k - degree // (n - 1)))
-    return [tuple(map(tall_from_seq, f)) for f in seqs]
+    return sorted(_tall_sequences(k, k - degree // (n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +295,15 @@ def _words(t, step):
     return out
 
 
-def _tall_terms(t, m, step):
-    """Expand one tree with minimum leaf m in the tall basis: (tall tree,
-    coeff) pairs, read off the words of its expansion that start with m
-    (see the module docstring).  Walking up from m, each sibling subtree
-    appends its words, with the antisymmetry sign when m came from the
-    right."""
+def _tall_terms(t, seq, step):
+    """Expand one tree with leaf sequence seq in the tall basis: (leaf
+    sequence, coeff) pairs, read off the words of its expansion that start
+    with its minimum m (see the module docstring).  Walking up from m, each
+    sibling subtree appends its words, with the antisymmetry sign when m
+    came from the right."""
     if is_tall(t):
-        return ((t, 1),)
+        return ((seq, 1),)
+    m = min(seq)
     siblings = []
     while not is_leaf(t):
         left, right = t
@@ -310,7 +321,7 @@ def _tall_terms(t, m, step):
             # -(-1)^(||x|| ||y||) for x, the subtree holding m, and y = sib
             s = 1 if step and len(terms[0][0]) * len(words[0][0]) % 2 else -1
         terms = tuple((u + v, s * c * d) for u, c in terms for v, d in words)
-    return tuple((tall_from_seq(u), c) for u, c in terms)
+    return terms
 
 
 def _reorder_sign(seqs, n):
@@ -326,7 +337,8 @@ def _reorder_sign(seqs, n):
 
 
 def rewrite_to_tall(f, n, seqs=None):
-    """Expand a forest in the tall basis.
+    """Expand a forest in the tall basis, as a HomologyClass keyed by leaf
+    sequences.
 
     The forest's labels must partition [1, k] for k = total leaf count; the
     given component order is part of the input and contributes the Koszul
@@ -346,10 +358,10 @@ def rewrite_to_tall(f, n, seqs=None):
     step = (n - 1) % 2
     sign = _reorder_sign(seqs, n)
     order = sorted(range(len(f)), key=lambda i: min(seqs[i]))
-    expansions = [_tall_terms(f[i], min(seqs[i]), step) for i in order]
+    expansions = [_tall_terms(f[i], seqs[i], step) for i in order]
     # the trees have disjoint labels and each expansion lists distinct trees
     # with nonzero coefficients: every combination is a new forest, none cancels
-    terms = {tuple(t for t, _ in combo): sign * prod(c for _, c in combo)
+    terms = {tuple(u for u, _ in combo): sign * prod(c for _, c in combo)
              for combo in product(*expansions)}
     return HomologyClass(sum(map(len, seqs)), n, terms)
 
@@ -358,8 +370,8 @@ def rewrite_to_tall(f, n, seqs=None):
 # pairing with the cohomology basis
 
 
-def _forest_partition(f):
-    return tuple(sorted((tuple(sorted(tree_leaves(t))) for t in f)))
+def _forest_partition(key):
+    return tuple(sorted(tuple(sorted(seq)) for seq in key))
 
 
 def pairing_matrix(k, n, degree):
@@ -377,8 +389,7 @@ def pairing_matrix(k, n, degree):
                              % (len(forests), len(monos)))
     col = {mono: j for j, mono in enumerate(monos)}
     rows = {}
-    for i, f in enumerate(forests):
-        seqs = [tree_leaves(t) for t in f]
+    for i, seqs in enumerate(forests):
         left = {seq[r]: [a for a in seq[:r] if a < seq[r]]
                 for seq in seqs for r in range(1, len(seq))}
         eps = 1
@@ -396,50 +407,32 @@ def pairing_matrix(k, n, degree):
 # symmetric-group action matrices and coinvariants
 
 
-class IndexedBasis(tuple):
-    """A basis of tall forests, frozen as a tuple, with its leaf-sequence
-    keys and row lookups built once: every action matrix on the same
-    IndexedBasis shares them."""
-
-    def __new__(cls, forests):
-        self = super().__new__(cls, forests)
-        self.keys = [_forest_key(f) for f in self]
-        self.row_of_key = {key: i for i, key in enumerate(self.keys)}
-        self.row_of_forest = {f: i for i, f in enumerate(self)}
-        return self
-
-
 def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     """Matrix of a permutation of [1, k] on the tall basis: column j is the
     image of basis[j] with its leaves relabelled, rewritten to the basis.
-    A caller acting on one basis with several permutations passes it as an
-    IndexedBasis, so that it is indexed once; any other basis is indexed
-    here.
+    basis is a list of keys in any order, tall_basis's by default.
 
-    Works on leaf sequences: a relabelled tall tree is the left comb on the
-    relabelled sequence, and it is tall iff its first leaf is its minimum.
-    When every tree of a forest stays tall, the column is the one forest of
-    the sorted trees, with the Koszul sign of sorting them by minimum.
-    Only the other columns go through rewrite_to_tall, with the leaf
-    sequences of the combs built here, so those are not validated again.
+    A relabelled tall tree is the left comb on the relabelled sequence, and
+    it is tall iff its first leaf is its minimum.  When every tree of a
+    forest stays tall, the column is the one forest of the sorted trees,
+    with the Koszul sign of sorting them by minimum.  Only the other columns
+    build combs, for rewrite_to_tall, with their leaf sequences, so those
+    are not validated again.
     """
     table = arnold._perm_table(perm, k)
     if basis is None:
         basis = tall_basis(k, n, degree)
-    if not isinstance(basis, IndexedBasis):
-        basis = IndexedBasis(basis)
-    row_of_key, row_of_forest = basis.row_of_key, basis.row_of_forest
+    row = {key: i for i, key in enumerate(basis)}
     relabel = table.__getitem__
     coerce = domain.coerce
     rows = {}
-    for j, key in enumerate(basis.keys):
+    for j, key in enumerate(basis):
         seqs = [tuple(map(relabel, seq)) for seq in key]
         if all(s[0] == min(s) for s in seqs):
-            terms = [(row_of_key[tuple(sorted(seqs))], _reorder_sign(seqs, n))]
+            terms = [(row[tuple(sorted(seqs))], _reorder_sign(seqs, n))]
         else:
             moved = tuple(tall_from_seq(s) for s in seqs)
-            terms = [(row_of_forest[g], c)
-                     for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
+            terms = [(row[g], c) for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
         for r, c in terms:
             c = coerce(c)
             if c:
@@ -449,8 +442,8 @@ def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
 
 def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
     """The matrices of tau_1 ... tau_(k-1), tau_i the transposition (i, i+1),
-    each equal to action_matrix's, built in one pass over the basis (an
-    IndexedBasis, or indexed here as in action_matrix).
+    each equal to action_matrix's, built in one pass over the basis (keys
+    in any order, as in action_matrix).
 
     Per column, i and i+1 are found once.  In different trees they swap,
     and both trees stay tall: a head i becomes i+1 among larger leaves, a
@@ -463,13 +456,11 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
     """
     if basis is None:
         basis = tall_basis(k, n, degree)
-    if not isinstance(basis, IndexedBasis):
-        basis = IndexedBasis(basis)
-    row_of_key, row_of_forest = basis.row_of_key, basis.row_of_forest
+    row = {key: i for i, key in enumerate(basis)}
     coerce = domain.coerce
     one, minus_one = coerce(1), coerce(-1)
     mats = [{} for _ in range(1, k)]
-    for j, key in enumerate(basis.keys):
+    for j, key in enumerate(basis):
         where = {x: (a, pos) for a, seq in enumerate(key) for pos, x in enumerate(seq)}
         for i in range(1, k):
             (a, pa), (b, pb) = where[i], where[i + 1]
@@ -484,16 +475,16 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
                     seqs[a], seqs[b] = seqs[b], seqs[a]
                     if n % 2 == 0 and len(sa) % 2 == 0 and len(sb) % 2 == 0:
                         c = minus_one
-                terms = [(row_of_key[tuple(seqs)], c)]
+                terms = [(row[tuple(seqs)], c)]
             else:
                 seq = list(key[a])
                 seq[pa], seq[pb] = i + 1, i
                 seqs[a] = tuple(seq)
                 if pa:
-                    terms = [(row_of_key[tuple(seqs)], one)]
+                    terms = [(row[tuple(seqs)], one)]
                 else:
                     moved = tuple(tall_from_seq(s) for s in seqs)
-                    terms = [(row_of_forest[g], coerce(c))
+                    terms = [(row[g], coerce(c))
                              for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
             # every coefficient is +-1, nonzero in every domain
             rows = mats[i - 1]
@@ -591,14 +582,9 @@ def coinvariants_dims(k, n, field):
     out = {}
     for j in range(0, k):
         degree = j * (n - 1)
-        basis = IndexedBasis(tall_basis(k, n, degree))
-        dim = len(basis)
-        if dim == 0:
-            continue
+        basis = tall_basis(k, n, degree)
         taus = transposition_matrices(k, n, degree, basis=basis, domain=field)
-        d = _coinvariants_dim(dim, taus, field)
-        if d:
-            out[degree] = out.get(degree, 0) + d
+        out[degree] = _coinvariants_dim(len(basis), taus, field)
     return GradedDims(out)
 
 

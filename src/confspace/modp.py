@@ -228,12 +228,11 @@ def conf_module(p, n, t):
     if t < 0 or t > top or t % (n - 1) != 0:
         raise ModpError("degree %d is not a multiple of %d inside [0, %d]" % (t, n - 1, top))
     field = GF(p)
-    basis = forests.IndexedBasis(forests.tall_basis(p, n, t))
+    basis = forests.tall_basis(p, n, t)
     cycle = {i: i % p + 1 for i in range(1, p + 1)}
     sigma = forests.action_matrix(cycle, p, n, t, basis=basis, domain=field)
     taus = forests.transposition_matrices(p, n, t, basis=basis, domain=field)
-    # a plain tuple, so that the IndexedBasis lookups are freed
-    v = GModule(p, sigma, taus=taus, basis=tuple(basis))
+    v = GModule(p, sigma, taus=taus, basis=basis)
     _conf_cache[key] = v
     return v
 

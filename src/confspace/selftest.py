@@ -212,7 +212,8 @@ def check_rewrite():
                 want = _iota_forest(f, n)
                 x = forests.rewrite_to_tall(f, n)
                 got = {}
-                for g, c in x.terms.items():
+                for seqs, c in x.terms.items():
+                    g = tuple(map(forests.tall_from_seq, seqs))
                     assert all(forests.is_tall(t) for t in g)
                     for key, c2 in _iota_forest(g, n).items():
                         v = got.get(key, 0) + c * c2

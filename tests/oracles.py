@@ -230,8 +230,7 @@ def pairing_by_partition(k, n, degree):
         d_entries = {}
         for a, i in enumerate(rows):
             word = []
-            for t in trees[i]:
-                seq = forests.tree_leaves(t)
+            for seq in trees[i]:
                 word.extend(zip(seq, seq[1:]))
             for mono, c in arnold.normal_form(word, k, n).terms.items():
                 d_entries[(a, col_pos[mono])] = c

@@ -10,7 +10,7 @@ import shlex
 
 import pytest
 
-from confspace import cli
+from confspace import cli, selftest
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
@@ -301,6 +301,11 @@ def test_selftest_refuses_unknown_checks(capsys, checks, message):
     code, out, _ = run(capsys, "--format", "json", "selftest", "--checks", checks,
                        "--workers", "1")
     assert (code, json.loads(out)["error"]) == (2, {"type": "CliError", "message": message})
+
+
+def test_absent_checks_name_every_check():
+    assert cli._parse_checks(None) == [num for num, _, _, _ in selftest.CHECKS]
+    assert cli._parse_checks(None) == list(range(1, 16))
 
 
 def test_missing_algebra_source(capsys):

@@ -17,6 +17,11 @@ from confspace.selftest import (_iota_forest, _random_forest, _random_tree,
 import oracles
 
 
+def combs(key):
+    """The tall forest with these leaf sequences, as nested trees."""
+    return tuple(map(forests.tall_from_seq, key))
+
+
 def test_tree_helpers():
     t = ((1, 3), 2)
     assert forests.tree_leaves(t) == (1, 3, 2)
@@ -38,7 +43,7 @@ def test_tall_basis_counts_are_stirling():
             for j in range(k):
                 basis = forests.tall_basis(k, n, j * (n - 1))
                 assert len(basis) == oracles.stirling_cycles(k, k - j)
-                assert basis == oracles.tall_forests_by_cycles(k, j)
+                assert [combs(key) for key in basis] == oracles.tall_forests_by_cycles(k, j)
     # a degree that is not a multiple of n - 1 holds no forest
     assert forests.tall_basis(5, 3, 3) == []
 
@@ -47,9 +52,9 @@ def test_rewrite_fixes_tall_forests():
     for n in (2, 3):
         for k in range(1, 6):
             for j in range(k):
-                for f in forests.tall_basis(k, n, j * (n - 1)):
-                    x = forests.rewrite_to_tall(f, n)
-                    assert x.terms == {f: 1}
+                for key in forests.tall_basis(k, n, j * (n - 1)):
+                    x = forests.rewrite_to_tall(combs(key), n)
+                    assert x.terms == {key: 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,7 +64,7 @@ def test_rewrite_matches_tensor_oracle(k, n, seed):
     x = forests.rewrite_to_tall(f, n)
     got = {}
     for g, c in x.terms.items():
-        for key, c2 in _iota_forest(g, n).items():
+        for key, c2 in _iota_forest(combs(g), n).items():
             v = got.get(key, 0) + c * c2
             if v:
                 got[key] = v
@@ -78,7 +83,9 @@ def test_word_rule_matches_regrafting(n):
         labels = list(range(1, k + 1))
         rng.shuffle(labels)
         for f in ((_random_tree(labels, rng),), _random_forest(k, rng)):
-            assert forests.rewrite_to_tall(f, n).terms == oracles.rewrite_by_grafting(f, n), f
+            want = {tuple(map(forests.tree_leaves, g)): c
+                    for g, c in oracles.rewrite_by_grafting(f, n).items()}
+            assert forests.rewrite_to_tall(f, n).terms == want, f
 
 
 def test_single_tree_antisymmetry():
@@ -107,10 +114,10 @@ def test_forest_class_arithmetic():
     for n, s in ((2, 1), (3, -1)):
         x = forests.rewrite_to_tall(((2, 1), 3), n)
         y = forests.rewrite_to_tall(((1, (2, 3)),), n)
-        assert x.terms == {((1, 2), 3): s}
+        assert x.terms == {((1, 2), (3,)): s}
         assert y.to_json_obj() == {"((12)3)": 1, "((13)2)": s}
         diff = y.sub(x)
-        assert diff.terms == {((1, 2), 3): -s, (((1, 2), 3),): 1, (((1, 3), 2),): s}
+        assert diff.terms == {((1, 2), (3,)): -s, ((1, 2, 3),): 1, ((1, 3, 2),): s}
         assert diff.add(x) == y
         assert y.sub(y).is_zero() and y.sub(y) == forests.HomologyClass(3, n)
         assert repr(y.sub(y)) == "0"
@@ -193,7 +200,7 @@ def test_pairing_is_dual_to_path_words(k, n):
         col = {mono: c for c, mono in enumerate(arnold.admissible_basis(k, n, degree))}
         entries = {}
         for r, f in enumerate(trees):
-            word = [pair for seq in map(forests.tree_leaves, f) for pair in zip(seq, seq[1:])]
+            word = [pair for seq in f for pair in zip(seq, seq[1:])]
             for mono, c in arnold.normal_form(word, k, n).terms.items():
                 entries[(r, col[mono])] = c
         d = SparseMatrix(len(trees), len(col), ZZ, entries)
@@ -242,10 +249,10 @@ def reference_action_matrix(perm, k, n, degree, basis, domain):
             return table[t]
         return (relabel(t[0]), relabel(t[1]))
 
-    pos = {f: i for i, f in enumerate(basis)}
+    pos = {key: i for i, key in enumerate(basis)}
     entries = {}
-    for j, f in enumerate(basis):
-        image = forests.rewrite_to_tall(tuple(relabel(t) for t in f), n)
+    for j, key in enumerate(basis):
+        image = forests.rewrite_to_tall(tuple(relabel(t) for t in combs(key)), n)
         for g, c in image.terms.items():
             entries[(pos[g], j)] = c
     return SparseMatrix(len(basis), len(basis), domain, entries)
@@ -265,14 +272,14 @@ def test_action_matrix_matches_relabel_and_rewrite(k, n):
     for j in range(k):
         degree = j * (n - 1)
         basis = forests.tall_basis(k, n, degree)
-        # the sorted list, the same basis indexed once for every perm, and
-        # a shuffled list, which action_matrix must index in its own order
-        cases = ((ZZ, basis), (GF(3), forests.IndexedBasis(basis)),
-                 (ZZ, rng.sample(basis, len(basis))))
+        # the sorted list, the default basis, and a shuffled list, which
+        # action_matrix must index in its own order
+        cases = ((ZZ, basis), (GF(3), None), (ZZ, rng.sample(basis, len(basis))))
         for perm in perms:
             for domain, b in cases:
                 got = forests.action_matrix(perm, k, n, degree, b, domain=domain)
-                want = reference_action_matrix(perm, k, n, degree, b, domain)
+                want = reference_action_matrix(perm, k, n, degree,
+                                               basis if b is None else b, domain)
                 assert got.entries == want.entries, (perm, degree, domain)
                 assert all(type(v) is int for v in got.entries.values())
 
@@ -283,12 +290,13 @@ def test_transposition_matrices_match_action_matrix(k, n):
     for j in range(k):
         degree = j * (n - 1)
         basis = forests.tall_basis(k, n, degree)
-        for domain, b in ((ZZ, basis), (QQ, forests.IndexedBasis(basis)), (GF(5), None)):
+        shuffled = random.Random(k * 10 + n).sample(basis, len(basis))
+        for domain, b in ((ZZ, basis), (QQ, shuffled), (GF(5), None)):
             got = forests.transposition_matrices(k, n, degree, b, domain=domain)
             assert len(got) == k - 1
             for i, m in enumerate(got, start=1):
-                want = forests.action_matrix(forests._adjacent_transposition(i, k),
-                                             k, n, degree, basis, domain=domain)
+                want = forests.action_matrix(forests._adjacent_transposition(i, k), k, n,
+                                             degree, b, domain=domain)
                 assert m.entries == want.entries, (i, degree, domain)
                 assert m.domain == domain
                 assert all(type(v) is int for v in m.entries.values())
