@@ -168,12 +168,12 @@ def _perm_inv(f):
     return tuple(out)
 
 
-def _perm_eval(word, images):
-    n = len(images[0])
-    cur = tuple(range(1, n + 1))
+def _perm_eval(word, images, inverses):
+    """The permutation of a word: letter s acts by images[s-1], and by
+    inverses[-s-1] when s < 0."""
+    cur = tuple(range(1, len(images[0]) + 1))
     for s in word:
-        g = images[abs(s) - 1]
-        cur = _perm_mul(cur, g if s > 0 else _perm_inv(g))
+        cur = _perm_mul(cur, images[s - 1] if s > 0 else inverses[-s - 1])
     return cur
 
 
@@ -193,7 +193,7 @@ class CosetTable:
                 raise GroupError("generator action is not a bijection on cosets")
         self.inverse = [_perm_inv(a) for a in self.action]
         for r in relators:
-            if _perm_eval(r, self.action) != tuple(range(1, n + 1)):
+            if _perm_eval(r, self.action, self.inverse) != tuple(range(1, n + 1)):
                 raise GroupError("a relator does not act trivially on cosets")
         seen = {1}
         stack = [1]
@@ -233,20 +233,21 @@ def coset_table_from_hom(pres, images, kind, point=None):
     for p in images:
         if len(p) != deg or sorted(p) != list(range(1, deg + 1)):
             raise GroupError("images must be permutations of the same degree")
+    inverses = [_perm_inv(p) for p in images]
     for r in pres.relators:
-        if _perm_eval(r, images) != tuple(range(1, deg + 1)):
+        if _perm_eval(r, images, inverses) != tuple(range(1, deg + 1)):
             raise GroupError(
                 "not a homomorphism: relator %s does not map to the identity"
                 % pres.word_str(r))
 
     if kind == "kernel":
         start = tuple(range(1, deg + 1))
-        move = lambda state, g, e: _perm_mul(state, g if e > 0 else _perm_inv(g))
+        move = _perm_mul
     elif kind == "stabilizer":
         start = deg if point is None else point
         if not (1 <= start <= deg):
             raise GroupError("stabilized point out of range")
-        move = lambda state, g, e: (g if e > 0 else _perm_inv(g))[state - 1]
+        move = lambda state, g: g[state - 1]
     else:
         raise GroupError("kind must be 'kernel' or 'stabilizer'")
 
@@ -256,16 +257,16 @@ def coset_table_from_hom(pres, images, kind, point=None):
     while head < len(order):
         cur = order[head]
         head += 1
-        for g in images:
-            for e in (1, -1):
-                nxt = move(cur, g, e)
+        for g, gi in zip(images, inverses):
+            for h in (g, gi):
+                nxt = move(cur, h)
                 if nxt not in index:
                     index[nxt] = len(order) + 1
                     order.append(nxt)
     n = len(order)
     action = []
     for g in images:
-        action.append(tuple(index[move(state, g, 1)] for state in order))
+        action.append(tuple(index[move(state, g)] for state in order))
     return CosetTable(n, action, pres.gens, pres.relators)
 
 

@@ -37,7 +37,14 @@ word m.w, and its coefficient in T is the coefficient of m.w in the
 expansion of T.  Those words are read by walking up from m: at each vertex
 the sibling subtree contributes every word of its expansion as a suffix,
 with the antisymmetry sign -(-1)^(||x|| ||y||) when m came from the right.
-The words of one tree are distinct, so every coefficient is +-1.
+The words of one tree are distinct, so every coefficient is +-1.  The trees
+that action matrices rewrite are relabelled combs l(x1 ... xm) with the
+minimum m = x_q, q > 1, and their walk reads (m,) + u + (x_{q+1} ... xm)
+with coefficient s c, for each word u of the prefix comb l(x1 ... x_{q-1})
+with coefficient c and s the sign of the bracket that joins m.  The words
+of a comb depend only on its length and the parity of n - 1, so they are
+tabulated once per pair as position tuples, and read through each comb's
+leaf sequence; no subtree's words are kept.
 
 The pairing with the cohomology basis of arnold has a closed form (Sinha,
 The homology of the little disks operad, arXiv:math/0610236): <T, G> = +-1
@@ -66,6 +73,7 @@ contradiction.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -272,38 +280,48 @@ def tall_basis(k, n, degree):
 # rewriting
 
 
-_WORDS_CACHE = {}
-
-
 def _words(t, step):
     """The expansion of a tree in the tensor algebra on its leaves, as a
     tuple of (word, coeff) pairs: [x, y] -> xy - (-1)^(||x|| ||y||) yx with
     step = (n-1) mod 2.  The 2^(m-1) words of a tree with m leaves are
-    distinct, so none cancels.  Kept per subtree: the prefixes of the
-    relabelled combs that action matrices rewrite recur from column to
-    column."""
+    distinct, so none cancels."""
     if is_leaf(t):
         return (((t,), 1),)
-    key = (t, step)
-    out = _WORDS_CACHE.get(key)
-    if out is None:
-        left, right = _words(t[0], step), _words(t[1], step)
-        s = -1 if step and len(left[0][0]) * len(right[0][0]) % 2 else 1
-        out = (tuple((u + v, c * d) for u, c in left for v, d in right)
-               + tuple((v + u, -s * c * d) for u, c in left for v, d in right))
-        _WORDS_CACHE[key] = out
-    return out
+    left, right = _words(t[0], step), _words(t[1], step)
+    s = -1 if step and len(left[0][0]) * len(right[0][0]) % 2 else 1
+    return (tuple((u + v, c * d) for u, c in left for v, d in right)
+            + tuple((v + u, -s * c * d) for u, c in left for v, d in right))
+
+
+@cache
+def _comb_words(length, step):
+    """The words of the left comb on positions 0 .. length-1, as (position
+    tuple, coeff) pairs: the words of any comb of that length, read through
+    its leaf sequence."""
+    return _words(tall_from_seq(range(length)), step)
 
 
 def _tall_terms(t, seq, step):
     """Expand one tree with leaf sequence seq in the tall basis: (leaf
     sequence, coeff) pairs, read off the words of its expansion that start
-    with its minimum m (see the module docstring).  Walking up from m, each
-    sibling subtree appends its words, with the antisymmetry sign when m
-    came from the right."""
-    if is_tall(t):
-        return ((seq, 1),)
+    with its minimum m (see the module docstring).  One walk down the left
+    spine tells whether t is a left comb, whose words are read through
+    _comb_words.  In any other tree, walking up from m, each sibling subtree
+    appends its words, with the antisymmetry sign when m came from the
+    right."""
     m = min(seq)
+    node = t
+    while not is_leaf(node) and is_leaf(node[1]):
+        node = node[0]
+    if is_leaf(node):
+        q = seq.index(m)
+        if not q:
+            return ((seq, 1),)
+        # -(-1)^(||m|| ||prefix||): m is one leaf, the prefix q of them
+        s = 1 if step and q % 2 else -1
+        pick, rest = seq.__getitem__, seq[q + 1:]
+        return tuple(((m,) + tuple(map(pick, u)) + rest, s * c)
+                     for u, c in _comb_words(q, step))
     siblings = []
     while not is_leaf(t):
         left, right = t
@@ -453,6 +471,10 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
     head, neither heads it, and they swap in place with sign +1.  Only when
     i heads a tree that holds i+1 does the column go through
     rewrite_to_tall.
+
+    A row with one entry c at column j is the same dict {j: c} in every
+    tau that has it, taken from one table per call: linalg writes to no
+    row of an existing matrix, so the taus may share rows.
     """
     if basis is None:
         basis = tall_basis(k, n, degree)
@@ -490,6 +512,11 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
             rows = mats[i - 1]
             for r, c in terms:
                 rows.setdefault(r, {})[j] = c
+    units = {}
+    for rows in mats:
+        for r, row in rows.items():
+            if len(row) == 1:
+                rows[r] = units.setdefault(next(iter(row.items())), row)
     return [SparseMatrix._trusted(len(basis), len(basis), domain, rows) for rows in mats]
 
 

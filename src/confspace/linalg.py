@@ -9,12 +9,14 @@ integral matrix never builds a Fraction.
 A SparseMatrix is stored by rows only: a dict row index -> row, each row a
 dict column -> nonzero entry, with no empty row.  Products, sums, stacks,
 transposes and the eliminator read and build rows directly; the flat
-(row, col) -> entry dict is made only on request.  A row of a product with
-a single entry on the left is a scaled row of the right factor, or, at an
-int 1, that row itself, shared.  Nothing writes to a row of an existing
-matrix: the eliminator starts from the input's rows as they are (over Q
-from the rows that already are primitive integer vectors) and builds every
-updated row anew.
+(row, col) -> entry dict is made only on request.  Rows may be shared
+between matrices: a row of a product with a single entry on the left is a
+scaled row of the right factor, or, at an int 1, that row itself, and
+matrices built together may hold one dict for equal rows (the
+single-entry rows of forests.transposition_matrices).  Nothing writes to a
+row of an existing matrix: the eliminator starts from the input's rows as
+they are (over Q from the rows that already are primitive integer vectors)
+and builds every updated row anew.
 
 One eliminator serves rank, pivot_columns, kernel_basis and invert over
 the fields, and the unit pivots of smith_normal_form over Z.  A row update is
@@ -138,9 +140,11 @@ class SparseMatrix:
     The constructor takes entries as a dict (row, col) -> scalar, coerces
     them to the domain and drops zeros; the entries property gives the
     stored entries back in that form, built afresh on each access for tests
-    and cold paths.  Every operation builds its result from new rows, save
-    the rows matmul shares with its right factor, and never writes to an
-    operand's rows, so a shared row is never written either.
+    and cold paths.  A row may be shared with other matrices: matmul shares
+    rows of its right factor, and matrices built together may hold one dict
+    for equal rows.  Every operation builds its result from new rows, save
+    the rows matmul shares, and never writes to an operand's rows, so a
+    shared row is never written either.
     """
 
     def __init__(self, nrows, ncols, domain, entries=None):

@@ -17,7 +17,8 @@ of the module data is small homological algebra over F_p:
     at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
     They are the sum of sigma^k E_C, each a product of sigma with the last;
     no power of sigma is stored, and the stable route forms sigma^r once,
-    with the partial norm 1 + ... + sigma^(r-1) on the way when it needs it.
+    with the partial norm 1 + ... + sigma^(r-1) on the way when it needs it;
+    when it needs N too, it carries the same run on to sigma^(p-1).
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -109,8 +110,9 @@ class GModule:
         return self.sigma.sub(SparseMatrix.identity(self.dim, self.field))
 
     def norm(self):
-        """N = 1 + sigma + ... + sigma^(p-1); the stable route forms it only
-        when the periodic dimension is nonzero."""
+        """N = 1 + sigma + ... + sigma^(p-1), kept once formed.  The stable
+        route forms it, only when the periodic dimension is nonzero, from
+        the powers it already runs through, and leaves it here."""
         if self._norm is None:
             self._norm = self.partial_norm(self.p)
         return self._norm
@@ -184,9 +186,11 @@ class GModule:
             for j in range(i + 2, p):
                 if ts[i - 1].matmul(ts[j - 1]) != ts[j - 1].matmul(ts[i - 1]):
                     raise ModpError("tau_%d and tau_%d do not commute" % (i, j))
-        prod = ts[0]
-        for t in ts[1:]:
-            prod = prod.matmul(t)
+        # right to left, so that each left factor is one tau, whose rows
+        # are mostly single entries
+        prod = ts[-1]
+        for t in reversed(ts[:-1]):
+            prod = t.matmul(prod)
         if prod != self.sigma:
             raise ModpError("sigma is not tau_1 tau_2 ... tau_%d" % (p - 1))
 
@@ -380,15 +384,16 @@ def _word_permutation(word, p):
 
 def _element_matrix(v, q):
     """Action matrix of the permutation q (one-line tuple) via its
-    transposition word; well-defined because the Coxeter relators hold."""
+    transposition word, multiplied from the right so that each left factor
+    is one tau; well-defined because the Coxeter relators hold."""
     word = _transposition_word(q)
     if _word_permutation(word, v.p) != tuple(q):
         raise ModpError("internal: transposition word does not recompose")
     if not word:
         return SparseMatrix.identity(v.dim, v.field)
-    m = v.taus[word[0] - 1]
-    for i in word[1:]:
-        m = m.matmul(v.taus[i - 1])
+    m = v.taus[word[-1] - 1]
+    for i in reversed(word[:-1]):
+        m = v.taus[i - 1].matmul(m)
     return m
 
 
@@ -436,6 +441,13 @@ def sigma_p_cohomology_stable(v, s_max):
         # dimension _periodic_dim(v) = 0 for every s >= 1: only H^0 is left
         z = kernel_basis(v.aug())
         return GradedDims({0: z.ncols - rank(g.matmul(z).sub(z))})
+    if v._norm is None:
+        # N = partial + sigma^r + ... + sigma^(p-1), continuing the run
+        norm, y = partial.add(x), x
+        for _ in range(p - 1 - r):
+            y = v.sigma.matmul(y)
+            norm = norm.add(y)
+        v._norm = norm
     diffs = (v.aug(), v.norm())
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
     phis = (g, g.matmul(partial))

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -76,16 +77,21 @@ def test_rewrite_matches_tensor_oracle(k, n, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_word_rule_matches_regrafting(n):
     """The tall expansion read off leaf words equals the Jacobi regrafting,
-    on random single trees and forests with up to 7 leaves."""
+    on random single trees and forests with up to 7 leaves, and on the left
+    comb on every permutation of [1, 6], which _tall_terms expands from the
+    words of its prefix comb."""
     rng = random.Random(n)
+    cases = []
     for _ in range(300):
         k = rng.randint(1, 7)
         labels = list(range(1, k + 1))
         rng.shuffle(labels)
-        for f in ((_random_tree(labels, rng),), _random_forest(k, rng)):
-            want = {tuple(map(forests.tree_leaves, g)): c
-                    for g, c in oracles.rewrite_by_grafting(f, n).items()}
-            assert forests.rewrite_to_tall(f, n).terms == want, f
+        cases += [(_random_tree(labels, rng),), _random_forest(k, rng)]
+    cases += [(forests.tall_from_seq(seq),) for seq in permutations(range(1, 7))]
+    for f in cases:
+        want = {tuple(map(forests.tree_leaves, g)): c
+                for g, c in oracles.rewrite_by_grafting(f, n).items()}
+        assert forests.rewrite_to_tall(f, n).terms == want, f
 
 
 def test_single_tree_antisymmetry():
@@ -300,6 +306,22 @@ def test_transposition_matrices_match_action_matrix(k, n):
                 assert m.entries == want.entries, (i, degree, domain)
                 assert m.domain == domain
                 assert all(type(v) is int for v in m.entries.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transposition_matrices_share_unit_rows(n):
+    """Single-entry rows of the taus with equal content are one object, so
+    past their multi-entry rows the taus hold at most 2 dim distinct rows,
+    one per column and sign."""
+    for t in range(0, 4 * (n - 1) + 1, n - 1):
+        v = modp.conf_module(5, n, t)
+        rows = [row for tau in v.taus for row in tau.rows.values()]
+        units = {}
+        for row in rows:
+            if len(row) == 1:
+                assert units.setdefault(tuple(row.items()), row) is row, (t, row)
+        multi = sum(len(row) > 1 for row in rows)
+        assert len({id(row) for row in rows}) <= 2 * v.dim + multi, t
 
 
 @pytest.mark.parametrize("p", [5, 7])

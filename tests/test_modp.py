@@ -1,5 +1,6 @@
 """Mod-p group cohomology: cyclic groups, Tate splice, symmetric groups."""
 
+import copy
 import itertools
 import re
 
@@ -491,6 +492,46 @@ def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
     assert interior._norm is None
     modp.sigma_p_cohomology_stable(top, 8)
     assert top._norm is not None
+
+
+def test_stable_route_leaves_the_norm_of_its_own_run(monkeypatch):
+    """At t = 0 and the top degree the periodic dimension is nonzero: the
+    route sums N from the powers of sigma it already runs through, without
+    partial_norm, and leaves it in the module."""
+    monkeypatch.setattr(modp, "_conf_cache", {})
+    mods = [modp.conf_module(p, n, t) for p in (3, 5) for n in (2, 3)
+            for t in (0, (n - 1) * (p - 1))]
+
+    def refuse(*args):
+        raise AssertionError("partial_norm was called")
+
+    with monkeypatch.context() as m:
+        m.setattr(modp.GModule, "partial_norm", refuse)
+        for v in mods:
+            modp.sigma_p_cohomology_stable(v, 2)
+    for v in mods:
+        assert v._norm == v.partial_norm(v.p), (v.p, v.dim)
+
+
+def test_module_rows_are_never_written(monkeypatch):
+    """The taus share their single-entry rows, and a product shares rows of
+    its right factor, so no route may write to a row of sigma or a tau: each
+    is the same after validation, Tate, vanishing, fixed spaces, the stable
+    route and the eliminations of sigma - 1."""
+    monkeypatch.setattr(modp, "_conf_cache", {})
+    p, n = 5, 2
+    mods = [modp.conf_module(p, n, t) for t in all_t(p, n)]
+    before = [copy.deepcopy([m.rows for m in (v.sigma, *v.taus)]) for v in mods]
+    for v in mods:
+        modp.GModule(p, v.sigma, taus=v.taus, basis=v.basis)
+        modp.tate(v, (-2, 2))
+        modp.sigma_p_cohomology_stable(v, 8)
+        kernel_basis(v.aug())
+        rank(v.aug())
+    assert modp.verify_vanishing(p, n)
+    modp.invariants_sigma_p(p, n)
+    for v, rows in zip(mods, before):
+        assert [m.rows for m in (v.sigma, *v.taus)] == rows, v.dim
 
 
 def test_stable_route_dims_are_pinned():
