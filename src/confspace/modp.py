@@ -17,8 +17,7 @@ of the module data is small homological algebra over F_p:
     at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
     They are the sum of sigma^k E_C, each a product of sigma with the last;
     no power of sigma is stored, and the stable route forms sigma^r once,
-    with the partial norm 1 + ... + sigma^(r-1) on the way when it needs it;
-    when it needs N too, it carries the same run on to sigma^(p-1).
+    with the partial norm 1 + ... + sigma^(r-1) on the way when it needs it.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -110,9 +109,8 @@ class GModule:
         return self.sigma.sub(SparseMatrix.identity(self.dim, self.field))
 
     def norm(self):
-        """N = 1 + sigma + ... + sigma^(p-1), kept once formed.  The stable
-        route forms it, only when the periodic dimension is nonzero, from
-        the powers it already runs through, and leaves it here."""
+        """N = 1 + sigma + ... + sigma^(p-1); the stable route forms it only
+        when the periodic dimension is nonzero."""
         if self._norm is None:
             self._norm = self.partial_norm(self.p)
         return self._norm
@@ -441,13 +439,6 @@ def sigma_p_cohomology_stable(v, s_max):
         # dimension _periodic_dim(v) = 0 for every s >= 1: only H^0 is left
         z = kernel_basis(v.aug())
         return GradedDims({0: z.ncols - rank(g.matmul(z).sub(z))})
-    if v._norm is None:
-        # N = partial + sigma^r + ... + sigma^(p-1), continuing the run
-        norm, y = partial.add(x), x
-        for _ in range(p - 1 - r):
-            y = v.sigma.matmul(y)
-            norm = norm.add(y)
-        v._norm = norm
     diffs = (v.aug(), v.norm())
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
     phis = (g, g.matmul(partial))

@@ -494,25 +494,6 @@ def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
     assert top._norm is not None
 
 
-def test_stable_route_leaves_the_norm_of_its_own_run(monkeypatch):
-    """At t = 0 and the top degree the periodic dimension is nonzero: the
-    route sums N from the powers of sigma it already runs through, without
-    partial_norm, and leaves it in the module."""
-    monkeypatch.setattr(modp, "_conf_cache", {})
-    mods = [modp.conf_module(p, n, t) for p in (3, 5) for n in (2, 3)
-            for t in (0, (n - 1) * (p - 1))]
-
-    def refuse(*args):
-        raise AssertionError("partial_norm was called")
-
-    with monkeypatch.context() as m:
-        m.setattr(modp.GModule, "partial_norm", refuse)
-        for v in mods:
-            modp.sigma_p_cohomology_stable(v, 2)
-    for v in mods:
-        assert v._norm == v.partial_norm(v.p), (v.p, v.dim)
-
-
 def test_module_rows_are_never_written(monkeypatch):
     """The taus share their single-entry rows, and a product shares rows of
     its right factor, so no route may write to a row of sigma or a tau: each
