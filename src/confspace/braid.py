@@ -297,7 +297,6 @@ def subgroup_presentation(pres, table, transversal):
     to dropping trivial generators, free and cyclic reduction, and
     deleting duplicate relators.
     """
-    gamma = {}
     names = []
     gen_of = {}
     ambient = {}
@@ -305,7 +304,6 @@ def subgroup_presentation(pres, table, transversal):
         for g in range(1, len(pres.gens) + 1):
             w = concat(transversal[c], (g,),
                        word_inverse(transversal[table.step(c, g)]))
-            gamma[(c, g)] = w
             if w:
                 name = "y%d" % (len(names) + 1)
                 names.append(name)

@@ -90,8 +90,8 @@ def _validate_algebra(a):
                                % (x, d, a.n))
     for (x, y), res in a.prod.items():
         dxy = a.degree[x] + a.degree[y]
-        for z, c in res.items():
-            if c and a.degree[z] != dxy:
+        for z in res:
+            if a.degree[z] != dxy:
                 raise AlgebraError(
                     "product %s*%s hits %r of degree %d, expected %d"
                     % (x, y, z, a.degree[z], dxy))
@@ -100,8 +100,7 @@ def _validate_algebra(a):
             sign = (-1) ** (a.degree[x] * a.degree[y])
             left = a.product(x, y)
             right = a.product(y, x)
-            flipped = {z: sign * c for z, c in right.items() if c}
-            if {z: c for z, c in left.items() if c} != flipped:
+            if left != {z: sign * c for z, c in right.items()}:
                 raise AlgebraError(
                     "graded commutativity fails on (%s, %s)" % (x, y))
     for x in a.names:
@@ -168,18 +167,16 @@ def load_algebra(document):
         if left not in degrees or right not in degrees:
             raise AlgebraError("product names unknown basis element (%r, %r)"
                                % (left, right))
+        if (left, right) in prod:
+            raise AlgebraError("duplicate product entry (%r, %r)" % (left, right))
         res = {}
         for term in _list(item.get("result", []), "product result"):
             z, c = _fields(term, "product result term", basis=str, coeff=int)
             if z not in degrees:
                 raise AlgebraError("product result names unknown basis %r" % z)
-            if c:
-                res[z] = res.get(z, 0) + c
-        if (left, right) in prod:
-            raise AlgebraError("duplicate product entry (%r, %r)" % (left, right))
-        if res:
-            prod[(left, right)] = res
-    a = CAlgebra(name, n, degrees, prod)
+            res[z] = res.get(z, 0) + c
+        prod[(left, right)] = {z: c for z, c in res.items() if c}
+    a = CAlgebra(name, n, degrees, {pair: res for pair, res in prod.items() if res})
     _validate_algebra(a)
     return a
 
@@ -213,13 +210,14 @@ class GMLie:
         self.n = algebra.n
         self.slots = slots
         self.index = {s.name: i for i, s in enumerate(slots)}
-        self.bracket = bracket  # (name, name) -> {name: coeff}
+        # (name, name) -> {name: nonzero coeff}; a zero bracket has no entry
+        self.bracket = bracket
         self._check_lie()
-        # slot a -> [(b >= a, [(z, c), ...])], nonzero brackets only
+        # slot a -> [(b >= a, [(z, c), ...])]
         self.bracket_table = [[] for _ in slots]
         for (x, y), res in bracket.items():
-            terms = [(self.index[z], c) for z, c in res.items() if c]
-            if terms and self.index[x] <= self.index[y]:
+            terms = [(self.index[z], c) for z, c in res.items()]
+            if self.index[x] <= self.index[y]:
                 self.bracket_table[self.index[x]].append((self.index[y], terms))
 
     def bracket_of(self, x, y):
@@ -238,9 +236,7 @@ class GMLie:
         deg = {s.name: s.gdeg for s in self.slots}
         wt = {s.name: s.weight for s in self.slots}
         for (x, y), res in self.bracket.items():
-            for z, c in res.items():
-                if not c:
-                    continue
+            for z in res:
                 if deg[z] != deg[x] + deg[y]:
                     raise AlgebraError("bracket [%s,%s] not degree-0" % (x, y))
                 if wt[z] != wt[x] + wt[y]:
@@ -287,8 +283,7 @@ def build_gm(a):
                 res = {}
                 sign = (-1) ** ((n - 1) * a.degree[y])
                 for z, c in a.product(x, y).items():
-                    if c:
-                        res[z + "~"] = sign * c
+                    res[z + "~"] = sign * c
                 if res:
                     bracket[(x, y)] = res
     return GMLie(a, slots, bracket)
@@ -483,11 +478,10 @@ def _grading(g, k):
     entries = {}
     r = 0
     for (u, v), res in g.bracket.items():
-        for w, c in res.items():
-            if c:
-                for j, x in ((src[w], 1), (src[u], -1), (src[v], -1)):
-                    entries[(r, j)] = entries.get((r, j), 0) + x
-                r += 1
+        for w in res:
+            for j, x in ((src[w], 1), (src[u], -1), (src[v], -1)):
+                entries[(r, j)] = entries.get((r, j), 0) + x
+            r += 1
     phis = []
     for vec in kernel_basis(SparseMatrix(r, len(col), QQ, entries)).transpose().rows.values():
         scale = lcm(*(Fraction(v).denominator for v in vec.values()))

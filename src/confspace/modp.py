@@ -15,9 +15,11 @@ of the module data is small homological algebra over F_p:
     of im(sigma-1) spanned by unit vectors.  Since N(sigma-1) = 0, N maps
     V and C onto the same image, so rank N is the rank of the columns of N
     at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
-    They are the sum of sigma^k E_C, each a product of sigma with the last;
-    no power of sigma is stored, and the stable route forms sigma^r once,
-    with the partial norm 1 + ... + sigma^(r-1) on the way when it needs it.
+    They are the sum of sigma^k E_C, each a product of sigma with the last.
+    Every such run of sigma-products is GModule.run: rank N, the partial
+    norm 1 + ... + sigma^(r-1) with sigma^r, and N itself, which continues
+    the run from sigma^r: the stable route forms each of sigma, ...,
+    sigma^(p-1) once, and no power of sigma is stored.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
@@ -61,10 +63,9 @@ class GModule:
     Validated on construction, every check a full matrix equation: with
     taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for
     j > i+1 and sigma = tau_1 tau_2 ... tau_{p-1}, which imply sigma^p = 1;
-    without them, sigma^p = 1 itself, by running products.  No power of
-    sigma is stored: the stable route forms sigma^r for its conjugation
-    check, and N and the partial norms only when the periodic dimension is
-    nonzero.
+    without them, sigma^p = 1 itself, the last term of run(sigma, p).
+    No power of sigma is stored: run forms each run of sigma-products and
+    keeps nothing.
     """
 
     def __init__(self, p, sigma, taus=None, basis=None):
@@ -88,7 +89,6 @@ class GModule:
         self.sigma = sigma
         self.taus = taus
         self.basis = basis
-        self._norm = None
         self._rank_aug = None
         self._complement = None
         self._rank_norm = None
@@ -96,35 +96,19 @@ class GModule:
 
     # -- lazy matrix data ---------------------------------------------------
 
-    def sigma_power(self, e):
-        """sigma^e for e >= 1, by e - 1 products with sigma; not kept."""
-        m = self.sigma
-        for _ in range(e - 1):
-            m = self.sigma.matmul(m)
-        return m
+    def run(self, x, m):
+        """(x + sigma x + ... + sigma^(m-1) x, sigma^(m-1) x) for m >= 1,
+        by m - 1 products with sigma and m - 1 sums; nothing is kept."""
+        acc = x
+        for _ in range(m - 1):
+            x = self.sigma.matmul(x)
+            acc = acc.add(x)
+        return acc, x
 
     def aug(self):
         """sigma - 1, the augmentation-stage differential, formed afresh on
         each call: it is needed once per route, and not kept in memory."""
         return self.sigma.sub(SparseMatrix.identity(self.dim, self.field))
-
-    def norm(self):
-        """N = 1 + sigma + ... + sigma^(p-1); the stable route forms it only
-        when the periodic dimension is nonzero."""
-        if self._norm is None:
-            self._norm = self.partial_norm(self.p)
-        return self._norm
-
-    def partial_norm(self, r):
-        """1 + sigma + ... + sigma^(r-1), the sum of the X's of X <- sigma X
-        from X = 1."""
-        if not 1 <= r <= self.p:
-            raise ModpError("partial norm length %d out of range" % r)
-        x = acc = SparseMatrix.identity(self.dim, self.field)
-        for _ in range(r - 1):
-            x = self.sigma.matmul(x)
-            acc = acc.add(x)
-        return acc
 
     def rank_aug(self):
         """rank(sigma-1): the pivots of (sigma-1)^T; rank_norm uses the rest."""
@@ -140,17 +124,14 @@ class GModule:
         N(sigma-1) = 0, so N kills im(sigma-1) and its image is the image of
         any complement C: rank N = rank(N restricted to C).  C is spanned by
         the unit vectors e_r at the non-pivot columns r of (sigma-1)^T, and
-        N E_C is the sum of the X's of X <- sigma X, p - 1 times from
-        X = E_C, so only columns at C are multiplied and no power of sigma
-        is formed.  For a free module C is 1/p of V."""
+        N E_C is the first term of run(E_C, p), so only columns at C are
+        multiplied and no power of sigma is formed.  For a free module C is
+        1/p of V."""
         if self._rank_norm is None:
             self.rank_aug()
-            x = acc = SparseMatrix(self.dim, len(self._complement), self.field,
-                                   {(r, c): 1 for c, r in enumerate(self._complement)})
-            for _ in range(self.p - 1):
-                x = self.sigma.matmul(x)
-                acc = acc.add(x)
-            self._rank_norm = rank(acc)
+            e_c = SparseMatrix(self.dim, len(self._complement), self.field,
+                               {(r, c): 1 for c, r in enumerate(self._complement)})
+            self._rank_norm = rank(self.run(e_c, self.p)[0])
         return self._rank_norm
 
     # -- construction-time checks -------------------------------------------
@@ -158,7 +139,7 @@ class GModule:
     def _validate(self):
         """The group relations as full matrix equations.
 
-        Without taus, sigma^p = 1 is checked by running products.  With
+        Without taus, sigma^p = 1 is checked on run(sigma, p).  With
         taus it is implied by the checks below: once tau_i^2 = 1 and the
         braid and commutation relators hold, the taus define a homomorphism
         from Sigma_p (Moore's Coxeter presentation), and sigma = tau_1 ...
@@ -166,7 +147,7 @@ class GModule:
         p = self.p
         ident = SparseMatrix.identity(self.dim, self.field)
         if self.taus is None:
-            if self.sigma_power(p) != ident:
+            if self.run(self.sigma, p)[1] != ident:
                 raise ModpError("sigma^%d is not the identity" % p)
             return
         ts = self.taus
@@ -184,12 +165,8 @@ class GModule:
             for j in range(i + 2, p):
                 if ts[i - 1].matmul(ts[j - 1]) != ts[j - 1].matmul(ts[i - 1]):
                     raise ModpError("tau_%d and tau_%d do not commute" % (i, j))
-        # right to left, so that each left factor is one tau, whose rows
-        # are mostly single entries
-        prod = ts[-1]
-        for t in reversed(ts[:-1]):
-            prod = t.matmul(prod)
-        if prod != self.sigma:
+        # the p-cycle (2, 3, ..., p, 1) has the word (1, 2, ..., p-1)
+        if _element_matrix(self, tuple(range(2, p + 1)) + (1,)) != self.sigma:
             raise ModpError("sigma is not tau_1 tau_2 ... tau_%d" % (p - 1))
 
 
@@ -278,10 +255,9 @@ def _freeness_certificate(v):
     partition is fixed by the p-cycle (orbits of partition blocks then have
     size exactly p), and every sigma-image of a basis vector is supported in
     the block of the rotated partition.  Together these exhibit V as a sum
-    of modules induced from the trivial subgroup, i.e. free ones.
+    of modules induced from the trivial subgroup, i.e. free ones.  v is a
+    conf_module result, which carries its tall-forest basis.
     """
-    if v.basis is None:
-        raise ModpError("block certificate needs the forest basis")
     p = v.p
     parts = [forests._forest_partition(f) for f in v.basis]
     shifted = []
@@ -399,18 +375,20 @@ def sigma_p_cohomology_stable(v, s_max):
     """dim H^s(Sigma_p; V) via stable classes, s = 0..s_max.
 
     Restriction to C_p is injective with image the classes fixed by
-    N(C_p)/C_p = <sigma -> sigma^r>, r a primitive root.  If the periodic
-    dimension h is 0, H^s = 0 for s >= 1 and H^0 is the classes of
-    ker(sigma-1) fixed by g below; N is not formed.  Otherwise the normalizer
-    generator acts on periodic-resolution cochains by phi_2j = r^j g and
-    phi_{2j+1} = r^j g (1 + sigma + ... + sigma^(r-1)) where g realizes a
-    permutation conjugating sigma to sigma^r; the chain-map identity
-    delta phi_s = phi_{s+1} delta is asserted at every stage.
+    N(C_p)/C_p = <sigma -> sigma^r>, r a primitive root.  H^0, the classes
+    of ker(sigma-1) fixed by g below, is taken first.  If the periodic
+    dimension h is 0, H^s = 0 for s >= 1 and N is not formed.  Otherwise the
+    normalizer generator acts on periodic-resolution cochains by
+    phi_2j = r^j g and phi_{2j+1} = r^j g (1 + sigma + ... + sigma^(r-1))
+    where g realizes a permutation conjugating sigma to sigma^r; the
+    chain-map identity delta phi_s = phi_{s+1} delta is asserted at every
+    stage.
 
     The differentials alternate between sigma-1 (s even) and N (s odd), so
     each is eliminated at most once, for its kernel basis matrix Z, and
     phi_s is a scale of one of the two products g and g (1 + ... +
-    sigma^(r-1)).
+    sigma^(r-1)).  The partial norm, sigma^r and N come from one run of
+    sigma-products.
     dim H^s is the number of columns of Z less the rank of
     [phi_s Z - Z | image of the other differential].
     """
@@ -425,37 +403,37 @@ def sigma_p_cohomology_stable(v, s_max):
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
     g = _element_matrix(v, q)
     h = _periodic_dim(v)
-    # sigma^r by running products; on the way, when h > 0, the partial norm
-    # 1 + sigma + ... + sigma^(r-1) of the odd stages
-    x, partial = v.sigma, SparseMatrix.identity(v.dim, v.field)
-    for _ in range(r - 1):
-        if h:
-            partial = partial.add(x)
-        x = v.sigma.matmul(x)
+    # the partial norm 1 + sigma + ... + sigma^(r-1) of the odd stages and
+    # sigma^(r-1) from one run, then sigma^r for the conjugation check
+    partial, x = v.run(SparseMatrix.identity(v.dim, v.field), r)
+    x = v.sigma.matmul(x)
     if v.sigma.matmul(g) != g.matmul(x):
         raise ModpError("normalizer conjugation identity fails")
+    aug = v.aug()
+    z = kernel_basis(aug)
+    dims = {0: z.ncols - rank(g.matmul(z).sub(z))}
     if h == 0:
         # restriction to the Sylow C_p is injective and H^s(C_p; V) has
         # dimension _periodic_dim(v) = 0 for every s >= 1: only H^0 is left
-        z = kernel_basis(v.aug())
-        return GradedDims({0: z.ncols - rank(g.matmul(z).sub(z))})
-    diffs = (v.aug(), v.norm())
-    kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
+        return GradedDims(dims)
+    # N continues the run from sigma^r, so sigma, ..., sigma^(p-1) are each
+    # formed once
+    diffs = (aug, partial.add(v.run(x, p - r)[0]))
+    kernels = (z, kernel_basis(diffs[1]) if s_max else None)
     phis = (g, g.matmul(partial))
 
     def phi(s):
         return phis[s % 2].scale(pow(r, s // 2, p))
 
-    dims = {}
     for s in range(s_max + 1):
-        ds, z = diffs[s % 2], kernels[s % 2]
+        ds = diffs[s % 2]
         phi_s = phi(s)
         if ds.matmul(phi_s) != phi(s + 1).matmul(ds):
             raise ModpError("comparison map is not a chain map at s = %d" % s)
-        moved = phi_s.matmul(z).sub(z)
-        if s >= 1:
-            moved = SparseMatrix.hstack([moved, diffs[(s + 1) % 2]])
-        dims[s] = z.ncols - rank(moved)
+        if s:
+            z = kernels[s % 2]
+            moved = SparseMatrix.hstack([phi_s.matmul(z).sub(z), diffs[(s + 1) % 2]])
+            dims[s] = z.ncols - rank(moved)
     return GradedDims(dims)
 
 

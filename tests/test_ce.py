@@ -473,6 +473,8 @@ def _torus_doc(**changes):
     (_torus_doc(products=[{"left": "x", "right": "y", "result": [{"basis": "q", "coeff": 1}]}]),
      "names unknown basis 'q'"),
     (_torus_doc(products=_torus_doc()["products"][:1] * 2), "duplicate product entry ('x', 'y')"),
+    (_torus_doc(products=[{"left": "x", "right": "y", "result": []}] + _torus_doc()["products"]),
+     "duplicate product entry ('x', 'y')"),
     ({"name": "t", "ambient_dim": 2,
       "basis": [{"name": "a", "degree": 0}, {"name": "b", "degree": 0}],
       "products": [{"left": "a", "right": "a", "result": [{"basis": "b", "coeff": 1}]},
@@ -484,7 +486,7 @@ def _torus_doc(**changes):
         "products-not-list", "doc-name-not-str", "ambient-dim-fractional", "ambient-dim-str",
         "ambient-dim-bool", "no-name", "no-basis", "ambient-dim-zero", "degree-above-n",
         "duplicate-basis", "product-unknown-name", "result-unknown-name", "duplicate-product",
-        "not-associative"])
+        "duplicate-after-empty", "not-associative"])
 def test_load_algebra_refuses_malformed_items(doc, named, tmp_path, capsys):
     assert ce.load_algebra(_torus_doc()).names
     with pytest.raises(ce.AlgebraError, match=re.escape(named)):
@@ -496,6 +498,18 @@ def test_load_algebra_refuses_malformed_items(doc, named, tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)["error"]
     assert (code, error["type"]) == (2, "AlgebraError")
     assert named in error["message"]
+
+
+def test_load_algebra_stores_no_zero_coefficient():
+    # x*x = z - z: the pair cancels to no entry, as if it were not listed
+    cancel = _torus_doc(products=_torus_doc()["products"] + [
+        {"left": "x", "right": "x",
+         "result": [{"basis": "z", "coeff": 1}, {"basis": "z", "coeff": -1}]}])
+    a, b = ce.load_algebra(cancel), ce.load_algebra(_torus_doc())
+    assert ("x", "x") not in a.prod
+    assert a.prod == b.prod
+    for k in (1, 2, 3):
+        assert ce.betti(ce.build_gm(a), k) == ce.betti(ce.build_gm(b), k), k
 
 
 def test_algebra_document_round_trip(tmp_path):

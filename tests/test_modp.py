@@ -21,6 +21,11 @@ def all_t(p, n):
     return [j * (n - 1) for j in range(p)]
 
 
+def norm(v):
+    """N = 1 + sigma + ... + sigma^(p-1), the first term of the run from 1."""
+    return v.run(SparseMatrix.identity(v.dim, v.field), v.p)[0]
+
+
 # ---------------------------------------------------------------------------
 # GModule construction and validation
 
@@ -51,7 +56,23 @@ def test_gmodule_rejects_non_prime_and_bad_shapes():
      "Coxeter generator shape or domain mismatch"),
     (lambda: modp.conf_module(3, 1, 0), "need n >= 2"),
     (lambda: modp.conf_module(3, 2, 5), "degree 5 is not a multiple of 1 inside [0, 2]"),
-], ids=["sigma-field", "tau-count", "tau-shape", "conf-n-one", "conf-degree"])
+    (lambda: modp.GModule(4, SparseMatrix.identity(1, GF(2))), "p = 4 is not prime"),
+    (lambda: modp.conf_module(4, 2, 0), "p = 4 is not prime"),
+    (lambda: modp.verify_vanishing(4, 2), "p = 4 is not prime"),
+    (lambda: modp.invariants_sigma_p(4, 2), "p = 4 is not prime"),
+    (lambda: modp.cohen_series(4, 2, 8), "p = 4 is not prime"),
+    (lambda: modp.verify_vanishing(5, 1), "need n >= 2"),
+    (lambda: modp.invariants_sigma_p(5, 1), "need n >= 2"),
+    (lambda: modp.cohen_series(5, 1, 8), "need n >= 2"),
+    (lambda: modp.bar_cohomology(modp.trivial_module(3), -1), "negative cohomological window"),
+    (lambda: modp.bar_cohomology(modp.regular_module(3), 2), "full Sigma_p action required"),
+    (lambda: modp.nakaoka_series(2, 8), "p = 2 is not an odd prime"),
+    (lambda: modp.nakaoka_series(5, -1), "negative degree bound"),
+    (lambda: modp.cohen_series(5, 2, -1), "negative degree bound"),
+], ids=["sigma-field", "tau-count", "tau-shape", "conf-n-one", "conf-degree",
+        "gmodule-p-four", "conf-p-four", "vanishing-p-four", "invariants-p-four",
+        "cohen-p-four", "vanishing-n-one", "invariants-n-one", "cohen-n-one",
+        "bar-negative", "bar-no-taus", "nakaoka-p-two", "nakaoka-negative", "cohen-negative"])
 def test_refusals(call, message):
     with pytest.raises(modp.ModpError, match=re.escape(message)):
         call()
@@ -151,7 +172,7 @@ def test_aug_and_norm_annihilate_each_other(case, j):
     t = (j % p) * (n - 1)
     v = modp.conf_module(p, n, t)
     a = v.aug()
-    nn = v.norm()
+    nn = norm(v)
     assert a.matmul(nn).is_zero()
     assert nn.matmul(a).is_zero()
 
@@ -164,7 +185,7 @@ def test_norm_is_aug_power():
         acc = SparseMatrix.identity(v.dim, GF(p))
         for _ in range(p - 1):
             acc = acc.matmul(a)
-        assert acc == v.norm()
+        assert acc == norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +195,7 @@ def test_norm_is_aug_power():
 def dense_cyclic_cohomology(v, s_max):
     d = v.dim
     a_rows = v.aug().to_dense()
-    n_rows = v.norm().to_dense()
+    n_rows = norm(v).to_dense()
     ra = oracles.dense_rank_mod(a_rows, v.p)
     rn = oracles.dense_rank_mod(n_rows, v.p)
     out = {}
@@ -258,12 +279,12 @@ def component_dense_rank(m, p):
 
 def assert_ranks_match_dense(v):
     assert v.rank_aug() == component_dense_rank(v.aug(), v.p)
-    assert v.rank_norm() == component_dense_rank(v.norm(), v.p)
+    assert v.rank_norm() == component_dense_rank(norm(v), v.p)
 
 
 def test_component_dense_rank_is_dense_rank():
     v = modp.conf_module(5, 2, 2)
-    for m in (v.aug(), v.norm()):
+    for m in (v.aug(), norm(v)):
         assert component_dense_rank(m, 5) == oracles.dense_rank_mod(m.to_dense(), 5)
 
 
@@ -309,19 +330,23 @@ def test_rank_norm_equals_dense_rank_of_full_norm():
         for n in (2, 3, 4):
             for t in all_t(p, n):
                 v = modp.conf_module(p, n, t)
-                assert v.rank_norm() == oracles.dense_rank_mod(v.norm().to_dense(), p), \
+                assert v.rank_norm() == oracles.dense_rank_mod(norm(v).to_dense(), p), \
                     (p, n, t)
 
 
 def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     """Tate groups, vanishing and fixed spaces need rank(sigma-1), rank N
     and the taus only: sigma^p = 1 follows from the Coxeter relators, and
-    rank N is taken on a complement, so no module forms its powers."""
-    def refuse(*args):
-        raise AssertionError("a power of sigma was formed")
+    rank N is taken on a complement, so no module runs sigma-products from
+    a full-width matrix, which would form its powers or N."""
+    run = modp.GModule.run
 
-    monkeypatch.setattr(modp.GModule, "sigma_power", refuse)
-    monkeypatch.setattr(modp.GModule, "partial_norm", refuse)
+    def narrow_run(v, x, m):
+        if v.dim > 1 and x.ncols == v.dim:
+            raise AssertionError("a power of sigma was formed")
+        return run(v, x, m)
+
+    monkeypatch.setattr(modp.GModule, "run", narrow_run)
     monkeypatch.setattr(modp, "_conf_cache", {})
     ts = all_t(7, 3)
     for t in ts:
@@ -356,7 +381,7 @@ def dense_tate(v, s):
         return dense_cyclic_cohomology(v, s).get(s, 0)
     d = v.dim
     ra = oracles.dense_rank_mod(v.aug().to_dense(), v.p)
-    rn = oracles.dense_rank_mod(v.norm().to_dense(), v.p)
+    rn = oracles.dense_rank_mod(norm(v).to_dense(), v.p)
     if s == 0:
         return dense_cyclic_cohomology(v, 0).get(0, 0) - rn
     if s == -1 or (-s - 1) % 2 == 0:
@@ -444,6 +469,16 @@ STABLE_DIMS = {
 }
 
 
+def right_sums(v, m):
+    """1 + sigma + ... + sigma^(m-1), each power a product with sigma on
+    the right: the test's own products, not GModule.run."""
+    x = acc = SparseMatrix.identity(v.dim, v.field)
+    for _ in range(m - 1):
+        x = x.matmul(v.sigma)
+        acc = acc.add(x)
+    return acc
+
+
 def _stable_reference(v, s_max):
     """The stage loop of sigma_p_cohomology_stable as it was before the
     periodic dimension short-cut: N, ker N and the comparison maps phi_s
@@ -453,9 +488,9 @@ def _stable_reference(v, s_max):
     r = modp._primitive_root(p)
     q = tuple((i - 1) * pow(r, -1, p) % p + 1 for i in range(1, p + 1))
     g = modp._element_matrix(v, q)
-    diffs = (v.aug(), v.norm())
+    diffs = (v.aug(), right_sums(v, p))
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
-    phis = (g, g.matmul(v.partial_norm(r)))
+    phis = (g, g.matmul(right_sums(v, r)))
 
     def phi(s):
         return phis[s % 2].scale(pow(r, s // 2, p))
@@ -485,13 +520,26 @@ def test_stable_route_matches_full_stage_loop():
 
 def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
     """An interior module is free, so its periodic dimension is 0 and the
-    route stops at H^0; the top module has H^4 != 0 and needs N."""
+    route stops at H^0: its full-width products with sigma are sigma,
+    ..., sigma^r and sigma g.  The top module has H^4 != 0 and needs N,
+    which continues that run, so sigma, ..., sigma^(p-1) are each formed
+    once: p - 1 products, and sigma g."""
     monkeypatch.setattr(modp, "_conf_cache", {})
-    interior, top = modp.conf_module(5, 2, 2), modp.conf_module(5, 2, 4)
-    modp.sigma_p_cohomology_stable(interior, 8)
-    assert interior._norm is None
-    modp.sigma_p_cohomology_stable(top, 8)
-    assert top._norm is not None
+    p, r = 5, modp._primitive_root(5)
+    interior, top = modp.conf_module(p, 2, 2), modp.conf_module(p, 2, 4)
+    products = []
+    matmul = SparseMatrix.matmul
+
+    def counting(a, b):
+        if a is v.sigma and b.ncols == v.dim:
+            products.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "matmul", counting)
+    for v, want in ((interior, r + 1), (top, p)):
+        products.clear()
+        modp.sigma_p_cohomology_stable(v, 8)
+        assert len(products) == want, v.dim
 
 
 def test_module_rows_are_never_written(monkeypatch):
