@@ -13,26 +13,28 @@ transposes and the eliminator read and build rows directly; the flat
 between matrices: a row of a product with a single entry on the left is a
 scaled row of the right factor, or, at an int 1, that row itself, and
 matrices built together may hold one dict for equal rows (the
-single-entry rows of forests.transposition_matrices).  Nothing writes to a
-row of an existing matrix: the eliminator starts from the input's rows as
-they are (over Q from the rows that already are primitive integer vectors)
-and builds every updated row anew.
+single-entry rows of forests.transposition_matrices and conf_module's
+sigma).  Nothing writes to a row of an existing matrix: the eliminator
+starts from the input's rows as they are (over Q from the rows that already
+are primitive integer vectors), copies each one on its first update, and
+from then on updates that copy in place.
 
-One eliminator serves rank, pivot_columns, kernel_basis and invert over
-the fields, and the unit pivots of smith_normal_form over Z.  A row update is
-a*row - b*prow, which clears the pivot column.  Over Q rows are primitive
-integer vectors: the update is fraction-free (Bareiss-style
-cross-multiplication), then the content is stripped.  Over F_p each pivot
-row is first scaled so its pivot entry is 1, so a = 1.  Over Z only an
-entry +-1 may pivot, a = 1 and b is the row's entry over the pivot, so
-every update is unimodular.  Pivots are chosen Markowitz-style: a row of
-fewest entries, then its column with the fewest active rows, with a
-deterministic tie-break on the lowest row index, then the lowest column
-index, so results and orderings are reproducible across runs.  Rows wait
-in one heap of (entry count, row id) pairs, and an updated row is pushed
-with its new count; a pair whose row is gone or has another count is
-skipped when it comes up, so a pick costs O(log n) amortised and makes the
-choice a scan would.
+One eliminator serves rank, pivot_columns, pivot_rows, kernel_basis and
+invert over the fields, and the unit pivots of smith_normal_form over Z.  A
+row update is a*row - b*prow, which clears the pivot column, in one pass
+over the pivot row that also keeps each column's set of active rows
+current.  Over Q rows are primitive integer vectors: the update is
+fraction-free (Bareiss-style cross-multiplication), then the content is
+stripped.  Over F_p each pivot row is first scaled so its pivot entry is
+1, so a = 1.  Over Z only an entry +-1 may pivot, a = 1 and b is the row's
+entry over the pivot, so every update is unimodular.  Pivots are chosen
+Markowitz-style: a row of fewest entries, then its column with the fewest
+active rows, with a deterministic tie-break on the lowest row index, then
+the lowest column index, so results and orderings are reproducible across
+runs.  Rows wait in one heap of (entry count, row id) pairs, and an updated
+row is pushed with its new count; a pair whose row is gone or has another
+count is skipped when it comes up, so a pick costs O(log n) amortised and
+makes the choice a scan would.
 Over Q row signs are not normalised.  A row with no admissible column is
 set aside until an update changes it; the rows still set aside at the end
 are returned.  rank counts the pivots.  For kernel_basis and invert a
@@ -358,44 +360,48 @@ def _integer_rows(m):
     return rows
 
 
-def _row_update(row, prow, j, p):
-    """a*row - b*prow with a = prow[j] and b = row[j], so column j drops out.
+def _row_update(row, prow, j, p, col_rows=None, r=None):
+    """a*row - b*prow with a = prow[j] and b = row[j], so column j drops out,
+    written into row: the caller owns row, and row is not prow.  Returns
+    the updated row, row itself save over Q when its content was above 1.
 
     Over F_p (p > 0) the pivot row is scaled so that a = 1, and entries are
     reduced mod p.  Over Z (p None) a = 1 and b = row[j] // prow[j]: column
     j drops out at a pivot +-1, and is left at row[j] mod prow[j] in the
     gcd loop of smith_normal_form.  Over Q (p = 0) rows are primitive
-    integer vectors, and the result is stripped of its content."""
+    integer vectors: row is scaled by a unless a = 1, and the result is
+    stripped of its content.  The support of row changes only at the
+    columns of prow, so the same loop keeps col_rows[jj], the rows with an
+    entry at jj, current for row id r when col_rows is given."""
     b = row[j]
-    if p:
-        out = dict(row)
-        for jj, v in prow.items():
-            w = (out.get(jj, 0) - b * v) % p
-            if w:
-                out[jj] = w
-            else:
-                del out[jj]
-        return out
     if p is None:
         b //= prow[j]
-        out = dict(row)
-        for jj, v in prow.items():
-            w = out.get(jj, 0) - b * v
-            if w:
-                out[jj] = w
-            else:
-                del out[jj]
-        return out
-    a = prow[j]
-    out = {jj: a * v for jj, v in row.items()}
+    elif not p:
+        a = prow[j]
+        if a != 1:
+            for jj in row:
+                row[jj] *= a
     for jj, v in prow.items():
-        out[jj] = out.get(jj, 0) - b * v
-    return _strip_content({jj: v for jj, v in out.items() if v})
+        old = row.get(jj)
+        if old is None:
+            # b and v are nonzero (mod p over F_p), and so is b*v
+            row[jj] = -b * v % p if p else -b * v
+            if col_rows is not None:
+                col_rows[jj].add(r)
+            continue
+        w = (old - b * v) % p if p else old - b * v
+        if w:
+            row[jj] = w
+        else:
+            del row[jj]
+            if col_rows is not None:
+                col_rows[jj].discard(r)
+    return _strip_content(row) if p == 0 else row
 
 
 def _eliminate(m, limit=None, reduce=False):
-    """The one elimination behind rank, kernel_basis, invert and the unit
-    pivots of smith_normal_form.
+    """The one elimination behind rank, pivot_columns, pivot_rows,
+    kernel_basis, invert and the unit pivots of smith_normal_form.
 
     Returns (pivots, rows, rest): pivots lists (column, row index of m) in
     pivot order, and rows maps each pivot's row index to its row (pivot
@@ -405,9 +411,14 @@ def _eliminate(m, limit=None, reduce=False):
     are chosen below limit (default: all), and over Z only at an entry +-1.
     rest lists the rows left with no admissible column; they have no entry
     in a pivot column.  Over Z every step is unimodular, so the Smith form
-    of m is one factor 1 per pivot and the Smith form of rest.  A row that
-    no update touched may be a row of m itself: the eliminator never writes
-    to a row it did not build, so neither may its callers.
+    of m is one factor 1 per pivot and the Smith form of rest.
+
+    Rows are updated in place, by _row_update, once this call owns them:
+    owned holds the ids of the rows it built.  A row of m, or one that
+    _integer_rows shares with m, is copied on its first write, so the rows
+    of m are never written, even where one dict is several rows of m or a
+    row of another matrix.  A returned row that no update touched may be a
+    row of m itself, so callers copy a returned row before writing to it.
     """
     # p: the characteristic over the fields, None over Z
     p = m.domain.characteristic if m.domain.is_field else None
@@ -425,6 +436,7 @@ def _eliminate(m, limit=None, reduce=False):
     # row is gone or has another count now is stale and skipped
     heap = [(len(row), i) for i, row in active.items()]
     heapify(heap)
+    owned = set()
     pivots = []
     done = {}
     while heap and active:
@@ -444,19 +456,16 @@ def _eliminate(m, limit=None, reduce=False):
         if p and prow[j] != 1:
             inv = pow(prow[j], -1, p)
             prow = {jj: v * inv % p for jj, v in prow.items()}
-        for r in list(col_rows.get(j, ())):
+            owned.add(i)
+        for r in list(col_rows[j]):
             row = active[r]
-            out = _row_update(row, prow, j, p)
-            # the support of the row can change only at the columns of prow
-            for jj in prow:
-                if jj in row:
-                    if jj not in out:
-                        col_rows[jj].discard(r)
-                elif jj in out:
-                    col_rows[jj].add(r)
-            if out:
-                active[r] = out
-                heappush(heap, (len(out), r))
+            if r not in owned:
+                row = dict(row)
+                owned.add(r)
+            row = _row_update(row, prow, j, p, col_rows, r)
+            if row:
+                active[r] = row
+                heappush(heap, (len(row), r))
             else:
                 del active[r]
         pivots.append((j, i))
@@ -465,7 +474,10 @@ def _eliminate(m, limit=None, reduce=False):
         row_of = dict(pivots)
         for j, i in reversed(pivots):
             row = done[i]
-            for jj in [jj for jj in row if jj != j and jj in row_of]:
+            later = [jj for jj in row if jj != j and jj in row_of]
+            if later and i not in owned:
+                row = dict(row)
+            for jj in later:
                 row = _row_update(row, done[row_of[jj]], jj, p)
             done[i] = row
     return pivots, done, list(active.values())
@@ -484,6 +496,20 @@ def pivot_columns(m):
     vectors at the other columns span a complement of that row space."""
     _require_field(m)
     return [j for j, _ in _eliminate(m)[0]]
+
+
+def pivot_rows(m):
+    """The row indices the eliminator pivots on over a field (Q or F_p), in
+    pivot order.
+
+    Each pivot row is its row of m less earlier pivot rows, and the pivot
+    rows are in echelon form, so the rows of m at these indices are
+    independent and span the row space of m.  The unit vectors at the other
+    indices then span a complement of the column space of m: projecting
+    onto the pivot coordinates is injective on the column space, since its
+    rank, the rank of those rows, equals their count, the rank of m."""
+    _require_field(m)
+    return [i for _, i in _eliminate(m)[0]]
 
 
 def rank(m):
@@ -554,8 +580,10 @@ def smith_normal_form(m):
     """
     if not isinstance(m.domain, Integers):
         raise DomainError("smith_normal_form requires ZZ coefficients")
-    pivots, _, rows = _eliminate(m)
+    pivots, _, rest = _eliminate(m)
     factors = [1] * len(pivots)
+    # the loop writes to its rows, and rest may hold rows of m
+    rows = [dict(row) for row in rest]
     while rows:
         _, r, j = min((abs(v), r, jj) for r, row in enumerate(rows)
                       for jj, v in row.items())

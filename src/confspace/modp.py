@@ -11,14 +11,15 @@ of the module data is small homological algebra over F_p:
     quotients, ker N / im(sigma-1) and ker(sigma-1) / im N, have the one
     dimension dim V - rank(sigma-1) - rank(N); so does every Tate group,
     which makes the Tate dimensions constant in s (Herbrand quotient 1).
-    One elimination of (sigma-1)^T gives rank(sigma-1) and a complement C
-    of im(sigma-1) spanned by unit vectors.  Since N(sigma-1) = 0, N maps
-    V and C onto the same image, so rank N is the rank of the columns of N
-    at C alone: dim V - rank(sigma-1) columns, 1/p of V for a free module.
-    They are the sum of sigma^k E_C, each a product of sigma with the last.
-    Every such run of sigma-products is GModule.run: rank N, the partial
-    norm 1 + ... + sigma^(r-1) with sigma^r, and N itself, which continues
-    the run from sigma^r: the stable route forms each of sigma, ...,
+    One elimination of sigma-1 gives rank(sigma-1), and its pivot rows give
+    a complement C of im(sigma-1) spanned by the unit vectors at the other
+    indices.  Since N(sigma-1) = 0, N maps V and C onto the same image, so
+    rank N is the rank of the columns of N at C alone: dim V - rank(sigma-1)
+    columns, 1/p of V for a free module.  They are the sum of sigma^k E_C,
+    each a product of sigma with the last.  Every such run of
+    sigma-products is GModule.run: rank N, the partial norm
+    1 + ... + sigma^(r-1) with sigma^r, and N itself, which continues the
+    run from sigma^r: the stable route forms each of sigma, ...,
     sigma^(p-1) once, and no power of sigma is stored.
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
@@ -49,7 +50,7 @@ from math import factorial
 
 from . import forests
 from .graded import GradedDims, PoincareSeries
-from .linalg import GF, SparseMatrix, is_prime, kernel_basis, pivot_columns, rank
+from .linalg import GF, SparseMatrix, is_prime, kernel_basis, pivot_rows, rank
 
 
 class ModpError(Exception):
@@ -111,9 +112,10 @@ class GModule:
         return self.sigma.sub(SparseMatrix.identity(self.dim, self.field))
 
     def rank_aug(self):
-        """rank(sigma-1): the pivots of (sigma-1)^T; rank_norm uses the rest."""
+        """rank(sigma-1): the pivot rows of sigma-1; rank_norm uses the
+        indices of the other rows."""
         if self._rank_aug is None:
-            pivots = set(pivot_columns(self.aug().transpose()))
+            pivots = set(pivot_rows(self.aug()))
             self._rank_aug = len(pivots)
             self._complement = [r for r in range(self.dim) if r not in pivots]
         return self._rank_aug
@@ -123,10 +125,10 @@ class GModule:
 
         N(sigma-1) = 0, so N kills im(sigma-1) and its image is the image of
         any complement C: rank N = rank(N restricted to C).  C is spanned by
-        the unit vectors e_r at the non-pivot columns r of (sigma-1)^T, and
-        N E_C is the first term of run(E_C, p), so only columns at C are
-        multiplied and no power of sigma is formed.  For a free module C is
-        1/p of V."""
+        the unit vectors e_r at the indices r of the rows of sigma-1 that
+        are not pivot rows (linalg.pivot_rows), and N E_C is the first term
+        of run(E_C, p), so only columns at C are multiplied and no power of
+        sigma is formed.  For a free module C is 1/p of V."""
         if self._rank_norm is None:
             self.rank_aug()
             e_c = SparseMatrix(self.dim, len(self._complement), self.field,
@@ -194,7 +196,9 @@ def conf_module(p, n, t):
     sigma acts by the p-cycle i -> i+1 and tau_i by the transposition
     (i, i+1), both through leaf relabeling followed by rewriting to the
     tall basis.  t must be a multiple of n-1 inside [0, (n-1)(p-1)].
-    Results are memoized: the matrices are never mutated downstream.
+    A single-entry row of sigma is the same dict as the equal row of the
+    taus, where one has it, as the taus share theirs.  Results are
+    memoized: the matrices are never mutated downstream.
     """
     key = (p, n, t)
     if key in _conf_cache:
@@ -211,6 +215,13 @@ def conf_module(p, n, t):
     cycle = {i: i % p + 1 for i in range(1, p + 1)}
     sigma = forests.action_matrix(cycle, p, n, t, basis=basis, domain=field)
     taus = forests.transposition_matrices(p, n, t, basis=basis, domain=field)
+    # a single-entry row of sigma equal to a tau's becomes that tau's dict
+    units = {next(iter(row.items())): row
+             for tau in taus for row in tau.rows.values() if len(row) == 1}
+    rows = sigma.rows
+    for r, row in rows.items():
+        if len(row) == 1:
+            rows[r] = units.get(next(iter(row.items())), row)
     v = GModule(p, sigma, taus=taus, basis=basis)
     _conf_cache[key] = v
     return v

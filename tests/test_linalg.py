@@ -17,6 +17,7 @@ from confspace.linalg import (
     is_prime,
     kernel_basis,
     pivot_columns,
+    pivot_rows,
     rank,
     smith_normal_form,
 )
@@ -430,7 +431,8 @@ def test_transpose_rank_invariance():
 def scan_eliminate(m, limit=None, reduce=False):
     """linalg._eliminate with no heap and no column bookkeeping: each pick
     scans the rows not set aside for the fewest entries, then the lowest
-    id, and counts each column's active rows afresh."""
+    id, and counts each column's active rows afresh.  _row_update writes
+    to the row it is given, so each update is given a fresh copy."""
     p = m.domain.characteristic if m.domain.is_field else None
     active = (linalg._integer_rows(m) if p == 0
               else {i: m.rows[i] for i in sorted(m.rows)})
@@ -451,7 +453,7 @@ def scan_eliminate(m, limit=None, reduce=False):
             inv = pow(prow[j], -1, p)
             prow = {jj: v * inv % p for jj, v in prow.items()}
         for r in [r for r, row in active.items() if j in row]:
-            out = linalg._row_update(active[r], prow, j, p)
+            out = linalg._row_update(dict(active[r]), prow, j, p)
             aside.discard(r)
             if out:
                 active[r] = out
@@ -464,7 +466,7 @@ def scan_eliminate(m, limit=None, reduce=False):
         for j, i in reversed(pivots):
             row = done[i]
             for jj in [jj for jj in row if jj != j and jj in row_of]:
-                row = linalg._row_update(row, done[row_of[jj]], jj, p)
+                row = linalg._row_update(dict(row), done[row_of[jj]], jj, p)
             done[i] = row
     return pivots, done, list(active.values())
 
@@ -557,6 +559,47 @@ def test_row_back_at_an_old_count_is_pivoted_once(monkeypatch):
         assert pushed == [(3, 2), (4, 2)], domain
         assert pivots == [(0, 0), (1, 1), (2, 2), (4, 3)] and rest == [], domain
         assert len(done[2]) == 4, domain
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows(), st.sampled_from([0, 7]))
+def test_pivot_rows_span_the_row_space_and_leave_a_column_complement(rows, p):
+    """The rows of m at pivot_rows(m) have the rank of m, and the unit
+    vectors at the other row indices complete the column space of m."""
+    m = SparseMatrix.from_rows(rows, GF(p) if p else QQ)
+    piv = pivot_rows(m)
+    r = rank(m)
+    assert len(set(piv)) == len(piv) == r
+    sub = SparseMatrix(r, m.ncols, m.domain,
+                       {(k, j): v for k, i in enumerate(piv) for j, v in m.rows[i].items()})
+    assert rank(sub) == r
+    rest = [i for i in range(m.nrows) if i not in piv]
+    e_rest = SparseMatrix(m.nrows, len(rest), m.domain,
+                          {(i, c): 1 for c, i in enumerate(rest)})
+    assert rank(SparseMatrix.hstack([m, e_rest])) == m.nrows
+
+
+def test_aliased_input_rows_are_left_unchanged():
+    """One dict as several rows of one matrix and as a row of a second, the
+    way the taus and sigma share their single-entry rows: every elimination
+    copies it before an update, so it keeps its entries, and the results
+    are those of the same matrices with no row shared."""
+    for domain in (GF(7), QQ, ZZ):
+        shared = {0: 1, 1: 2}
+        a = SparseMatrix._trusted(4, 3, domain, {0: shared, 1: {0: 1, 2: 1},
+                                                 2: shared, 3: shared})
+        b = SparseMatrix._trusted(3, 3, domain, {0: {0: 1, 1: 1}, 1: shared, 2: {2: 1}})
+        c = SparseMatrix._trusted(3, 3, domain, {0: shared, 1: shared, 2: {2: 1}})
+        for x in (a, b, c):
+            fresh = SparseMatrix.from_rows(x.to_dense(), domain)
+            if domain is ZZ:
+                calls = [smith_normal_form]
+            else:
+                calls = [rank, pivot_columns, pivot_rows, kernel_basis,
+                         lambda m: outcome(invert, m)]
+            for fn in calls:
+                assert fn(x) == fn(fresh), (domain, fn)
+                assert shared == {0: 1, 1: 2}, (domain, fn)
 
 
 def store_dense(rows, domain):

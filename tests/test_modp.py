@@ -543,13 +543,23 @@ def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
 
 
 def test_module_rows_are_never_written(monkeypatch):
-    """The taus share their single-entry rows, and a product shares rows of
-    its right factor, so no route may write to a row of sigma or a tau: each
-    is the same after validation, Tate, vanishing, fixed spaces, the stable
-    route and the eliminations of sigma - 1."""
+    """The taus share their single-entry rows, sigma shares those of its
+    single-entry rows that a tau has, and a product shares rows of its right
+    factor, so no route may write to a row of sigma or a tau: each is the
+    same after validation, Tate, vanishing, fixed spaces, the stable route
+    and the eliminations of sigma - 1."""
     monkeypatch.setattr(modp, "_conf_cache", {})
     p, n = 5, 2
     mods = [modp.conf_module(p, n, t) for t in all_t(p, n)]
+    shared = 0
+    for v in mods:
+        units = {tuple(row.items()): row
+                 for tau in v.taus for row in tau.rows.values() if len(row) == 1}
+        for row in v.sigma.rows.values():
+            if len(row) == 1 and tuple(row.items()) in units:
+                assert row is units[tuple(row.items())], v.dim
+                shared += 1
+    assert shared > 0
     before = [copy.deepcopy([m.rows for m in (v.sigma, *v.taus)]) for v in mods]
     for v in mods:
         modp.GModule(p, v.sigma, taus=v.taus, basis=v.basis)
