@@ -24,16 +24,10 @@ of the module data is small homological algebra over F_p:
   * Sigma_p-cohomology is computed by restriction to C_p: the image of the
     restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
     cyclic group of order p-1 generated by sigma -> sigma^r for a
-    primitive root r.  When the periodic dimension is 0 (every free
-    module, so every interior degree t) only H^0 is left, the classes of
-    ker(sigma-1) that the normalizer fixes.  Otherwise its action on
-    periodic-resolution cohomology is an explicit comparison chain map
-    (multiplication by r^j in stage 2j, r^j times the partial norm
-    1 + sigma + ... + sigma^(r-1) in stage 2j+1, both composed with the
-    permutation realizing the conjugation).
-    The cocycles of the even and odd stages, ker(sigma-1) and ker N, are
-    each one kernel basis matrix Z, taken once; a stage keeps the classes
-    of Z that its comparison map fixes modulo the coboundaries.
+    primitive root r.  When the periodic dimension h is 0 (every free
+    module, so every interior degree t) only H^0 is left.  Otherwise the
+    normalizer acts on the two periodic quotients by two h x h matrices,
+    and these give H^s for every s >= 1 with no elimination per degree.
   * A normalized bar-resolution computation over the full symmetric group
     is kept as a brute-force oracle for tiny groups.
 
@@ -382,26 +376,46 @@ def _element_matrix(v, q):
     return m
 
 
+def _quotient_matrix(z, b, phi, h):
+    """Matrix of phi on col z / col b, for z a kernel_basis matrix and phi
+    a map of col z to itself that keeps col b, which lies in col z.
+
+    A row of z equal to the unit row e_c reads off coordinate c, so the
+    rows of x at those rows are x in the basis z.  The columns of
+    K = kernel_basis(coords(b)^T) are the functionals that vanish on col b,
+    coordinates on the quotient; there must be h of them.  A unit row e_j
+    of K at c makes column c of z a lift of class j, and column j of the
+    matrix is K^T coords(phi z_c)."""
+    def units(m):
+        return {c: f for f, row in m.rows.items() if len(row) == 1 for c, x in row.items() if x == 1}
+
+    unit_rows = units(z)
+
+    def coords(x):
+        return SparseMatrix._trusted(z.ncols, x.ncols, x.domain,
+                                     {c: x.rows[f] for c, f in unit_rows.items() if f in x.rows})
+
+    k = kernel_basis(coords(b).transpose())
+    if k.ncols != h:
+        raise ModpError("a periodic quotient has %d classes, not h = %d" % (k.ncols, h))
+    lifts = SparseMatrix(z.ncols, h, z.domain, {(c, j): 1 for j, c in units(k).items()})
+    return k.transpose().matmul(coords(phi.matmul(z.matmul(lifts))))
+
+
 def sigma_p_cohomology_stable(v, s_max):
     """dim H^s(Sigma_p; V) via stable classes, s = 0..s_max.
 
     Restriction to C_p is injective with image the classes fixed by
     N(C_p)/C_p = <sigma -> sigma^r>, r a primitive root.  H^0, the classes
-    of ker(sigma-1) fixed by g below, is taken first.  If the periodic
-    dimension h is 0, H^s = 0 for s >= 1 and N is not formed.  Otherwise the
-    normalizer generator acts on periodic-resolution cochains by
-    phi_2j = r^j g and phi_{2j+1} = r^j g (1 + sigma + ... + sigma^(r-1))
-    where g realizes a permutation conjugating sigma to sigma^r; the
-    chain-map identity delta phi_s = phi_{s+1} delta is asserted at every
-    stage.
-
-    The differentials alternate between sigma-1 (s even) and N (s odd), so
-    each is eliminated at most once, for its kernel basis matrix Z, and
-    phi_s is a scale of one of the two products g and g (1 + ... +
-    sigma^(r-1)).  The partial norm, sigma^r and N come from one run of
-    sigma-products.
-    dim H^s is the number of columns of Z less the rank of
-    [phi_s Z - Z | image of the other differential].
+    of ker(sigma-1) fixed by g below, is taken first.  If s_max = 0 or the
+    periodic dimension h is 0, nothing else is formed.  Otherwise the
+    normalizer acts on periodic-resolution cochains by phi_2j = r^j g and
+    phi_{2j+1} = r^j g P, P = 1 + sigma + ... + sigma^(r-1), where g
+    realizes a permutation conjugating sigma to sigma^r.  phi is a chain
+    map iff (sigma-1) g = g P (sigma-1), which is sigma g = g sigma^r, and
+    N g P = r g N; each is checked once.  With G_0 and G_1 the h x h
+    matrices of g on ker(sigma-1)/im N and of g P on ker N/im(sigma-1),
+    dim H^s = h - rank(r^(s//2) G_(s mod 2) - 1) for every s >= 1.
     """
     if v.taus is None:
         raise ModpError("full Sigma_p action required")
@@ -413,38 +427,24 @@ def sigma_p_cohomology_stable(v, s_max):
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
     g = _element_matrix(v, q)
-    h = _periodic_dim(v)
-    # the partial norm 1 + sigma + ... + sigma^(r-1) of the odd stages and
-    # sigma^(r-1) from one run, then sigma^r for the conjugation check
-    partial, x = v.run(SparseMatrix.identity(v.dim, v.field), r)
-    x = v.sigma.matmul(x)
-    if v.sigma.matmul(g) != g.matmul(x):
-        raise ModpError("normalizer conjugation identity fails")
     aug = v.aug()
     z = kernel_basis(aug)
     dims = {0: z.ncols - rank(g.matmul(z).sub(z))}
-    if h == 0:
-        # restriction to the Sylow C_p is injective and H^s(C_p; V) has
-        # dimension _periodic_dim(v) = 0 for every s >= 1: only H^0 is left
+    h = _periodic_dim(v)
+    if h == 0 or s_max == 0:
+        # restriction to C_p is injective, and h = 0 is H^s(C_p; V) = 0
         return GradedDims(dims)
-    # N continues the run from sigma^r, so sigma, ..., sigma^(p-1) are each
-    # formed once
-    diffs = (aug, partial.add(v.run(x, p - r)[0]))
-    kernels = (z, kernel_basis(diffs[1]) if s_max else None)
-    phis = (g, g.matmul(partial))
-
-    def phi(s):
-        return phis[s % 2].scale(pow(r, s // 2, p))
-
-    for s in range(s_max + 1):
-        ds = diffs[s % 2]
-        phi_s = phi(s)
-        if ds.matmul(phi_s) != phi(s + 1).matmul(ds):
-            raise ModpError("comparison map is not a chain map at s = %d" % s)
-        if s:
-            z = kernels[s % 2]
-            moved = SparseMatrix.hstack([phi_s.matmul(z).sub(z), diffs[(s + 1) % 2]])
-            dims[s] = z.ncols - rank(moved)
+    # P and sigma^(r-1) from one run, which N continues from sigma^r, so
+    # sigma, ..., sigma^(p-1) are each formed once
+    partial, x = v.run(SparseMatrix.identity(v.dim, v.field), r)
+    norm = partial.add(v.run(v.sigma.matmul(x), p - r)[0])
+    gp = g.matmul(partial)
+    if aug.matmul(g) != gp.matmul(aug) or norm.matmul(gp) != g.matmul(norm).scale(r):
+        raise ModpError("comparison map is not a chain map")
+    mats = (_quotient_matrix(z, norm, g, h), _quotient_matrix(kernel_basis(norm), aug, gp, h))
+    one = SparseMatrix.identity(h, v.field)
+    dims.update((s, h - rank(mats[s % 2].scale(pow(r, s // 2, p)).sub(one)))
+                for s in range(1, s_max + 1))
     return GradedDims(dims)
 
 

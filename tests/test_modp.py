@@ -3,6 +3,7 @@
 import copy
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -520,12 +521,12 @@ def test_stable_route_matches_full_stage_loop():
 
 def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
     """An interior module is free, so its periodic dimension is 0 and the
-    route stops at H^0: its full-width products with sigma are sigma,
-    ..., sigma^r and sigma g.  The top module has H^4 != 0 and needs N,
-    which continues that run, so sigma, ..., sigma^(p-1) are each formed
-    once: p - 1 products, and sigma g."""
+    route stops at H^0, which needs no full-width product with sigma.  The
+    top module has H^4 != 0 and needs the partial norm, sigma^r and N, one
+    run in which sigma, ..., sigma^(p-1) are each formed once: p - 1
+    products."""
     monkeypatch.setattr(modp, "_conf_cache", {})
-    p, r = 5, modp._primitive_root(5)
+    p = 5
     interior, top = modp.conf_module(p, 2, 2), modp.conf_module(p, 2, 4)
     products = []
     matmul = SparseMatrix.matmul
@@ -536,10 +537,85 @@ def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(SparseMatrix, "matmul", counting)
-    for v, want in ((interior, r + 1), (top, p)):
+    for v, want in ((interior, 0), (top, p - 1)):
         products.clear()
         modp.sigma_p_cohomology_stable(v, 8)
         assert len(products) == want, v.dim
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stable_route_top_module_closed_form(p):
+    """On the top module G_0 = G_1 = (-1)^(n-1), so for s >= 1 H^s is F_p
+    when s mod 2(p-1) is p-1 or p (n even) or 0 or 1 (n odd), else 0."""
+    for n in (2, 3, 4):
+        v = modp.conf_module(p, n, (n - 1) * (p - 1))
+        s_max = 4 * (p - 1) + 1
+        dims = modp.sigma_p_cohomology_stable(v, s_max)
+        live = (p - 1, p) if n % 2 == 0 else (0, 1)
+        want = [int(s % (2 * p - 2) in live) for s in range(1, s_max + 1)]
+        assert [dims.get(s) for s in range(1, s_max + 1)] == want, n
+
+
+def test_stable_route_budget_on_the_top_module_at_p7():
+    """Every degree comes from two h x h matrices, so s <= 30 costs about
+    what s <= 1 does."""
+    v = modp.conf_module(7, 2, 6)
+    start = time.perf_counter()
+    dims = modp.sigma_p_cohomology_stable(v, 30)
+    assert time.perf_counter() - start < 10
+    assert [s for s in range(1, 31) if dims.get(s)] == [6, 7, 18, 19, 30]
+
+
+def direct_sum(*mods):
+    """The block-diagonal sum of Sigma_p-modules over one prime."""
+    def blocks(mats):
+        entries, offset = {}, 0
+        for m in mats:
+            entries.update({(i + offset, j + offset): x for (i, j), x in m.entries.items()})
+            offset += m.nrows
+        return SparseMatrix(offset, offset, mats[0].domain, entries)
+
+    return modp.GModule(mods[0].p, blocks([v.sigma for v in mods]),
+                        taus=[blocks(ts) for ts in zip(*(v.taus for v in mods))])
+
+
+def sum_cases(p, n):
+    """V_0 + V_top, V_top + V_top, V_top + sign V_top and
+    (V_0 + V_top) + sign V_0, with their periodic dimensions."""
+    v0, top = modp.conf_module(p, n, 0), modp.conf_module(p, n, (n - 1) * (p - 1))
+    return [(direct_sum(v0, top), 2), (direct_sum(top, top), 2),
+            (direct_sum(top, sign_twist(top)), 2),
+            (direct_sum(direct_sum(v0, top), sign_twist(v0)), 3)]
+
+
+def test_stable_route_on_sums_matches_bar_at_p3():
+    for v, h in sum_cases(3, 2):
+        assert modp._periodic_dim(v) == h
+        assert modp.sigma_p_cohomology_stable(v, 4) == modp.bar_cohomology(v, 4), v.dim
+
+
+def test_stable_route_on_sums_matches_stage_loop_at_p5():
+    for n in (2, 3):
+        for v, h in sum_cases(5, n):
+            assert modp._periodic_dim(v) == h
+            assert modp.sigma_p_cohomology_stable(v, 9) == _stable_reference(v, 9), (n, v.dim)
+
+
+def test_stable_route_refuses_a_non_chain_map(monkeypatch):
+    v = modp.conf_module(5, 2, 4)
+    monkeypatch.setattr(modp, "_element_matrix",
+                        lambda v, q: SparseMatrix.identity(v.dim, v.field))
+    with pytest.raises(modp.ModpError, match="not a chain map"):
+        modp.sigma_p_cohomology_stable(v, 1)
+
+
+def test_stable_route_cross_checks_the_periodic_dimension(monkeypatch):
+    """Each periodic quotient counts its classes a second way."""
+    v = modp.conf_module(5, 2, 4)
+    periodic_dim = modp._periodic_dim
+    monkeypatch.setattr(modp, "_periodic_dim", lambda v: periodic_dim(v) + 1)
+    with pytest.raises(modp.ModpError, match="has 1 classes, not h = 2"):
+        modp.sigma_p_cohomology_stable(v, 1)
 
 
 def test_module_rows_are_never_written(monkeypatch):
