@@ -9,10 +9,11 @@ faithful action on a free group
 
 composed left to right.  Subgroups are specified by a homomorphism to a
 permutation group, either as a kernel or as a point stabilizer; the coset
-table acts on the right, cosets are labeled in breadth-first discovery
-order (generators in declared order, positive step before negative), and
-the Schreier transversal reads representatives off the same tree, so they
-are prefix-closed by construction.
+table acts on the right, and one breadth-first search (generators in
+declared order, positive step before negative) both labels the cosets in
+discovery order and records the Schreier transversal: each new coset's
+representative is its finder's plus one letter, so the representatives are
+prefix-closed by construction.
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ def conjugate(x, g):
 
 
 def _canonical_cyclic(w):
-    """Least rotation of w or its inverse; used only to spot duplicates."""
-    w = cyclic_reduce(w)
-    if not w:
-        return ()
+    """Least rotation of the cyclically reduced, non-empty word w or of its
+    inverse; used only to spot duplicates."""
     best = None
     for cand in (w, word_inverse(w)):
         for r in range(len(cand)):
@@ -182,29 +181,15 @@ def _perm_eval(word, images, inverses):
 
 
 class CosetTable:
-    """Right action of the generators on cosets 1..n, base coset 1."""
+    """Right action of the generators on cosets 1..n, base coset 1:
+    action[g-1][c-1] is c.g and inverse[g-1][c-1] is c.g^-1.  transversal
+    maps each coset to its representative word, base -> empty."""
 
-    def __init__(self, n, action, gen_names, relators=()):
-        self.n = n
-        self.gen_names = list(gen_names)
-        self.action = [tuple(a) for a in action]
-        for a in self.action:
-            if sorted(a) != list(range(1, n + 1)):
-                raise GroupError("generator action is not a bijection on cosets")
-        self.inverse = [_perm_inv(a) for a in self.action]
-        for r in relators:
-            if _perm_eval(r, self.action, self.inverse) != tuple(range(1, n + 1)):
-                raise GroupError("a relator does not act trivially on cosets")
-        seen = {1}
-        stack = [1]
-        while stack:
-            c = stack.pop()
-            for a in self.action:
-                if a[c - 1] not in seen:
-                    seen.add(a[c - 1])
-                    stack.append(a[c - 1])
-        if len(seen) != n:
-            raise GroupError("coset action is not transitive from the base")
+    def __init__(self, action, inverse, transversal):
+        self.n = len(transversal)
+        self.action = action
+        self.inverse = inverse
+        self.transversal = transversal
 
     def step(self, coset, letter):
         t = self.action if letter > 0 else self.inverse
@@ -251,42 +236,31 @@ def coset_table_from_hom(pres, images, kind, point=None):
     else:
         raise GroupError("kind must be 'kernel' or 'stabilizer'")
 
+    # one breadth-first search labels the cosets, fills both tables, and
+    # gives each new coset its finder's representative plus one letter;
+    # order grows while it is read
     index = {start: 1}
     order = [start]
-    head = 0
-    while head < len(order):
-        cur = order[head]
-        head += 1
-        for g, gi in zip(images, inverses):
-            for h in (g, gi):
+    transversal = {1: ()}
+    action = [[] for _ in images]
+    inverse = [[] for _ in images]
+    for c, cur in enumerate(order, 1):
+        for g in range(len(images)):
+            for letter, h, row in ((g + 1, images[g], action[g]),
+                                   (-g - 1, inverses[g], inverse[g])):
                 nxt = move(cur, h)
                 if nxt not in index:
                     index[nxt] = len(order) + 1
                     order.append(nxt)
-    n = len(order)
-    action = []
-    for g in images:
-        action.append(tuple(index[move(state, g)] for state in order))
-    return CosetTable(n, action, pres.gens, pres.relators)
+                    transversal[len(order)] = transversal[c] + (letter,)
+                row.append(index[nxt])
+    return CosetTable(action, inverse, transversal)
 
 
 def schreier_transversal(table):
-    """Breadth-first coset representatives; prefix-closed, base -> empty."""
-    reps = {1: ()}
-    queue = [1]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for g in range(1, len(table.action) + 1):
-            for e in (1, -1):
-                nxt = table.step(c, g * e)
-                if nxt not in reps:
-                    reps[nxt] = reps[c] + (g * e,)
-                    queue.append(nxt)
-    if len(reps) != table.n:
-        raise GroupError("coset table not transitive")
-    return reps
+    """Breadth-first coset representatives, from the search that built the
+    table; prefix-closed, base -> empty."""
+    return dict(table.transversal)
 
 
 def subgroup_presentation(pres, table, transversal):
@@ -329,9 +303,10 @@ def subgroup_presentation(pres, table, transversal):
     seen = set()
     for c in range(1, table.n + 1):
         for r in pres.relators:
+            # r is non-empty and cyclically reduced, so it traces a closed
+            # path in the coset graph that never turns straight back; such a
+            # path survives contracting the transversal's tree, so w != ()
             w = cyclic_reduce(rewrite(r, c))
-            if not w:
-                continue
             key = _canonical_cyclic(w)
             if key not in seen:
                 seen.add(key)

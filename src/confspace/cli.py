@@ -271,24 +271,23 @@ def cmd_ce_stress(args):
 
 
 def _group_presentation(group, k):
+    """group is "braid" or "symmetric", as argparse's choices admit."""
     if group == "braid":
         return braid.braid_presentation(k)
-    if group == "symmetric":
-        return braid.symmetric_presentation(k)
-    raise CliError("unknown group %r" % group)
+    return braid.symmetric_presentation(k)
 
 
 def _hom_images(target, k):
-    if target == "permutation":
-        out = []
-        for i in range(1, k):
-            perm = list(range(1, k + 1))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            out.append(tuple(perm))
-        return out
+    """The images of the k - 1 generators for target "permutation" (the
+    adjacent transpositions of 1..k) or "sign" (the swap of 1, 2)."""
     if target == "sign":
         return [(2, 1)] * (k - 1)
-    raise CliError("unknown target %r" % target)
+    out = []
+    for i in range(1, k):
+        perm = list(range(1, k + 1))
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        out.append(tuple(perm))
+    return out
 
 
 def _abelianization_text(ab):

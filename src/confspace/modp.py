@@ -21,11 +21,13 @@ of the module data is small homological algebra over F_p:
     1 + ... + sigma^(r-1) with sigma^r, and N itself, which continues the
     run from sigma^r: the stable route forms each of sigma, ...,
     sigma^(p-1) once, and no power of sigma is stored.
-  * Sigma_p-cohomology is computed by restriction to C_p: the image of the
-    restriction is the subspace fixed by the normalizer N(C_p)/C_p, a
-    cyclic group of order p-1 generated by sigma -> sigma^r for a
-    primitive root r.  When the periodic dimension h is 0 (every free
-    module, so every interior degree t) only H^0 is left.  Otherwise the
+  * Sigma_p-cohomology is computed by restriction to C_p: in every degree
+    s >= 1 the image of the restriction is the subspace fixed by the
+    normalizer N(C_p)/C_p, a cyclic group of order p-1 generated by
+    sigma -> sigma^r for a primitive root r.  The H^0 reported is that
+    fixed part of ker(sigma-1), V^{N(C_p)}, which for p >= 5 can exceed
+    V^{Sigma_p}.  When the periodic dimension h is 0 (every free module,
+    so every interior degree t) only H^0 is left.  Otherwise the
     normalizer acts on the two periodic quotients by two h x h matrices,
     and these give H^s for every s >= 1 with no elimination per degree.
   * A normalized bar-resolution computation over the full symmetric group
@@ -322,7 +324,7 @@ def invariants_sigma_p(p, n):
 
 
 def _primitive_root(p):
-    """The least generator of the units mod p; 1 when p = 2."""
+    """The least generator of the units mod the prime p; 1 when p = 2."""
     for r in range(1, p):
         x, seen = 1, set()
         for _ in range(p - 1):
@@ -330,7 +332,6 @@ def _primitive_root(p):
             seen.add(x)
         if len(seen) == p - 1:
             return r
-    raise ModpError("no primitive root mod %d" % p)
 
 
 def _transposition_word(q):
@@ -349,25 +350,11 @@ def _transposition_word(q):
     return tuple(reversed(swaps))
 
 
-def _word_permutation(word, p):
-    out = []
-    for x in range(1, p + 1):
-        for i in reversed(word):
-            if x == i:
-                x = i + 1
-            elif x == i + 1:
-                x = i
-        out.append(x)
-    return tuple(out)
-
-
 def _element_matrix(v, q):
     """Action matrix of the permutation q (one-line tuple) via its
     transposition word, multiplied from the right so that each left factor
     is one tau; well-defined because the Coxeter relators hold."""
     word = _transposition_word(q)
-    if _word_permutation(word, v.p) != tuple(q):
-        raise ModpError("internal: transposition word does not recompose")
     if not word:
         return SparseMatrix.identity(v.dim, v.field)
     m = v.taus[word[-1] - 1]
@@ -405,9 +392,12 @@ def _quotient_matrix(z, b, phi, h):
 def sigma_p_cohomology_stable(v, s_max):
     """dim H^s(Sigma_p; V) via stable classes, s = 0..s_max.
 
-    Restriction to C_p is injective with image the classes fixed by
-    N(C_p)/C_p = <sigma -> sigma^r>, r a primitive root.  H^0, the classes
-    of ker(sigma-1) fixed by g below, is taken first.  If s_max = 0 or the
+    Restriction to C_p is injective, and in every degree s >= 1 its image
+    is the classes fixed by N(C_p)/C_p = <sigma -> sigma^r>, r a primitive
+    root.  H^0, taken first, is the classes of ker(sigma-1) fixed by g
+    below, that is V^{N(C_p)}.  The stable-element image does not hold in
+    degree 0, and for p >= 5 this can exceed V^{Sigma_p}: at
+    conf_module(5, 2, 2) it is 1 against 0.  If s_max = 0 or the
     periodic dimension h is 0, nothing else is formed.  Otherwise the
     normalizer acts on periodic-resolution cochains by phi_2j = r^j g and
     phi_{2j+1} = r^j g P, P = 1 + sigma + ... + sigma^(r-1), where g

@@ -51,17 +51,9 @@ def _iota_tree(t, step):
     for w1, c1 in left.items():
         for w2, c2 in right.items():
             c = c1 * c2
-            v = out.get(w1 + w2, 0) + c
-            if v:
-                out[w1 + w2] = v
-            else:
-                out.pop(w1 + w2, None)
-            v = out.get(w2 + w1, 0) - sign * c
-            if v:
-                out[w2 + w1] = v
-            else:
-                out.pop(w2 + w1, None)
-    return out
+            out[w1 + w2] = out.get(w1 + w2, 0) + c
+            out[w2 + w1] = out.get(w2 + w1, 0) - sign * c
+    return {w: c for w, c in out.items() if c}
 
 
 def _iota_forest(f, n):
@@ -90,12 +82,8 @@ def _iota_forest(f, n):
         for pref, c in combos.items():
             for w, c2 in part.items():
                 key = pref + (w,)
-                v = nxt.get(key, 0) + c * c2
-                if v:
-                    nxt[key] = v
-                else:
-                    nxt.pop(key, None)
-        combos = nxt
+                nxt[key] = nxt.get(key, 0) + c * c2
+        combos = {key: c for key, c in nxt.items() if c}
     return combos
 
 

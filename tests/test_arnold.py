@@ -1,5 +1,7 @@
 """Cohomology of ordered configurations: normal form and ring structure."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +99,15 @@ def test_poincare_polynomial_known_value():
     assert series.to_text() == "1 + 6t^2 + 11t^4 + 6t^6"
 
 
+def test_poincare_polynomial_checks_the_census(monkeypatch):
+    with pytest.raises(ValueError, match="need k >= 0 and n >= 2"):
+        arnold.poincare_polynomial(-1, 2)
+    monkeypatch.setattr(arnold, "admissible_basis", lambda k, n, degree: [])
+    with pytest.raises(AssertionError, match=re.escape(
+            "basis census 0 != product formula 1 in degree 0 (k=3, n=2)")):
+        arnold.poincare_polynomial(3, 2)
+
+
 def test_census_counts_are_stirling():
     for n in (2, 3):
         for k in range(1, 7):
@@ -110,6 +121,13 @@ def test_monomial_round_trip():
     text = arnold.monomial_str(mono)
     assert arnold.parse_monomial(text) == mono
     assert arnold.parse_monomial("1") == ()
+    with pytest.raises(ValueError, match="ambiguous generator 'a123'"):
+        arnold.parse_monomial("a123")
+
+
+def test_class_repr():
+    x = arnold.CohomologyClass(3, 2, {((1, 2),): 2, (): 1, ((1, 3),): -1})
+    assert repr(x) == "1 + 2*a12 - a13"
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,5 +166,7 @@ def test_bad_indices_rejected():
         arnold.generator(3, 2, 2, 2)
     with pytest.raises(ValueError):
         arnold.admissible_basis(3, 1, 0)
+    # the top degree of k = 3, n = 2 is 2
+    assert arnold.admissible_basis(3, 2, 3) == []
     with pytest.raises(ValueError, match="not a permutation"):
         arnold.sigma_act({1: 1, 2: 1, 3: 3}, arnold.generator(3, 2, 1, 2))

@@ -1,12 +1,13 @@
 """Braid presentations, coset enumeration, and the Artin action."""
 
+import itertools
 import re
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace import braid
+from confspace import braid, cli
 
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
@@ -118,8 +119,12 @@ def test_coset_table_rejects_non_homomorphism():
                                         [(2, 1, 3), (1, 3, 2)], "orbit"),
      "kind must be 'kernel' or 'stabilizer'"),
     (lambda: braid.artin_action((1, 3), 3), "letter 3 is not a valid B_3 generator"),
+    (lambda: braid.winding_generator(2, 2), "need 1 <= i < j"),
+    (lambda: braid.coset_rep_word(0, 3), "need 1 <= ell <= k"),
+    (lambda: braid.verify_paper_relations(2), "need k >= 3"),
 ], ids=["duplicate-generators", "braid-k-zero", "symmetric-k-zero", "image-count",
-        "image-degree", "unknown-kind", "artin-letter"])
+        "image-degree", "unknown-kind", "artin-letter", "winding-pair", "coset-rep-index",
+        "relations-k-two"])
 def test_refusals(call, message):
     with pytest.raises(braid.GroupError, match=re.escape(message)):
         call()
@@ -139,6 +144,108 @@ def test_schreier_transversal_prefix_closed():
     for w in reps.values():
         for i in range(len(w)):
             assert w[:i] in rep_words
+
+
+def _second_bfs_transversal(table):
+    """The transversal as a second breadth-first search over the finished
+    table found it: generators in order, +g before -g."""
+    reps = {1: ()}
+    queue = [1]
+    for c in queue:
+        for g in range(1, len(table.action) + 1):
+            for e in (1, -1):
+                nxt = table.step(c, g * e)
+                if nxt not in reps:
+                    reps[nxt] = reps[c] + (g * e,)
+                    queue.append(nxt)
+    return reps
+
+
+def _tuple_action(k, r):
+    """The adjacent transpositions of 1..k acting on ordered r-tuples of
+    strands, as permutations of the tuples' indices."""
+    pts = list(itertools.permutations(range(1, k + 1), r))
+    idx = {p: i + 1 for i, p in enumerate(pts)}
+    return [tuple(idx[tuple(perm[x - 1] for x in p)] for p in pts)
+            for perm in cli._hom_images("permutation", k)]
+
+
+def _table_cases():
+    """(presentation, images, kind, point) over braid and symmetric groups
+    with k <= 6, both targets, the kernel and the stabilizer of every
+    point, and the tuple action at (k, r) = (7, 3)."""
+    for k in range(2, 7):
+        for pres in (braid.braid_presentation(k), braid.symmetric_presentation(k)):
+            for target in ("permutation", "sign"):
+                images = cli._hom_images(target, k)
+                yield pres, images, "kernel", None
+                for point in range(1, len(images[0]) + 1):
+                    yield pres, images, "stabilizer", point
+    yield braid.braid_presentation(7), _tuple_action(7, 3), "stabilizer", 1
+
+
+def test_transversal_is_the_second_bfs_and_the_table_is_an_action():
+    """The transversal recorded while the table is built equals the one a
+    second search over the finished table finds; each representative
+    reaches its coset, the inverse table inverts the action, and every
+    relator acts trivially on the cosets."""
+    cases = 0
+    for pres, images, kind, point in _table_cases():
+        table = braid.coset_table_from_hom(pres, images, kind, point)
+        reps = braid.schreier_transversal(table)
+        assert reps == _second_bfs_transversal(table), (pres.gens, kind, point)
+        assert len(reps) == table.n
+        cosets = range(1, table.n + 1)
+        for c in cosets:
+            assert table.trace(1, reps[c]) == c
+            for g in range(1, len(pres.gens) + 1):
+                assert table.step(table.step(c, g), -g) == c
+        for r in pres.relators:
+            assert all(table.trace(c, r) == c for c in cosets)
+        cases += 1
+    assert cases == 81
+
+
+def test_schreier_transversal_returns_a_copy():
+    table = braid.coset_table_from_hom(braid.symmetric_presentation(3),
+                                       [(2, 1, 3), (1, 3, 2)], "kernel")
+    reps = braid.schreier_transversal(table)
+    reps[1] = (1,)
+    assert braid.schreier_transversal(table)[1] == ()
+
+
+def _rewritten_relators(pres, table, reps):
+    """Every ambient relator rewritten at every coset in the Schreier
+    generators, freely and cyclically reduced, with no deduplication."""
+    gen_of = {}
+    for c in range(1, table.n + 1):
+        for g in range(1, len(pres.gens) + 1):
+            if braid.concat(reps[c], (g,), braid.word_inverse(reps[table.step(c, g)])):
+                gen_of[(c, g)] = len(gen_of) + 1
+    for c in range(1, table.n + 1):
+        for r in pres.relators:
+            out, at = [], c
+            for s in r:
+                if s > 0:
+                    if (at, s) in gen_of:
+                        out.append(gen_of[(at, s)])
+                    at = table.step(at, s)
+                else:
+                    at = table.step(at, s)
+                    if (at, -s) in gen_of:
+                        out.append(-gen_of[(at, -s)])
+            yield braid.cyclic_reduce(out)
+
+
+def test_no_rewritten_relator_is_empty():
+    """subgroup_presentation keeps no guard for an empty rewritten relator:
+    a non-empty cyclically reduced relator traces a closed path in the
+    coset graph that never turns straight back, and contracting the
+    transversal's tree leaves such a path non-empty."""
+    for pres, images, kind, point in _table_cases():
+        table = braid.coset_table_from_hom(pres, images, kind, point)
+        reps = braid.schreier_transversal(table)
+        assert all(_rewritten_relators(pres, table, reps)), (pres.gens, kind, point)
 
 
 def test_alternating_subgroup_of_sym3():
@@ -214,6 +321,7 @@ def test_verify_paper_relations_catalogue():
 def test_presentation_text():
     pres = braid.braid_presentation(3)
     assert pres.to_text() == "gens: s1,s2 ; rels: s1s2s1s2^-1s1^-1s2^-1"
+    assert repr(pres) == "Presentation(gens: s1,s2 ; rels: s1s2s1s2^-1s1^-1s2^-1)"
 
 
 def test_word_str():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confspace import ce, cli, presets
-from confspace.graded import GradedDims
+from confspace.graded import GradedDims, PoincareSeries
 
 
 ALL_PRESETS = presets.list_presets()
@@ -210,6 +210,53 @@ def test_symmetries_found_on_surfaces():
         assert orbit == odd, genus
 
 
+def test_symmetry_search_that_runs_out_of_nodes_costs_time_only():
+    # two degree-1 classes and one class in each degree 2..69: extending
+    # a -> b maps the other 68 classes one node each, past _SEARCH_NODES
+    basis = [("a", 1), ("b", 1)] + [("c%d" % d, d) for d in range(2, 70)]
+    g = ce.build_gm(ce.load_algebra(presets.doc("wide", 71, basis, [])))
+    assert len(g.slots) > ce._SEARCH_NODES
+    assert ce._symmetries(g) == []
+    block = ce.ce_block(g, 2)
+    assert ce.betti(g, 2) == GradedDims({i: block.homology(i) for i in block.degrees()})
+
+
+def test_betti_checks_orbit_piece_sizes(monkeypatch):
+    # swapping the weight-1 slots z and x1 of the punctured torus is no
+    # symmetry: it joins pieces of different sizes
+    g = gm("punctured-torus")
+    assert [repr(s) for s in g.slots[:2]] == ["Slot('z', deg=-1, w=1)", "Slot('x1', deg=0, w=1)"]
+    monkeypatch.setattr(ce, "_symmetries", lambda g: [[1, 0, 2, 3, 4, 5]])
+    with pytest.raises(AssertionError, match="weight-1 pieces 1 and 4 of one orbit differ in size"):
+        ce.betti(g, 1)
+
+
+def test_assemble_checks_d_squared(monkeypatch):
+    d_monomial = ce._d_monomial
+    monkeypatch.setattr(ce, "_d_monomial",
+                        lambda g, mono, sdeg: {m: 1 for m in d_monomial(g, mono, sdeg)})
+    with pytest.raises(AssertionError, match=re.escape("d^2 != 0 in weight 4 at degree 5")):
+        ce.ce_block(gm("closed-surface-1"), 4)
+
+
+def test_euler_series_checks_the_chain_sum(monkeypatch):
+    monkeypatch.setattr(ce, "_sym_series", lambda g, wb: PoincareSeries.one(None, wb))
+    with pytest.raises(AssertionError,
+                       match="Euler mismatch at weight 1: chain sum -1 vs series 0"):
+        ce.euler_series(gm("punctured-torus"), 3)
+
+
+@pytest.mark.parametrize("bracket, message", [
+    ({("x1", "y1"): {"x1~": 1}, ("y1", "x1"): {"x1~": -1}}, "bracket [x1,y1] not degree-0"),
+    ({("x1", "y1"): {"x1": 1}, ("y1", "x1"): {"x1": -1}}, "bracket [x1,y1] not weight-additive"),
+    ({("x1", "y1"): {"z~": -1}}, "antisymmetry fails on [x1, y1]"),
+], ids=["degree", "weight", "antisymmetry"])
+def test_gm_lie_refuses_a_bad_bracket(bracket, message):
+    g = gm("punctured-torus")
+    with pytest.raises(ce.AlgebraError, match=re.escape(message)):
+        ce.GMLie(g.algebra, g.slots, bracket)
+
+
 def test_signed_permutation_with_one_wrong_sign_is_refused():
     g = gm("closed-surface-1")
     fixed = {"e": ("e", 1), "z": ("z", 1)}
@@ -301,6 +348,14 @@ def test_stability_report_rows_are_pinned():
 def test_stability_rejects_small_dimension():
     with pytest.raises(ce.StabilityError):
         ce.stability_report(gm("euclidean-2"), 3)
+
+
+def test_stability_needs_exactly_one_top_class():
+    for basis, found in (([("a", 2)], 0), ([("a", 3), ("b", 3)], 2)):
+        g = ce.build_gm(ce.load_algebra(presets.doc("no-point", 3, basis, [])))
+        with pytest.raises(ce.StabilityError,
+                           match="expected exactly one top-degree class, found %d" % found):
+            ce.stability_report(g, 2)
 
 
 # Open 4- and 6-manifolds whose cohomology has nonzero products, each minus
@@ -398,6 +453,8 @@ def test_chain_dims_equal_enumerated_counts():
             assert ce.chain_dims(g, k) == enumerated, (a.name, k)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         ce.chain_dims(g, -1)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        ce.ce_block(g, -1)
 
 
 def test_labeled_series_identity_and_guards():
@@ -414,6 +471,8 @@ def test_sym_homology_odd_small():
     sym2 = ce.sym_homology_odd(h, 2)
     # Sym^2 of one even class e and two odd x, y: e^2; ex, ey; xy
     assert dict(sym2.items()) == {0: 1, 1: 2, 2: 1}
+    with pytest.raises(ValueError, match="homology degrees must be nonnegative"):
+        ce.sym_homology_odd({-1: 1}, 2)
 
 
 def test_load_algebra_validation():

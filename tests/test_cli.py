@@ -6,7 +6,10 @@ import io
 import json
 import pathlib
 import re
+import runpy
 import shlex
+import sys
+import warnings
 
 import pytest
 
@@ -248,6 +251,40 @@ def test_selftest_subset(capsys):
     assert "surface-two-points" in out
     assert "pass" in out
     assert "[1/1]" in err
+
+
+def test_selftest_over_budget_is_slow(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "run_check", lambda number: selftest.CheckResult(
+        number, "arnold-census", True, 6.0, 5.0, "done"))
+    code, out, _ = run(capsys, "--format", "csv", "selftest", "--checks", "1",
+                       "--workers", "1")
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out)))[1] == [
+        "1", "arnold-census", "slow", "6.00", "5", "done"]
+
+
+def test_broken_pipe_exits_1(capsys, monkeypatch):
+    def handler(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_modp_swan", handler)
+    assert run(capsys, "modp", "swan", "--p", "5") == (1, "", "")
+
+
+def test_module_runs_as_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["confspace", "modp", "swan", "--p", "5"])
+    with warnings.catch_warnings():
+        # runpy warns that confspace.cli is imported already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("confspace.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "8\n"
+
+
+def test_hom_images():
+    assert cli._hom_images("permutation", 4) == [(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)]
+    assert cli._hom_images("sign", 4) == [(2, 1)] * 3
 
 
 def test_selftest_parallel_matches_serial(capsys):

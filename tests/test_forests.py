@@ -184,6 +184,13 @@ def test_pairing_unimodular_small():
                 assert all(x == 1 for x in factors)
 
 
+def test_pairing_checks_the_basis_sizes(monkeypatch):
+    monkeypatch.setattr(arnold, "admissible_basis", lambda k, n, degree: [])
+    with pytest.raises(AssertionError,
+                       match="basis size mismatch: 3 forests vs 0 monomials"):
+        forests.pairing_matrix(3, 2, 1)
+
+
 @pytest.mark.parametrize("k, n, j_max", [(k, n, k - 1) for k in range(1, 7)
                                           for n in (2, 3, 4, 5)]
                          + [(7, n, 5) for n in (2, 3)])

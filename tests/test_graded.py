@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from confspace.graded import (
     GradedDims,
     PoincareSeries,
+    SeriesWindowError,
     product_one_plus_jt,
     series_equal,
     sym_series,
@@ -48,6 +49,22 @@ def test_series_arithmetic_and_truncation():
     assert series_equal(s, PoincareSeries({(0, 0): 1, (3, 2): 1, (5, 1): 7}, None, 2))
     assert not series_equal(s, PoincareSeries({(0, 0): 1, (3, 2): 2}, 4, 2))
     assert series_equal(s, PoincareSeries({(0, 0): 1, (3, 2): 2}, 2, 2))
+
+
+def test_series_text_windows_and_refusals():
+    zero = PoincareSeries({}, None, None)
+    assert zero.to_text() == "0" and repr(zero) == "PoincareSeries(0)"
+    # the weight-3 term lies past the weight bound and is dropped
+    s = PoincareSeries({(0, 0): 3, (1, 1): -2, (2, 3): 1}, None, 2)
+    assert s.coeffs == {(0, 0): 3, (1, 1): -2}
+    assert repr(s) == "PoincareSeries(3 - 2s*t)"
+    # series_equal compares only inside the common weight window
+    assert series_equal(PoincareSeries({(0, 0): 1, (0, 3): 5}, None, None),
+                        PoincareSeries({(0, 0): 1}, None, 2))
+    with pytest.raises(SeriesWindowError, match="truncation windows do not overlap"):
+        series_equal(s, PoincareSeries({}, -1, None))
+    with pytest.raises(SeriesWindowError, match="sym_series needs finite truncation bounds"):
+        sym_series({(1, 1): 1}, None, 2)
 
 
 def test_series_window_mismatch_is_error():

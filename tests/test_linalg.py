@@ -359,6 +359,15 @@ def test_shape_and_domain_refusals():
         invert(SparseMatrix.from_rows([[1, 2]], QQ))
     with pytest.raises(DomainError):
         smith_normal_form(SparseMatrix.from_rows([[2]], QQ))
+    with pytest.raises(IndexError, match=r"entry \(2, 0\) outside 2x3"):
+        SparseMatrix(2, 3, ZZ, {(2, 0): 1})
+    a = SparseMatrix.identity(2, QQ)
+    for op in (a.add, a.sub):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(SparseMatrix.identity(3, QQ))
+    with pytest.raises(ValueError, match="empty stack"):
+        SparseMatrix.hstack([])
+    assert repr(SparseMatrix(2, 3, GF(5), {(0, 1): 7})) == "SparseMatrix(2x3 over GF(5), 1 nonzero)"
 
 
 def test_invert_rejects_singular():

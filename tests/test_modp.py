@@ -357,6 +357,19 @@ def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     assert sorted(modp._conf_cache) == [(7, 3, t) for t in ts]
 
 
+def test_transposition_word_recomposes_every_permutation():
+    """q = tau_{w[0]} o tau_{w[1]} o ..., so applying the word's swaps to x
+    from the right end reaches q(x), for every q of 1..5."""
+    for q in itertools.permutations(range(1, 6)):
+        word = modp._transposition_word(q)
+        got = []
+        for x in range(1, 6):
+            for i in reversed(word):
+                x = {i: i + 1, i + 1: i}.get(x, x)
+            got.append(x)
+        assert tuple(got) == q
+
+
 def test_element_matrix_starts_at_the_first_tau():
     v = modp.conf_module(5, 2, 2)
     assert modp._element_matrix(v, (1, 2, 3, 4, 5)) == SparseMatrix.identity(v.dim, GF(5))
@@ -418,6 +431,19 @@ def test_vanishing_is_vacuous_for_p_two():
 def test_vanishing_small_cases():
     assert modp.verify_vanishing(3, 2) is True
     assert modp.verify_vanishing(5, 2) is True
+
+
+def test_freeness_certificate_refuses_degree_zero():
+    # the one-point forest partition of t = 0 is fixed by the p-cycle
+    for p, n in ((3, 2), (5, 2), (5, 3)):
+        assert modp._freeness_certificate(modp.conf_module(p, n, 0)) is False
+
+
+def test_vanishing_raises_when_the_two_routes_disagree(monkeypatch):
+    monkeypatch.setattr(modp, "_freeness_certificate", lambda v: False)
+    with pytest.raises(AssertionError, match=re.escape(
+            "certificate (False) and linear algebra (True) disagree at t = 1")):
+        modp.verify_vanishing(3, 2)
 
 
 def test_invariants_small_prime_exception():
@@ -680,6 +706,15 @@ def test_bar_cohomology_refuses_large_groups():
         modp.bar_cohomology(modp.trivial_module(3), 9)
 
 
+def test_bar_cohomology_checks_multiplicativity(monkeypatch):
+    v = modp.trivial_module(3)
+    # 2 * identity over F_3: its square is the identity, not itself
+    monkeypatch.setattr(modp, "_element_matrix",
+                        lambda v, q: SparseMatrix.identity(v.dim, v.field).scale(2))
+    with pytest.raises(modp.ModpError, match="element matrices are not multiplicative"):
+        modp.bar_cohomology(v, 2)
+
+
 def test_nakaoka_series_degrees():
     series = modp.nakaoka_series(3, 12)
     got = {d for (d, _), c in series.coeffs.items() if c}
@@ -703,6 +738,18 @@ def test_cohen_series_values():
 def test_swan_period_brute_force_matches_closed_form():
     for p in (3, 5, 7):
         assert modp.swan_period(p) == 2 * (p - 1)
+
+
+def test_swan_period_checks_the_brute_force_counts(monkeypatch):
+    # only the identity: a centralizer of order 1
+    monkeypatch.setattr(modp, "permutations", lambda points: [(1, 2, 3)])
+    with pytest.raises(modp.ModpError, match="centralizer of the p-cycle should have order p"):
+        modp.swan_period(3)
+    # <(1 2 3)> and one transposition: |N| = 4 against |C| = 3
+    monkeypatch.setattr(modp, "permutations",
+                        lambda points: [(1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3)])
+    with pytest.raises(modp.ModpError, match="centralizer order does not divide"):
+        modp.swan_period(3)
 
 
 def test_swan_period_closed_form_beyond_brute_force():
