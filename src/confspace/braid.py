@@ -63,8 +63,8 @@ def conjugate(x, g):
 
 
 def _canonical_cyclic(w):
-    """Least rotation of the cyclically reduced, non-empty word w or of its
-    inverse; used only to spot duplicates."""
+    """Least rotation of the cyclically reduced word w or of its inverse,
+    None for the empty word; used only to spot duplicates."""
     best = None
     for cand in (w, word_inverse(w)):
         for r in range(len(cand)):
@@ -78,14 +78,23 @@ def _canonical_cyclic(w):
 # presentations
 
 class Presentation:
-    """Generator names plus freely and cyclically reduced relator words."""
+    """Generator names plus freely and cyclically reduced relator words.
+
+    The constructor is the one place that reduces relators: it cyclically
+    reduces each word, drops the empty ones, and keeps the first of those
+    equal up to rotation and inversion (_canonical_cyclic)."""
 
     def __init__(self, gens, relators, ambient_words=None):
         self.gens = list(gens)
         if len(set(self.gens)) != len(self.gens):
             raise GroupError("duplicate generator names")
-        self.relators = [cyclic_reduce(tuple(r)) for r in relators]
-        self.relators = [r for r in self.relators if r]
+        self.relators = []
+        seen = set()
+        for r in map(cyclic_reduce, relators):
+            key = _canonical_cyclic(r)
+            if r and key not in seen:
+                seen.add(key)
+                self.relators.append(r)
         # subgroup presentations remember what each generator means in the
         # ambient group
         self.ambient_words = ambient_words
@@ -267,9 +276,12 @@ def subgroup_presentation(pres, table, transversal):
     """Reidemeister-Schreier presentation of the subgroup of a coset table.
 
     Generators are the nontrivial rep(c) s rep(c.s)^-1; relators are the
-    ambient relators rewritten at every coset.  Simplification is limited
-    to dropping trivial generators, free and cyclic reduction, and
-    deleting duplicate relators.
+    ambient relators rewritten at every coset, freely reduced; Presentation
+    reduces them cyclically and drops duplicates.  No other simplification
+    is made beyond dropping trivial generators.  No rewritten relator is
+    empty: a non-empty cyclically reduced relator traces a closed path in
+    the coset graph that never turns straight back, and such a path
+    survives contracting the transversal's tree.
     """
     names = []
     gen_of = {}
@@ -299,18 +311,7 @@ def subgroup_presentation(pres, table, transversal):
                     out.append(-idx)
         return free_reduce(out)
 
-    relators = []
-    seen = set()
-    for c in range(1, table.n + 1):
-        for r in pres.relators:
-            # r is non-empty and cyclically reduced, so it traces a closed
-            # path in the coset graph that never turns straight back; such a
-            # path survives contracting the transversal's tree, so w != ()
-            w = cyclic_reduce(rewrite(r, c))
-            key = _canonical_cyclic(w)
-            if key not in seen:
-                seen.add(key)
-                relators.append(w)
+    relators = (rewrite(r, c) for c in range(1, table.n + 1) for r in pres.relators)
     return Presentation(names, relators, ambient_words=ambient)
 
 

@@ -19,14 +19,14 @@ starts from the input's rows as they are (over Q from the rows that already
 are primitive integer vectors), copies each one on its first update, and
 from then on updates that copy in place.
 
-One eliminator serves rank, pivot_columns, pivot_rows, kernel_basis and
-invert over the fields, and the unit pivots of smith_normal_form over Z.  A
-row update is a*row - b*prow, which clears the pivot column, in one pass
-over the pivot row that also keeps each column's set of active rows
-current.  Over Q rows are primitive integer vectors: the update is
-fraction-free (Bareiss-style cross-multiplication), then the content is
-stripped.  Over F_p each pivot row is first scaled so its pivot entry is
-1, so a = 1.  Over Z only an entry +-1 may pivot, a = 1 and b is the row's
+One eliminator serves rank, kernel_basis and invert over the fields, and
+the unit pivots of smith_normal_form over Z.  A row update is
+a*row - b*prow, which clears the pivot column, in one pass over the pivot
+row that also keeps each column's set of active rows current.  Over Q
+rows are primitive integer vectors: the update is fraction-free
+(Bareiss-style cross-multiplication), then the content is stripped.
+Over F_p each pivot row is first scaled so its pivot entry is 1, so
+a = 1.  Over Z only an entry +-1 may pivot, a = 1 and b is the row's
 entry over the pivot, so every update is unimodular.  Pivots are chosen
 Markowitz-style: a row of fewest entries, then its column with the fewest
 active rows, with a deterministic tie-break on the lowest row index, then
@@ -40,10 +40,11 @@ set aside until an update changes it; the rows still set aside at the end
 are returned.  rank counts the pivots.  For kernel_basis and invert a
 back-substitution pass then clears every pivot column outside its own row;
 kernel_basis returns one matrix whose columns are indexed by the non-pivot
-columns, and the inverse is read off the reduced [A | I] with pivots
-restricted to the columns of A.  smith_normal_form counts a factor 1 per
-unit pivot and runs a short gcd loop, with row and column operations, on
-the rows set aside.
+columns, with the identity in its rows there, so the unit vectors at the
+non-pivot columns span a complement of the row space; the inverse is read
+off the reduced [A | I] with pivots restricted to the columns of A.
+smith_normal_form counts a factor 1 per unit pivot and runs a short gcd
+loop, with row and column operations, on the rows set aside.
 """
 
 from __future__ import annotations
@@ -400,8 +401,8 @@ def _row_update(row, prow, j, p, col_rows=None, r=None):
 
 
 def _eliminate(m, limit=None, reduce=False):
-    """The one elimination behind rank, pivot_columns, pivot_rows,
-    kernel_basis, invert and the unit pivots of smith_normal_form.
+    """The one elimination behind rank, kernel_basis, invert and the unit
+    pivots of smith_normal_form.
 
     Returns (pivots, rows, rest): pivots lists (column, row index of m) in
     pivot order, and rows maps each pivot's row index to its row (pivot
@@ -489,32 +490,10 @@ def _require_field(m):
                           % m.domain)
 
 
-def pivot_columns(m):
-    """The eliminator's pivot columns over a field (Q or F_p), in pivot order.
-
-    The pivot rows are an echelon basis of the row space of m, so the unit
-    vectors at the other columns span a complement of that row space."""
-    _require_field(m)
-    return [j for j, _ in _eliminate(m)[0]]
-
-
-def pivot_rows(m):
-    """The row indices the eliminator pivots on over a field (Q or F_p), in
-    pivot order.
-
-    Each pivot row is its row of m less earlier pivot rows, and the pivot
-    rows are in echelon form, so the rows of m at these indices are
-    independent and span the row space of m.  The unit vectors at the other
-    indices then span a complement of the column space of m: projecting
-    onto the pivot coordinates is injective on the column space, since its
-    rank, the rank of those rows, equals their count, the rank of m."""
-    _require_field(m)
-    return [i for _, i in _eliminate(m)[0]]
-
-
 def rank(m):
     """Exact rank of a matrix over a field (Q or F_p): its number of pivots."""
-    return len(pivot_columns(m))
+    _require_field(m)
+    return len(_eliminate(m)[0])
 
 
 def kernel_basis(m):
@@ -526,6 +505,12 @@ def kernel_basis(m):
     the value read off that pivot's fully reduced row.  The pivots are the
     Markowitz choices of the eliminator, so they need not be the leftmost
     columns.
+
+    The rows at the non-pivot columns are the identity, so reading those
+    coordinates is one-to-one on the null space, and the unit vectors at
+    the non-pivot columns span a complement of the row space of m: a
+    combination of them that lay in the row space would vanish on the
+    null space, and so be zero.
     """
     _require_field(m)
     pivots, rows, _ = _eliminate(m, reduce=True)

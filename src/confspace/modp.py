@@ -11,16 +11,17 @@ of the module data is small homological algebra over F_p:
     quotients, ker N / im(sigma-1) and ker(sigma-1) / im N, have the one
     dimension dim V - rank(sigma-1) - rank(N); so does every Tate group,
     which makes the Tate dimensions constant in s (Herbrand quotient 1).
-    One elimination of sigma-1 gives rank(sigma-1), and its pivot rows give
-    a complement C of im(sigma-1) spanned by the unit vectors at the other
-    indices.  Since N(sigma-1) = 0, N maps V and C onto the same image, so
-    rank N is the rank of the columns of N at C alone: dim V - rank(sigma-1)
-    columns, 1/p of V for a free module.  They are the sum of sigma^k E_C,
-    each a product of sigma with the last.  Every such run of
-    sigma-products is GModule.run: rank N, the partial norm
-    1 + ... + sigma^(r-1) with sigma^r, and N itself, which continues the
-    run from sigma^r: the stable route forms each of sigma, ...,
-    sigma^(p-1) once, and no power of sigma is stored.
+    sigma-1 is reduced only by kernel_basis: Z = kernel_basis(sigma-1)
+    has dim V - rank(sigma-1) columns, and a unit row e_c of Z at index
+    f reads off coordinate c of col Z = ker(sigma-1).  Reading those
+    coordinates is one-to-one on ker(sigma-1), which holds im N, so
+    M = E^T N, the rows of N at Z's unit rows, is N in the basis Z:
+    rank M = rank N and ker M = ker N.  M is the first term of
+    GModule.run(E^T, p), which multiplies by sigma on the right, so only
+    those rows are formed, 1/p of V for a free module.  Every run of
+    sigma-products is GModule.run: M, the partial norm
+    1 + ... + sigma^(r-1) of the stable route, and sigma^p in validation;
+    no power of sigma is stored.
   * Sigma_p-cohomology is computed by restriction to C_p: in every degree
     s >= 1 the image of the restriction is the subspace fixed by the
     normalizer N(C_p)/C_p, a cyclic group of order p-1 generated by
@@ -46,7 +47,7 @@ from math import factorial
 
 from . import forests
 from .graded import GradedDims, PoincareSeries
-from .linalg import GF, SparseMatrix, is_prime, kernel_basis, pivot_rows, rank
+from .linalg import GF, SparseMatrix, is_prime, kernel_basis, rank
 
 
 class ModpError(Exception):
@@ -61,8 +62,9 @@ class GModule:
     taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for
     j > i+1 and sigma = tau_1 tau_2 ... tau_{p-1}, which imply sigma^p = 1;
     without them, sigma^p = 1 itself, the last term of run(sigma, p).
-    No power of sigma is stored: run forms each run of sigma-products and
-    keeps nothing.
+    No power of sigma is stored: run forms each run of sigma-products, with
+    sigma on the right, and keeps nothing.  The one cached datum is the int
+    periodic_dim().
     """
 
     def __init__(self, p, sigma, taus=None, basis=None):
@@ -86,19 +88,18 @@ class GModule:
         self.sigma = sigma
         self.taus = taus
         self.basis = basis
-        self._rank_aug = None
-        self._complement = None
-        self._rank_norm = None
+        self._h = None
         self._validate()
 
     # -- lazy matrix data ---------------------------------------------------
 
     def run(self, x, m):
-        """(x + sigma x + ... + sigma^(m-1) x, sigma^(m-1) x) for m >= 1,
-        by m - 1 products with sigma and m - 1 sums; nothing is kept."""
+        """(x + x sigma + ... + x sigma^(m-1), x sigma^(m-1)) for m >= 1,
+        by m - 1 products with sigma on the right and m - 1 sums; nothing
+        is kept."""
         acc = x
         for _ in range(m - 1):
-            x = self.sigma.matmul(x)
+            x = x.matmul(self.sigma)
             acc = acc.add(x)
         return acc, x
 
@@ -107,30 +108,19 @@ class GModule:
         each call: it is needed once per route, and not kept in memory."""
         return self.sigma.sub(SparseMatrix.identity(self.dim, self.field))
 
-    def rank_aug(self):
-        """rank(sigma-1): the pivot rows of sigma-1; rank_norm uses the
-        indices of the other rows."""
-        if self._rank_aug is None:
-            pivots = set(pivot_rows(self.aug()))
-            self._rank_aug = len(pivots)
-            self._complement = [r for r in range(self.dim) if r not in pivots]
-        return self._rank_aug
+    def periodic_dim(self):
+        """dim V - rank(sigma-1) - rank(N), the dimension of H^s and H_s
+        for every s >= 1 and of every Tate group; computed once.
 
-    def rank_norm(self):
-        """rank N, from the columns of N at a complement of im(sigma-1).
-
-        N(sigma-1) = 0, so N kills im(sigma-1) and its image is the image of
-        any complement C: rank N = rank(N restricted to C).  C is spanned by
-        the unit vectors e_r at the indices r of the rows of sigma-1 that
-        are not pivot rows (linalg.pivot_rows), and N E_C is the first term
-        of run(E_C, p), so only columns at C are multiplied and no power of
-        sigma is formed.  For a free module C is 1/p of V."""
-        if self._rank_norm is None:
-            self.rank_aug()
-            e_c = SparseMatrix(self.dim, len(self._complement), self.field,
-                               {(r, c): 1 for c, r in enumerate(self._complement)})
-            self._rank_norm = rank(self.run(e_c, self.p)[0])
-        return self._rank_norm
+        ker N / im(sigma-1) and ker(sigma-1) / im N, the two quotients the
+        periodic resolution alternates between, both have this dimension.
+        Z = kernel_basis(sigma-1) has dim V - rank(sigma-1) columns, and
+        rank N is the rank of N in the basis Z (_norm_coords).  Z itself is
+        not kept."""
+        if self._h is None:
+            z = kernel_basis(self.aug())
+            self._h = z.ncols - rank(_norm_coords(self, z))
+        return self._h
 
     # -- construction-time checks -------------------------------------------
 
@@ -226,29 +216,19 @@ def conf_module(p, n, t):
 # -- C_p (co)homology from the periodic resolution ---------------------------
 
 
-def _periodic_dim(v):
-    """dim V - rank(sigma-1) - rank(N): the dimension of H^s and H_s for
-    every s >= 1 and of every Tate group.
-
-    ker N / im(sigma-1) and ker(sigma-1) / im N, the two quotients the
-    periodic resolution alternates between, both have this dimension.
-    """
-    return v.dim - v.rank_aug() - v.rank_norm()
-
-
 def tate(v, window):
     """Tate cohomology dims of C_p on the window (s_min, s_max), inclusive,
     as GradedDims: read them with get(s) for s in the window, since zero
     dims are not stored.
 
-    Every Tate group has dimension _periodic_dim(v): for s > 0 it is H^s,
+    Every Tate group has dimension v.periodic_dim(): for s > 0 it is H^s,
     for s < -1 the homology H_(-s-1), and in the middle coker(N) on
     invariants at s = 0, ker(N)/im(sigma-1) at s = -1.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ModpError("empty Tate window [%d, %d]" % (lo, hi))
-    h = _periodic_dim(v)
+    h = v.periodic_dim()
     return GradedDims({s: h for s in range(lo, hi + 1)})
 
 
@@ -293,8 +273,8 @@ def verify_vanishing(p, n):
         t = j * (n - 1)
         v = conf_module(p, n, t)
         cert = _freeness_certificate(v)
-        # H_s for every s >= 1 has dimension _periodic_dim(v)
-        lin = _periodic_dim(v) == 0
+        # H_s for every s >= 1 has dimension v.periodic_dim()
+        lin = v.periodic_dim() == 0
         if cert != lin:
             raise AssertionError(
                 "certificate (%r) and linear algebra (%r) disagree at t = %d" % (cert, lin, t))
@@ -363,30 +343,45 @@ def _element_matrix(v, q):
     return m
 
 
+def _unit_rows(z):
+    """{c: f}, for each column c of the kernel_basis matrix z, a row f of z
+    equal to the unit row e_c (z has one at each non-pivot column).  The
+    rows of z at these f are the identity, so reading coordinates f is
+    one-to-one on col z, and the unit vectors e_f span a complement of the
+    row space of the matrix z is the kernel of."""
+    return {c: f for f, row in z.rows.items() if len(row) == 1 for c, x in row.items() if x == 1}
+
+
+def _coords(units, x):
+    """The rows of x at the indices units picks, row c from row units[c]:
+    x in the basis z when col x lies in col z and units = _unit_rows(z)."""
+    return SparseMatrix._trusted(len(units), x.ncols, x.domain,
+                                 {c: x.rows[f] for c, f in units.items() if f in x.rows})
+
+
+def _norm_coords(v, z):
+    """M = E^T N, N in the basis z = kernel_basis(sigma-1): the rows of N at
+    z's unit rows, taken as the first term of run(E^T, p), where E^T holds
+    the unit rows e_f.  im N lies in ker(sigma-1) = col z, on which reading
+    these coordinates is one-to-one, so rank M = rank N and ker M = ker N."""
+    e = {c: {f: 1} for c, f in _unit_rows(z).items()}
+    return v.run(SparseMatrix._trusted(z.ncols, v.dim, v.field, e), v.p)[0]
+
+
 def _quotient_matrix(z, b, phi, h):
-    """Matrix of phi on col z / col b, for z a kernel_basis matrix and phi
-    a map of col z to itself that keeps col b, which lies in col z.
+    """Matrix of phi on col z / col(z b), for z a kernel_basis matrix, b a
+    matrix of z.ncols rows (a subspace of col z in the basis z), and phi a
+    map of col z to itself that keeps col(z b).
 
-    A row of z equal to the unit row e_c reads off coordinate c, so the
-    rows of x at those rows are x in the basis z.  The columns of
-    K = kernel_basis(coords(b)^T) are the functionals that vanish on col b,
-    coordinates on the quotient; there must be h of them.  A unit row e_j
-    of K at c makes column c of z a lift of class j, and column j of the
-    matrix is K^T coords(phi z_c)."""
-    def units(m):
-        return {c: f for f, row in m.rows.items() if len(row) == 1 for c, x in row.items() if x == 1}
-
-    unit_rows = units(z)
-
-    def coords(x):
-        return SparseMatrix._trusted(z.ncols, x.ncols, x.domain,
-                                     {c: x.rows[f] for c, f in unit_rows.items() if f in x.rows})
-
-    k = kernel_basis(coords(b).transpose())
+    The columns of K = kernel_basis(b^T) are the functionals that vanish
+    on col b, coordinates on the quotient; there must be h of them.  A
+    unit row e_j of K at c makes column c of z a lift of class j, and
+    column j of the matrix is K^T _coords(phi z_c)."""
+    k = kernel_basis(b.transpose())
     if k.ncols != h:
         raise ModpError("a periodic quotient has %d classes, not h = %d" % (k.ncols, h))
-    lifts = SparseMatrix(z.ncols, h, z.domain, {(c, j): 1 for j, c in units(k).items()})
-    return k.transpose().matmul(coords(phi.matmul(z.matmul(lifts))))
+    lifts = SparseMatrix(z.ncols, h, z.domain, {(c, j): 1 for j, c in _unit_rows(k).items()})
+    return k.transpose().matmul(_coords(_unit_rows(z), phi.matmul(z.matmul(lifts))))
 
 
 def sigma_p_cohomology_stable(v, s_max):
@@ -402,10 +397,16 @@ def sigma_p_cohomology_stable(v, s_max):
     normalizer acts on periodic-resolution cochains by phi_2j = r^j g and
     phi_{2j+1} = r^j g P, P = 1 + sigma + ... + sigma^(r-1), where g
     realizes a permutation conjugating sigma to sigma^r.  phi is a chain
-    map iff (sigma-1) g = g P (sigma-1), which is sigma g = g sigma^r, and
-    N g P = r g N; each is checked once.  With G_0 and G_1 the h x h
-    matrices of g on ker(sigma-1)/im N and of g P on ker N/im(sigma-1),
-    dim H^s = h - rank(r^(s//2) G_(s mod 2) - 1) for every s >= 1.
+    map iff (sigma-1) g = g P (sigma-1) and N g P = r g N.  The first is
+    checked once; it is sigma g = g sigma^r, as P (sigma-1) = sigma^r - 1,
+    and with sigma^p = 1 it gives the second: g^-1 N g is the sum of the
+    sigma^(ri), which is N, so g N = N g, and N sigma^i = N gives N P = r N.
+    With Z = kernel_basis(sigma-1) and M = _norm_coords(v, Z), im N is col M
+    in the basis Z and ker N = ker M.  G_0, the h x h matrix of g on
+    ker(sigma-1)/im N, comes from Z and M, and G_1, that of g P on
+    ker N/im(sigma-1), from kernel_basis(M) and sigma-1 in its basis; no
+    full N is formed.  dim H^s = h - rank(r^(s//2) G_(s mod 2) - 1) for
+    every s >= 1.
     """
     if v.taus is None:
         raise ModpError("full Sigma_p action required")
@@ -420,18 +421,16 @@ def sigma_p_cohomology_stable(v, s_max):
     aug = v.aug()
     z = kernel_basis(aug)
     dims = {0: z.ncols - rank(g.matmul(z).sub(z))}
-    h = _periodic_dim(v)
+    h = v.periodic_dim()
     if h == 0 or s_max == 0:
         # restriction to C_p is injective, and h = 0 is H^s(C_p; V) = 0
         return GradedDims(dims)
-    # P and sigma^(r-1) from one run, which N continues from sigma^r, so
-    # sigma, ..., sigma^(p-1) are each formed once
-    partial, x = v.run(SparseMatrix.identity(v.dim, v.field), r)
-    norm = partial.add(v.run(v.sigma.matmul(x), p - r)[0])
-    gp = g.matmul(partial)
-    if aug.matmul(g) != gp.matmul(aug) or norm.matmul(gp) != g.matmul(norm).scale(r):
+    gp = g.matmul(v.run(SparseMatrix.identity(v.dim, v.field), r)[0])
+    if aug.matmul(g) != gp.matmul(aug):
         raise ModpError("comparison map is not a chain map")
-    mats = (_quotient_matrix(z, norm, g, h), _quotient_matrix(kernel_basis(norm), aug, gp, h))
+    m = _norm_coords(v, z)
+    y = kernel_basis(m)
+    mats = (_quotient_matrix(z, m, g, h), _quotient_matrix(y, _coords(_unit_rows(y), aug), gp, h))
     one = SparseMatrix.identity(h, v.field)
     dims.update((s, h - rank(mats[s % 2].scale(pow(r, s // 2, p)).sub(one)))
                 for s in range(1, s_max + 1))

@@ -324,6 +324,14 @@ def test_presentation_text():
     assert repr(pres) == "Presentation(gens: s1,s2 ; rels: s1s2s1s2^-1s1^-1s2^-1)"
 
 
+def test_presentation_reduces_relators_and_keeps_one_per_cyclic_class():
+    """The constructor cyclically reduces every relator, drops the empty
+    ones, and keeps the first of those equal up to rotation and inversion."""
+    rels = [[2, 1, 2, -1, -2, -2], (2, -1, -2, 1), (-1, 1), (1, -2), (2, -1), (-1, -2, 1, 2)]
+    pres = braid.Presentation(["a", "b"], rels)
+    assert pres.relators == [(1, 2, -1, -2), (1, -2)]
+
+
 def test_word_str():
     pres = braid.braid_presentation(3)
     assert pres.word_str((1, -2, -2, 1)) == "s1s2^-2s1"

@@ -216,7 +216,7 @@ def cyclic_cohomology(v, s_max):
     """H^s(C_p; V) for s = 0..s_max from the library: H^0 = ker(sigma-1),
     and H^s for s >= 1 the Tate group at s."""
     tate = modp.tate(v, (1, max(s_max, 1)))
-    return {s: v.dim - v.rank_aug() if s == 0 else tate.get(s) for s in range(s_max + 1)}
+    return {s: v.dim - rank(v.aug()) if s == 0 else tate.get(s) for s in range(s_max + 1)}
 
 
 def test_cyclic_cohomology_matches_dense_oracle():
@@ -224,7 +224,7 @@ def test_cyclic_cohomology_matches_dense_oracle():
         for t in all_t(p, n):
             v = modp.conf_module(p, n, t)
             got = cyclic_cohomology(v, 4)
-            assert got[1] == modp._periodic_dim(v), (p, n, t)
+            assert got[1] == v.periodic_dim(), (p, n, t)
             assert {s: h for s, h in got.items() if h} == dense_cyclic_cohomology(v, 4)
 
 
@@ -245,7 +245,7 @@ def test_regular_module_is_cohomologically_trivial():
 
 
 # ---------------------------------------------------------------------------
-# rank(sigma-1) and rank N on a complement of im(sigma-1)
+# the periodic dimension, and N in the basis of ker(sigma-1)
 
 
 def component_dense_rank(m, p):
@@ -279,8 +279,8 @@ def component_dense_rank(m, p):
 
 
 def assert_ranks_match_dense(v):
-    assert v.rank_aug() == component_dense_rank(v.aug(), v.p)
-    assert v.rank_norm() == component_dense_rank(norm(v), v.p)
+    assert v.periodic_dim() == (v.dim - component_dense_rank(v.aug(), v.p)
+                                - component_dense_rank(norm(v), v.p))
 
 
 def test_component_dense_rank_is_dense_rank():
@@ -321,9 +321,14 @@ def test_rank_route_matches_dense_on_jordan_blocks(p, data):
         start += m
     v = modp.GModule(p, SparseMatrix(dim, dim, GF(p), entries))
     assert_ranks_match_dense(v)
-    # N = (sigma-1)^(p-1) is nonzero exactly on a block of size p
-    assert v.rank_aug() == dim - len(sizes)
-    assert v.rank_norm() == sizes.count(p)
+    # rank(sigma-1) is dim - len(sizes), and N = (sigma-1)^(p-1) is nonzero
+    # exactly on a block of size p, so rank N is sizes.count(p)
+    assert v.periodic_dim() == len(sizes) - sizes.count(p)
+
+
+def norm_coords(v):
+    """M, N in the basis kernel_basis(sigma-1), as the library forms it."""
+    return modp._norm_coords(v, kernel_basis(v.aug()))
 
 
 def test_rank_norm_equals_dense_rank_of_full_norm():
@@ -331,19 +336,43 @@ def test_rank_norm_equals_dense_rank_of_full_norm():
         for n in (2, 3, 4):
             for t in all_t(p, n):
                 v = modp.conf_module(p, n, t)
-                assert v.rank_norm() == oracles.dense_rank_mod(norm(v).to_dense(), p), \
+                assert rank(norm_coords(v)) == oracles.dense_rank_mod(norm(v).to_dense(), p), \
                     (p, n, t)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_norm_coords_and_the_unchecked_chain_map_identity(p):
+    """Against the test's full N: M = norm_coords(v) has the dense rank of
+    N and the kernel of N, and N g P = r g N holds, which the stable route
+    derives from (sigma-1) g = g P (sigma-1) and does not check; on
+    conf_module(p, n, t) for n in {2, 3} at every t, and on the sign
+    twists."""
+    r = modp._primitive_root(p)
+    q = tuple((i - 1) * pow(r, -1, p) % p + 1 for i in range(1, p + 1))
+    for n in (2, 3):
+        for t in all_t(p, n):
+            v = modp.conf_module(p, n, t)
+            for case, w in (((n, t), v), ((n, t, "sign"), sign_twist(v))):
+                full, m = norm(w), norm_coords(w)
+                rn = component_dense_rank(full, p)
+                assert rank(m) == rn, case
+                y = kernel_basis(m)
+                assert y.ncols == w.dim - rn and full.matmul(y).is_zero(), case
+                g = modp._element_matrix(w, q)
+                assert full.matmul(g.matmul(right_sums(w, r))) == g.matmul(full).scale(r), case
 
 
 def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     """Tate groups, vanishing and fixed spaces need rank(sigma-1), rank N
     and the taus only: sigma^p = 1 follows from the Coxeter relators, and
-    rank N is taken on a complement, so no module runs sigma-products from
-    a full-width matrix, which would form its powers or N."""
+    rank N is taken on the rows of N at the unit rows of
+    kernel_basis(sigma-1), so no module runs sigma-products, which multiply
+    on the right, from a full-height matrix, which would form its powers
+    or N."""
     run = modp.GModule.run
 
     def narrow_run(v, x, m):
-        if v.dim > 1 and x.ncols == v.dim:
+        if v.dim > 1 and x.nrows == v.dim:
             raise AssertionError("a power of sigma was formed")
         return run(v, x, m)
 
@@ -547,10 +576,10 @@ def test_stable_route_matches_full_stage_loop():
 
 def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
     """An interior module is free, so its periodic dimension is 0 and the
-    route stops at H^0, which needs no full-width product with sigma.  The
-    top module has H^4 != 0 and needs the partial norm, sigma^r and N, one
-    run in which sigma, ..., sigma^(p-1) are each formed once: p - 1
-    products."""
+    route stops at H^0, which needs no full-height product with sigma.  The
+    top module has H^4 != 0 and needs the partial norm
+    P = 1 + ... + sigma^(r-1), one run of r - 1 products; N is formed only
+    as its rows at the unit rows of kernel_basis(sigma-1)."""
     monkeypatch.setattr(modp, "_conf_cache", {})
     p = 5
     interior, top = modp.conf_module(p, 2, 2), modp.conf_module(p, 2, 4)
@@ -558,12 +587,12 @@ def test_stable_route_forms_no_norm_on_free_modules(monkeypatch):
     matmul = SparseMatrix.matmul
 
     def counting(a, b):
-        if a is v.sigma and b.ncols == v.dim:
-            products.append(b)
+        if b is v.sigma and a.nrows == v.dim:
+            products.append(a)
         return matmul(a, b)
 
     monkeypatch.setattr(SparseMatrix, "matmul", counting)
-    for v, want in ((interior, 0), (top, p - 1)):
+    for v, want in ((interior, 0), (top, modp._primitive_root(p) - 1)):
         products.clear()
         modp.sigma_p_cohomology_stable(v, 8)
         assert len(products) == want, v.dim
@@ -616,14 +645,14 @@ def sum_cases(p, n):
 
 def test_stable_route_on_sums_matches_bar_at_p3():
     for v, h in sum_cases(3, 2):
-        assert modp._periodic_dim(v) == h
+        assert v.periodic_dim() == h
         assert modp.sigma_p_cohomology_stable(v, 4) == modp.bar_cohomology(v, 4), v.dim
 
 
 def test_stable_route_on_sums_matches_stage_loop_at_p5():
     for n in (2, 3):
         for v, h in sum_cases(5, n):
-            assert modp._periodic_dim(v) == h
+            assert v.periodic_dim() == h
             assert modp.sigma_p_cohomology_stable(v, 9) == _stable_reference(v, 9), (n, v.dim)
 
 
@@ -638,8 +667,8 @@ def test_stable_route_refuses_a_non_chain_map(monkeypatch):
 def test_stable_route_cross_checks_the_periodic_dimension(monkeypatch):
     """Each periodic quotient counts its classes a second way."""
     v = modp.conf_module(5, 2, 4)
-    periodic_dim = modp._periodic_dim
-    monkeypatch.setattr(modp, "_periodic_dim", lambda v: periodic_dim(v) + 1)
+    periodic_dim = modp.GModule.periodic_dim
+    monkeypatch.setattr(modp.GModule, "periodic_dim", lambda v: periodic_dim(v) + 1)
     with pytest.raises(modp.ModpError, match="has 1 classes, not h = 2"):
         modp.sigma_p_cohomology_stable(v, 1)
 
