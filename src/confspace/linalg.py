@@ -13,11 +13,11 @@ transposes and the eliminator read and build rows directly; the flat
 between matrices: a row of a product with a single entry on the left is a
 scaled row of the right factor, or, at an int 1, that row itself, and
 matrices built together may hold one dict for equal rows (the
-single-entry rows of forests.transposition_matrices and conf_module's
-sigma).  Nothing writes to a row of an existing matrix: the eliminator
-starts from the input's rows as they are (over Q from the rows that already
-are primitive integer vectors), copies each one on its first update, and
-from then on updates that copy in place.
+single-entry rows of forests.transposition_matrices).  Nothing writes to
+a row of an existing matrix: the eliminator starts from the input's rows
+as they are (over Q from the rows that already are primitive integer
+vectors), copies each one on its first update, and from then on updates
+that copy in place.
 
 One eliminator serves rank, kernel_basis and invert over the fields, and
 the unit pivots of smith_normal_form over Z.  A row update is
@@ -189,7 +189,8 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n, domain):
-        return cls(n, n, domain, {(i, i): 1 for i in range(n)})
+        one = domain.coerce(1)
+        return cls._trusted(n, n, domain, {i: {i: one} for i in range(n)})
 
     @classmethod
     def zero(cls, nrows, ncols, domain):

@@ -1,9 +1,10 @@
 """Mod-p cohomology of C_p and Sigma_p with configuration-space coefficients.
 
-The p-cycle sigma = (1 2 ... p) acts on the degree-t piece of
-H_*(Conf_p(R^n); F_p) through the tall-forest basis, and the adjacent
-transpositions extend the action to all of Sigma_p.  Everything downstream
-of the module data is small homological algebra over F_p:
+The adjacent transpositions tau_i = (i, i+1) act on the degree-t piece of
+H_*(Conf_p(R^n); F_p) through the tall-forest basis, and their product
+sigma = tau_1 ... tau_{p-1}, the p-cycle (1 2 ... p), generates the Sylow
+subgroup C_p.  Everything downstream of the module data is small
+homological algebra over F_p:
 
   * C_p-(co)homology comes from the 2-periodic resolution
     ... -> F_p[C_p] --N--> F_p[C_p] --(sigma-1)--> F_p[C_p] -> F_p
@@ -34,10 +35,13 @@ of the module data is small homological algebra over F_p:
   * A normalized bar-resolution computation over the full symmetric group
     is kept as a brute-force oracle for tiny groups.
 
-Every module is validated on construction by full matrix equations for
-the group relations, at every dimension.  With the taus present, sigma^p = 1
-is not checked separately: it follows from the Coxeter relators and
-sigma = tau_1 ... tau_{p-1}.
+A module is given either by sigma alone (a C_p-module) or by the Coxeter
+generators tau_1 .. tau_{p-1} alone (a Sigma_p-module), in which case
+sigma is their product tau_1 ... tau_{p-1}, formed once.  Every module is
+validated on construction by full matrix equations for the group
+relations, at every dimension.  With the taus, sigma^p = 1 is not checked
+separately: it follows from the Coxeter relators, since sigma is the image
+of a p-cycle.
 """
 
 from __future__ import annotations
@@ -55,41 +59,50 @@ class ModpError(Exception):
 
 
 class GModule:
-    """F_p vector space with an action of C_p = <sigma>, and optionally of
-    Sigma_p through Coxeter generators tau_1 .. tau_{p-1}.
+    """F_p vector space with an action of C_p = <sigma>, or of Sigma_p
+    through its Coxeter generators tau_1 .. tau_{p-1}.
 
-    Validated on construction, every check a full matrix equation: with
-    taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 = 1, (tau_i tau_j)^2 = 1 for
-    j > i+1 and sigma = tau_1 tau_2 ... tau_{p-1}, which imply sigma^p = 1;
-    without them, sigma^p = 1 itself, the last term of run(sigma, p).
-    No power of sigma is stored: run forms each run of sigma-products, with
-    sigma on the right, and keeps nothing.  The one cached datum is the int
-    periodic_dim().
+    Exactly one of sigma and taus is given.  With taus, sigma is the
+    product tau_1 tau_2 ... tau_{p-1}, the image of the p-cycle
+    (1 2 ... p), and is never compared with a second copy.  Validated on
+    construction, every check a full matrix equation: with taus, tau_i^2 =
+    1, (tau_i tau_{i+1})^3 = 1 and (tau_i tau_j)^2 = 1 for j > i+1, which
+    imply sigma^p = 1; without them, sigma^p = 1 itself, the last term of
+    run(sigma, p).  No power of sigma is stored: run forms each run of
+    sigma-products, with sigma on the right, and keeps nothing.  The one
+    cached datum is the int periodic_dim().
     """
 
-    def __init__(self, p, sigma, taus=None, basis=None):
+    def __init__(self, p, sigma=None, taus=None, basis=None):
         if not is_prime(p):
             raise ModpError("p = %d is not prime" % p)
-        if sigma.nrows != sigma.ncols:
-            raise ModpError("sigma must be square, got %dx%d" % (sigma.nrows, sigma.ncols))
+        if (sigma is None) == (taus is None):
+            raise ModpError("give exactly one of sigma and the Coxeter generators")
         field = GF(p)
-        if sigma.domain != field:
-            raise ModpError("sigma must have GF(%d) coefficients" % p)
         self.p = p
         self.field = field
-        self.dim = sigma.nrows
-        if taus is not None:
-            taus = list(taus)
-            if len(taus) != p - 1:
-                raise ModpError("expected %d Coxeter generators, got %d" % (p - 1, len(taus)))
-            for m in taus:
-                if (m.nrows, m.ncols) != (self.dim, self.dim) or m.domain != field:
-                    raise ModpError("Coxeter generator shape or domain mismatch")
         self.sigma = sigma
         self.taus = taus
         self.basis = basis
         self._h = None
+        if taus is None:
+            if sigma.nrows != sigma.ncols:
+                raise ModpError("sigma must be square, got %dx%d" % (sigma.nrows, sigma.ncols))
+            if sigma.domain != field:
+                raise ModpError("sigma must have GF(%d) coefficients" % p)
+            self.dim = sigma.nrows
+        else:
+            self.taus = taus = list(taus)
+            if len(taus) != p - 1:
+                raise ModpError("expected %d Coxeter generators, got %d" % (p - 1, len(taus)))
+            self.dim = taus[0].nrows
+            for m in taus:
+                if (m.nrows, m.ncols) != (self.dim, self.dim) or m.domain != field:
+                    raise ModpError("Coxeter generator shape or domain mismatch")
         self._validate()
+        if taus is not None:
+            # the p-cycle (2, 3, ..., p, 1) has the word (1, 2, ..., p-1)
+            self.sigma = _element_matrix(self, tuple(range(2, p + 1)) + (1,))
 
     # -- lazy matrix data ---------------------------------------------------
 
@@ -130,8 +143,9 @@ class GModule:
         Without taus, sigma^p = 1 is checked on run(sigma, p).  With
         taus it is implied by the checks below: once tau_i^2 = 1 and the
         braid and commutation relators hold, the taus define a homomorphism
-        from Sigma_p (Moore's Coxeter presentation), and sigma = tau_1 ...
-        tau_{p-1} is the image of a p-cycle, which has order p."""
+        from Sigma_p (Moore's Coxeter presentation), and sigma, formed
+        after these checks as tau_1 ... tau_{p-1}, is the image of a
+        p-cycle, which has order p."""
         p = self.p
         ident = SparseMatrix.identity(self.dim, self.field)
         if self.taus is None:
@@ -153,17 +167,13 @@ class GModule:
             for j in range(i + 2, p):
                 if ts[i - 1].matmul(ts[j - 1]) != ts[j - 1].matmul(ts[i - 1]):
                     raise ModpError("tau_%d and tau_%d do not commute" % (i, j))
-        # the p-cycle (2, 3, ..., p, 1) has the word (1, 2, ..., p-1)
-        if _element_matrix(self, tuple(range(2, p + 1)) + (1,)) != self.sigma:
-            raise ModpError("sigma is not tau_1 tau_2 ... tau_%d" % (p - 1))
 
 
 def trivial_module(p):
     """F_p with trivial sigma and trivial Sigma_p action."""
     if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
-    one = SparseMatrix.identity(1, GF(p))
-    return GModule(p, one, taus=[one] * (p - 1))
+    return GModule(p, taus=[SparseMatrix.identity(1, GF(p))] * (p - 1))
 
 
 def regular_module(p):
@@ -179,12 +189,11 @@ _conf_cache = {}
 def conf_module(p, n, t):
     """Degree-t piece of H_*(Conf_p(R^n); F_p) on the tall-forest basis.
 
-    sigma acts by the p-cycle i -> i+1 and tau_i by the transposition
-    (i, i+1), both through leaf relabeling followed by rewriting to the
-    tall basis.  t must be a multiple of n-1 inside [0, (n-1)(p-1)].
-    A single-entry row of sigma is the same dict as the equal row of the
-    taus, where one has it, as the taus share theirs.  Results are
-    memoized: the matrices are never mutated downstream.
+    tau_i acts by the transposition (i, i+1), through
+    forests.transposition_matrices, and sigma, the p-cycle i -> i+1, is
+    their product tau_1 ... tau_{p-1}, formed by GModule.  t must be a
+    multiple of n-1 inside [0, (n-1)(p-1)].  Results are memoized: the
+    matrices are never mutated downstream.
     """
     key = (p, n, t)
     if key in _conf_cache:
@@ -196,19 +205,9 @@ def conf_module(p, n, t):
     top = (n - 1) * (p - 1)
     if t < 0 or t > top or t % (n - 1) != 0:
         raise ModpError("degree %d is not a multiple of %d inside [0, %d]" % (t, n - 1, top))
-    field = GF(p)
     basis = forests.tall_basis(p, n, t)
-    cycle = {i: i % p + 1 for i in range(1, p + 1)}
-    sigma = forests.action_matrix(cycle, p, n, t, basis=basis, domain=field)
-    taus = forests.transposition_matrices(p, n, t, basis=basis, domain=field)
-    # a single-entry row of sigma equal to a tau's becomes that tau's dict
-    units = {next(iter(row.items())): row
-             for tau in taus for row in tau.rows.values() if len(row) == 1}
-    rows = sigma.rows
-    for r, row in rows.items():
-        if len(row) == 1:
-            rows[r] = units.get(next(iter(row.items())), row)
-    v = GModule(p, sigma, taus=taus, basis=basis)
+    taus = forests.transposition_matrices(p, n, t, basis=basis, domain=GF(p))
+    v = GModule(p, taus=taus, basis=basis)
     _conf_cache[key] = v
     return v
 
@@ -291,10 +290,6 @@ def invariants_sigma_p(p, n):
     Computed as the coinvariants dimension of the homology module, which is
     its dual: dim V - rank [tau_1 - 1 | ... | tau_{p-1} - 1].
     """
-    if not is_prime(p):
-        raise ModpError("p = %d is not prime" % p)
-    if n < 2:
-        raise ModpError("need n >= 2")
     out = {}
     for j in range(p):
         t = j * (n - 1)

@@ -417,6 +417,14 @@ def test_zero_and_identity_shapes():
     assert z.nnz == 0 and z.nrows == 3 and z.ncols == 2
     assert rank(z) == 0
     assert rank(SparseMatrix.identity(4, GF(3))) == 4
+    # identity skips the coercing constructor, and must still equal its matrix
+    for domain in (ZZ, QQ, GF(2), GF(3)):
+        for n in (0, 1, 4):
+            got = SparseMatrix.identity(n, domain)
+            want = SparseMatrix(n, n, domain, {(i, i): 1 for i in range(n)})
+            assert (got.nrows, got.ncols, got.domain) == (n, n, domain)
+            assert got == want and got.rows == want.rows, (domain, n)
+            assert all(type(x) is int for x in got.entries.values()), (domain, n)
 
 
 def test_stacking():
