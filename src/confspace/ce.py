@@ -24,13 +24,13 @@ e_a * e_b pairs of occurrences (C(e_a, 2) when a = b).  Entries are ints.
 betti computes a block's homology piece by piece.  d preserves every
 integer grading phi of the algebra's classes with phi(w) = phi(u) + phi(v)
 for each term w of a bracket [u, v] (a~ graded like a), so a block is the
-direct sum of its pieces of fixed phi.  A signed permutation of the
-classes that passes a check on every bracket is a Lie automorphism, and
-carries each piece isomorphically onto a piece; only one piece per orbit
-of the automorphisms found is built and ranked.  ce_block and GMLie.block
-build whole blocks, as an oracle for betti; euler_series counts the chains
-and builds no block, and chain_dims reads the chain counts off the
-symmetric-algebra series.
+direct sum of its pieces of fixed phi.  The symmetry search returns
+signed permutations of the classes that are Lie automorphisms by the way
+it builds them, and each carries every piece isomorphically onto a piece;
+only one piece per orbit of the automorphisms found is built and ranked.
+ce_block and GMLie.block build whole blocks, as an oracle for betti;
+euler_series counts the chains and builds no block, and chain_dims reads
+the chain counts off the symmetric-algebra series.
 
 The stabilization map (adding a point near infinity) is the formal
 derivative d/dx by the slot x dual to the point class.  On an open M the
@@ -69,7 +69,9 @@ class CAlgebra:
     """Finite graded-commutative associative algebra (possibly nonunital).
 
     Products are stored as a total table (name, name) -> {name: coeff};
-    omitted pairs are zero.
+    omitted pairs are zero.  Validated where it is built: every degree lies
+    in [0, n], and the products are degree-additive, graded-commutative and
+    associative, or AlgebraError is raised.
     """
 
     def __init__(self, name, n, degrees, prod):
@@ -78,6 +80,7 @@ class CAlgebra:
         self.names = list(degrees)
         self.degree = dict(degrees)
         self.prod = prod
+        _validate_algebra(self)
 
     def product(self, x, y):
         return self.prod.get((x, y), {})
@@ -140,7 +143,9 @@ def _list(value, what):
 
 
 def load_algebra(document):
-    """Validate and load an algebra document (the JSON schema of README).
+    """Load an algebra document (the JSON schema of README): its shape,
+    names and product entries are checked here, its structure constants by
+    CAlgebra.
 
     {"name": str, "ambient_dim": int,
      "basis": [{"name": str, "degree": int}],
@@ -176,9 +181,7 @@ def load_algebra(document):
                 raise AlgebraError("product result names unknown basis %r" % z)
             res[z] = res.get(z, 0) + c
         prod[(left, right)] = {z: c for z, c in res.items() if c}
-    a = CAlgebra(name, n, degrees, {pair: res for pair, res in prod.items() if res})
-    _validate_algebra(a)
-    return a
+    return CAlgebra(name, n, degrees, {pair: res for pair, res in prod.items() if res})
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,6 @@ class GMLie:
         self.index = {s.name: i for i, s in enumerate(slots)}
         # (name, name) -> {name: nonzero coeff}; a zero bracket has no entry
         self.bracket = bracket
-        self._check_lie()
         # slot a -> [(b >= a, [(z, c), ...])]
         self.bracket_table = [[] for _ in slots]
         for (x, y), res in bracket.items():
@@ -232,34 +234,22 @@ class GMLie:
                 "expected exactly one top-degree class, found %d" % len(found))
         return found[0].name
 
-    def _check_lie(self):
-        """Degree, weight and antisymmetry.  Jacobi needs no check: slots
-        have weight 1 or 2, so a bracket lands in weight 2, and a bracket
-        with a weight-2 slot would land in weight 3, where no slot is."""
-        deg = {s.name: s.gdeg for s in self.slots}
-        wt = {s.name: s.weight for s in self.slots}
-        for (x, y), res in self.bracket.items():
-            for z in res:
-                if deg[z] != deg[x] + deg[y]:
-                    raise AlgebraError("bracket [%s,%s] not degree-0" % (x, y))
-                if wt[z] != wt[x] + wt[y]:
-                    raise AlgebraError("bracket [%s,%s] not weight-additive" % (x, y))
-        names = [s.name for s in self.slots]
-        for x in names:
-            for y in names:
-                sign = (-1) ** (deg[x] * deg[y])
-                lhs = self.bracket_of(x, y)
-                rhs = self.bracket_of(y, x)
-                flipped = {z: -sign * c for z, c in rhs.items() if c}
-                if {z: c for z, c in lhs.items() if c} != flipped:
-                    raise AlgebraError("antisymmetry fails on [%s, %s]" % (x, y))
-
     def block(self, k):
         return ce_block(self, k)
 
 
 def build_gm(a):
-    """The Lie algebra of the configuration-space homology theorem."""
+    """The Lie algebra of the configuration-space homology theorem.
+
+    a is a CAlgebra, validated when it was built, so the bracket [x, y] =
+    (-1)^|y| (xy)~ (n even) is a graded Lie bracket by construction and is
+    not checked here.  It has degree 0 and adds weights, as |xy| = |x| +
+    |y|.  It is antisymmetric, [x, y] = -(-1)^(d_x d_y) [y, x] for the slot
+    degrees d_x = n-1-|x| = 1 + |x| mod 2: yx = (-1)^(|x||y|) xy, and
+    1 + d_x d_y + |x| + |x||y| = |y| mod 2.  Jacobi holds, as every bracket
+    lands in weight 2, and a bracket with a weight-2 slot is zero.  For n
+    odd g is abelian.
+    """
     n = a.n
     slots = []
     for x in a.names:
@@ -495,29 +485,11 @@ def _bracket_holds(g, image, u, v):
 def _slot_image(g, cmap):
     """Slot -> (slot, sign) under the signed class map cmap, class ->
     (class, sign), on the classes it maps: a and a~ go to sign * sigma(a)
-    and sign * sigma(a)~.  None if an image slot is missing or of another
-    degree."""
-    slot = {(s.source, s.weight): s for s in g.slots}
-    image = {}
-    for s in g.slots:
-        if s.source in cmap:
-            t = slot.get((cmap[s.source][0], s.weight))
-            if t is None or t.gdeg != s.gdeg:
-                return None
-            image[s.name] = (t.name, cmap[s.source][1])
-    return image
-
-
-def _is_automorphism(g, cmap):
-    """Whether the signed permutation cmap of the algebra's classes keeps
-    every slot's degree and satisfies _bracket_holds on every entry of
-    g.bracket.  It then maps the pairs with a nonzero bracket injectively
-    into themselves, hence onto, so it is a Lie automorphism of g."""
-    classes = {s.source for s in g.slots}
-    if set(cmap) != classes or {c for c, _ in cmap.values()} != classes:
-        return False
-    image = _slot_image(g, cmap)
-    return image is not None and all(_bracket_holds(g, image, u, v) for u, v in g.bracket)
+    and sign * sigma(a)~.  cmap maps each class to one with the same slot
+    weights and degrees, so each image slot exists and keeps its degree."""
+    slot = {(s.source, s.weight): s.name for s in g.slots}
+    return {s.name: (slot[(cmap[s.source][0], s.weight)], cmap[s.source][1])
+            for s in g.slots if s.source in cmap}
 
 
 def _root(parent, x):
@@ -541,8 +513,15 @@ def _symmetries(g):
     that is a term of a bracket of mapped slots, else the first unmapped
     class, trying itself first, then the other classes of its slot
     degrees, with either sign.  The search gives up after _SEARCH_NODES
-    nodes, and a map is kept only if _is_automorphism passes it, so
-    missing a symmetry costs time only."""
+    nodes, so missing a symmetry costs time only.
+
+    A map the search returns is a Lie automorphism of g by construction.
+    It returns only when every class is mapped, and a class is mapped only
+    to an unused one, so the map permutes the classes.  Each class goes to
+    one with the same slot weights and degrees, so the slots are permuted
+    with weight and degree kept.  In the final node every slot is mapped,
+    and _bracket_holds was checked on every pair with a nonzero bracket on
+    either side; on the other pairs both sides are zero."""
     src = {s.name: s.source for s in g.slots}
     sig = {}
     for s in g.slots:
@@ -583,7 +562,7 @@ def _symmetries(g):
                 if _root(orbit, x) == _root(orbit, y) or sig[x] != sig[y]:
                     break
                 cmap = extend({x: (y, sign)}, [_SEARCH_NODES])
-                if cmap is not None and _is_automorphism(g, cmap):
+                if cmap is not None:
                     for a, (b, _) in cmap.items():
                         orbit[_root(orbit, a)] = _root(orbit, b)
                     perms.append([index[(cmap[s.source][0], s.weight)] for s in g.slots])

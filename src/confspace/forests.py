@@ -17,8 +17,8 @@ smaller leaves.  Its leaf sequences, one tuple per tree in minimum order,
 determine it and are its key: tall_basis returns the sorted keys, and
 HomologyClass terms, action matrices and the pairing are all keyed by them.
 Nested trees appear only at parse and print time (parse_forest, key_str),
-and as the relabelled combs of action-matrix columns that leave the tall
-basis, which rewrite_to_tall expands.  Brackets obey shifted antisymmetry
+and as the relabelled combs of transposition-matrix columns that leave the
+tall basis, which rewrite_to_tall expands.  Brackets obey shifted antisymmetry
 
     [x, y] = -(-1)^(||x|| ||y||) [y, x],
 
@@ -38,8 +38,8 @@ expansion of T.  Those words are read by walking up from m: at each vertex
 the sibling subtree contributes every word of its expansion as a suffix,
 with the antisymmetry sign -(-1)^(||x|| ||y||) when m came from the right.
 The words of one tree are distinct, so every coefficient is +-1.  The trees
-that action matrices rewrite are relabelled combs l(x1 ... xm) with the
-minimum m = x_q, q > 1, and their walk reads (m,) + u + (x_{q+1} ... xm)
+that transposition_matrices rewrites are relabelled combs l(x1 ... xm) with
+the minimum m = x_q, q > 1, and their walk reads (m,) + u + (x_{q+1} ... xm)
 with coefficient s c, for each word u of the prefix comb l(x1 ... x_{q-1})
 with coefficient c and s the sign of the bracket that joins m.  The words
 of a comb depend only on its length and the parity of n - 1, so they are
@@ -361,8 +361,8 @@ def rewrite_to_tall(f, n, seqs=None):
     The forest's labels must partition [1, k] for k = total leaf count; the
     given component order is part of the input and contributes the Koszul
     reordering sign.  A caller that passes seqs, the leaf sequences of f's
-    trees, vouches for f, and f is not validated: action_matrix and
-    transposition_matrices do so for the forests they build themselves.
+    trees, vouches for f, and f is not validated: transposition_matrices
+    does so for the forests it builds itself.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -427,41 +427,52 @@ def pairing_matrix(k, n, degree):
 
 def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
     """Matrix of a permutation of [1, k] on the tall basis: column j is the
-    image of basis[j] with its leaves relabelled, rewritten to the basis.
-    basis is a list of keys in any order, tall_basis's by default.
-
-    A relabelled tall tree is the left comb on the relabelled sequence, and
-    it is tall iff its first leaf is its minimum.  When every tree of a
-    forest stays tall, the column is the one forest of the sorted trees,
-    with the Koszul sign of sorting them by minimum.  Only the other columns
-    build combs, for rewrite_to_tall, with their leaf sequences, so those
-    are not validated again.
+    image of basis[j] with its leaves relabelled, in the basis.  basis is a
+    list of keys in any order, tall_basis's by default.  It is the product
+    of transposition_matrices along the permutation's reduced word
+    (_word_matrix), the one route from a permutation to its matrix.
     """
     table = arnold._perm_table(perm, k)
     if basis is None:
         basis = tall_basis(k, n, degree)
-    row = {key: i for i, key in enumerate(basis)}
-    relabel = table.__getitem__
-    coerce = domain.coerce
-    rows = {}
-    for j, key in enumerate(basis):
-        seqs = [tuple(map(relabel, seq)) for seq in key]
-        if all(s[0] == min(s) for s in seqs):
-            terms = [(row[tuple(sorted(seqs))], _reorder_sign(seqs, n))]
-        else:
-            moved = tuple(tall_from_seq(s) for s in seqs)
-            terms = [(row[g], c) for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
-        for r, c in terms:
-            c = coerce(c)
-            if c:
-                rows.setdefault(r, {})[j] = c
-    return SparseMatrix._trusted(len(basis), len(basis), domain, rows)
+    taus = transposition_matrices(k, n, degree, basis, domain)
+    return _word_matrix(taus, tuple(map(table.get, range(1, k + 1))), len(basis), domain)
+
+
+def _word_matrix(taus, q, dim, domain):
+    """The matrix of the permutation q of [1, k], in one-line form (q[i-1]
+    is the image of i), from taus, taus[i-1] the matrix of (i, i+1) on a
+    space of dimension dim over domain.
+
+    Bubble-sorting q swaps adjacent entries s_1, s_2, ..., s_m, one per
+    inversion, so the word is reduced and q = tau_(s_m) o ... o tau_(s_1).
+    The product tau_(s_m) ... tau_(s_1) is formed from the right, so that
+    each left factor is one tau; it is the identity when q is, and well
+    defined because the taus satisfy the Coxeter relators.
+    """
+    line = list(q)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(line) - 1):
+            if line[i] > line[i + 1]:
+                line[i], line[i + 1] = line[i + 1], line[i]
+                swaps.append(i + 1)
+                changed = True
+    if not swaps:
+        return SparseMatrix.identity(dim, domain)
+    m = taus[swaps[0] - 1]
+    for i in swaps[1:]:
+        m = taus[i - 1].matmul(m)
+    return m
 
 
 def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
-    """The matrices of tau_1 ... tau_(k-1), tau_i the transposition (i, i+1),
-    each equal to action_matrix's, built in one pass over the basis (keys
-    in any order, as in action_matrix).
+    """The matrices of tau_1 ... tau_(k-1), tau_i the transposition (i, i+1)
+    acting by relabelling leaves, built in one pass over the basis (keys in
+    any order, tall_basis's by default).  Every other permutation's matrix
+    is a product of these (action_matrix).
 
     Per column, i and i+1 are found once.  In different trees they swap,
     and both trees stay tall: a head i becomes i+1 among larger leaves, a
@@ -518,13 +529,6 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
             if len(row) == 1:
                 rows[r] = units.setdefault(next(iter(row.items())), row)
     return [SparseMatrix._trusted(len(basis), len(basis), domain, rows) for rows in mats]
-
-
-def _adjacent_transposition(i, k):
-    table = {v: v for v in range(1, k + 1)}
-    table[i] = i + 1
-    table[i + 1] = i
-    return table
 
 
 def _coinvariants_dim(dim, taus, field):

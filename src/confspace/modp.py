@@ -37,11 +37,14 @@ homological algebra over F_p:
 
 A module is given either by sigma alone (a C_p-module) or by the Coxeter
 generators tau_1 .. tau_{p-1} alone (a Sigma_p-module), in which case
-sigma is their product tau_1 ... tau_{p-1}, formed once.  Every module is
-validated on construction by full matrix equations for the group
-relations, at every dimension.  With the taus, sigma^p = 1 is not checked
-separately: it follows from the Coxeter relators, since sigma is the image
-of a p-cycle.
+sigma is their product tau_1 ... tau_{p-1}, formed once.  Every
+permutation matrix used here, sigma, the normalizer element g and the bar
+oracle's elements, is the product of the taus along the permutation's
+reduced word, formed by forests._word_matrix; modp keeps no
+permutation-word code.  Every module is validated on construction by full
+matrix equations for the group relations, at every dimension.  With the
+taus, sigma^p = 1 is not checked separately: it follows from the Coxeter
+relators, since sigma is the image of a p-cycle.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ class GModule:
 
     Exactly one of sigma and taus is given.  With taus, sigma is the
     product tau_1 tau_2 ... tau_{p-1}, the image of the p-cycle
-    (1 2 ... p), and is never compared with a second copy.  Validated on
-    construction, every check a full matrix equation: with taus, tau_i^2 =
-    1, (tau_i tau_{i+1})^3 = 1 and (tau_i tau_j)^2 = 1 for j > i+1, which
-    imply sigma^p = 1; without them, sigma^p = 1 itself, the last term of
-    run(sigma, p).  No power of sigma is stored: run forms each run of
-    sigma-products, with sigma on the right, and keeps nothing.  The one
-    cached datum is the int periodic_dim().
+    (1 2 ... p) along its word (forests._word_matrix), and is never
+    compared with a second copy.  Validated on construction, every check
+    a full matrix equation: with taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 =
+    1 and (tau_i tau_j)^2 = 1 for j > i+1, which imply sigma^p = 1;
+    without them, sigma^p = 1 itself, the last term of run(sigma, p).  No
+    power of sigma is stored: run forms each run of sigma-products, with
+    sigma on the right, and keeps nothing.  The one cached datum is the
+    int periodic_dim().
     """
 
     def __init__(self, p, sigma=None, taus=None, basis=None):
@@ -102,7 +106,8 @@ class GModule:
         self._validate()
         if taus is not None:
             # the p-cycle (2, 3, ..., p, 1) has the word (1, 2, ..., p-1)
-            self.sigma = _element_matrix(self, tuple(range(2, p + 1)) + (1,))
+            self.sigma = forests._word_matrix(taus, tuple(range(2, p + 1)) + (1,),
+                                              self.dim, field)
 
     # -- lazy matrix data ---------------------------------------------------
 
@@ -309,35 +314,6 @@ def _primitive_root(p):
             return r
 
 
-def _transposition_word(q):
-    """Adjacent-transposition word for the one-line permutation q, leftmost
-    factor outermost: q = tau_{w[0]} o tau_{w[1]} o ... (reduced)."""
-    line = list(q)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(line) - 1):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                swaps.append(i + 1)
-                changed = True
-    return tuple(reversed(swaps))
-
-
-def _element_matrix(v, q):
-    """Action matrix of the permutation q (one-line tuple) via its
-    transposition word, multiplied from the right so that each left factor
-    is one tau; well-defined because the Coxeter relators hold."""
-    word = _transposition_word(q)
-    if not word:
-        return SparseMatrix.identity(v.dim, v.field)
-    m = v.taus[word[-1] - 1]
-    for i in reversed(word[:-1]):
-        m = v.taus[i - 1].matmul(m)
-    return m
-
-
 def _unit_rows(z):
     """{c: f}, for each column c of the kernel_basis matrix z, a row f of z
     equal to the unit row e_c (z has one at each non-pivot column).  The
@@ -412,7 +388,7 @@ def sigma_p_cohomology_stable(v, s_max):
     rinv = pow(r, -1, p)
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
-    g = _element_matrix(v, q)
+    g = forests._word_matrix(v.taus, q, v.dim, v.field)
     aug = v.aug()
     z = kernel_basis(aug)
     dims = {0: z.ncols - rank(g.matmul(z).sub(z))}
@@ -451,7 +427,7 @@ def bar_cohomology(v, s_max):
         raise ModpError("negative cohomological window")
     ident_el = tuple(range(1, p + 1))
     elements = sorted(permutations(range(1, p + 1)))
-    mats = {el: _element_matrix(v, el) for el in elements}
+    mats = {el: forests._word_matrix(v.taus, el, v.dim, v.field) for el in elements}
 
     def compose(f, g):
         return tuple(f[g[x - 1] - 1] for x in range(1, p + 1))

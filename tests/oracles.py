@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dense Gaussian elimination over
 Fraction, textbook recurrences, brute-force enumeration, one inversion per
 block, one rank of the stacked tau_i - 1 for coinvariants, Jacobi
-regrafting for the tall rewrite.  The library must agree with these on
-small inputs; none of this code is imported by the package itself.
+regrafting for the tall rewrite, relabelling and rewriting every column for
+action matrices.  The library must agree with these on small inputs; none
+of this code is imported by the package itself.
 """
 
 from fractions import Fraction
@@ -249,6 +250,26 @@ def coinvariants_dim_stacked(dim, taus, field):
         return dim
     ident = SparseMatrix.identity(dim, field)
     return dim - rank(SparseMatrix.hstack([t.sub(ident) for t in taus]))
+
+
+def reference_action_matrix(perm, k, n, degree, basis, domain):
+    """Matrix of a permutation on the tall forests with keys basis, by
+    relabelling the leaves of every tree of basis[j] and rewriting the whole
+    forest to the tall basis, column by column."""
+    table = dict(perm)
+
+    def relabel(t):
+        if forests.is_leaf(t):
+            return table[t]
+        return (relabel(t[0]), relabel(t[1]))
+
+    pos = {key: i for i, key in enumerate(basis)}
+    entries = {}
+    for j, key in enumerate(basis):
+        moved = tuple(relabel(forests.tall_from_seq(seq)) for seq in key)
+        for g, c in forests.rewrite_to_tall(moved, n).terms.items():
+            entries[(pos[g], j)] = c
+    return SparseMatrix(len(basis), len(basis), domain, entries)
 
 
 def _spine(t):

@@ -1,5 +1,6 @@
 """Lie-algebra chain complexes for unordered configurations."""
 
+import itertools
 import json
 import random
 import re
@@ -246,33 +247,101 @@ def test_euler_series_checks_the_chain_sum(monkeypatch):
         ce.euler_series(gm("punctured-torus"), 3)
 
 
-@pytest.mark.parametrize("bracket, message", [
-    ({("x1", "y1"): {"x1~": 1}, ("y1", "x1"): {"x1~": -1}}, "bracket [x1,y1] not degree-0"),
-    ({("x1", "y1"): {"x1": 1}, ("y1", "x1"): {"x1": -1}}, "bracket [x1,y1] not weight-additive"),
-    ({("x1", "y1"): {"z~": -1}}, "antisymmetry fails on [x1, y1]"),
-], ids=["degree", "weight", "antisymmetry"])
-def test_gm_lie_refuses_a_bad_bracket(bracket, message):
-    g = gm("punctured-torus")
+@pytest.mark.parametrize("degrees, prod, message", [
+    ({"a": 3}, {}, "basis element 'a' has degree 3 outside [0, 2]"),
+    ({"a": 1, "b": 1, "p": 2}, {("a", "b"): {"a": 1}, ("b", "a"): {"a": -1}},
+     "product a*b hits 'a' of degree 1, expected 2"),
+    ({"a": 1, "b": 1, "p": 2}, {("a", "b"): {"p": 1}, ("b", "a"): {"p": 1}},
+     "graded commutativity fails on (a, b)"),
+    # (e e) a = a a = 0, e (e a) = e e = a
+    ({"e": 0, "a": 0}, {("e", "e"): {"a": 1}, ("e", "a"): {"e": 1}, ("a", "e"): {"e": 1}},
+     "associativity fails on (e, e, a)"),
+], ids=["degree", "product-degree", "commutativity", "associativity"])
+def test_calgebra_is_validated_where_it_is_built(degrees, prod, message):
     with pytest.raises(ce.AlgebraError, match=re.escape(message)):
-        ce.GMLie(g.algebra, g.slots, bracket)
+        ce.CAlgebra("bad", 2, degrees, prod)
+
+
+def all_lie_algebras():
+    """build_gm of every preset and of shuffled surfaces of genus 1..3,
+    each with its sign-flipped copy."""
+    gs = [gm(name) for name in ALL_PRESETS]
+    gs += [ce.build_gm(renamed_surface(genus, random.Random(genus))) for genus in (1, 2, 3)]
+    return gs + [flip_bracket(g) for g in gs]
+
+
+def test_build_gm_brackets_are_graded_lie_brackets():
+    """Degree 0, weight-additive and antisymmetric; Jacobi is empty, since
+    every bracket lands in weight 2 and weight-2 slots bracket to zero."""
+    for g in all_lie_algebras():
+        slot = {s.name: s for s in g.slots}
+        for (x, y), res in g.bracket.items():
+            assert slot[x].weight == slot[y].weight == 1, (g.algebra.name, x, y)
+            for z in res:
+                assert slot[z].gdeg == slot[x].gdeg + slot[y].gdeg, (g.algebra.name, x, y)
+                assert slot[z].weight == 2, (g.algebra.name, x, y)
+        for x in slot:
+            for y in slot:
+                sign = (-1) ** (slot[x].gdeg * slot[y].gdeg)
+                flipped = {z: -sign * c for z, c in g.bracket_of(y, x).items()}
+                assert g.bracket_of(x, y) == flipped, (g.algebra.name, x, y)
+
+
+def assert_signed_lie_automorphism(g, perm):
+    """perm, slot i -> slot perm[i], is a bijection of the slots that keeps
+    weight and degree and moves a and a~ together, and some signs on the
+    classes make [perm u, perm v] = s_u s_v perm [u, v] for every pair."""
+    slots = g.slots
+    assert sorted(perm) == list(range(len(slots)))
+    cls = {}
+    for s, j in zip(slots, perm):
+        t = slots[j]
+        assert (t.weight, t.gdeg) == (s.weight, s.gdeg)
+        assert cls.setdefault(s.source, t.source) == t.source
+    img = {s.name: slots[j].name for s, j in zip(slots, perm)}
+    classes = sorted(cls)
+    for signs in itertools.product((1, -1), repeat=len(classes)):
+        sign = {s.name: dict(zip(classes, signs))[s.source] for s in slots}
+        if all(g.bracket_of(img[u], img[v])
+               == {img[w]: sign[u] * sign[v] * sign[w] * c for w, c in g.bracket_of(u, v).items()}
+               for u in img for v in img):
+            return
+    raise AssertionError("no signs make %r a Lie automorphism of %s" % (perm, g.algebra.name))
+
+
+def test_symmetries_are_signed_lie_automorphisms():
+    found = 0
+    for g in all_lie_algebras():
+        for perm in ce._symmetries(g):
+            assert_signed_lie_automorphism(g, perm)
+            found += 1
+    assert found
+
+
+def image_of(g, cmap):
+    """Slot -> (slot, sign) for the signed class map cmap."""
+    return {s.name: (cmap[s.source][0] + ("~" if s.weight == 2 else ""), cmap[s.source][1])
+            for s in g.slots}
 
 
 def test_signed_permutation_with_one_wrong_sign_is_refused():
     g = gm("closed-surface-1")
     fixed = {"e": ("e", 1), "z": ("z", 1)}
-    assert not ce._is_automorphism(g, {**fixed, "x1": ("y1", 1), "y1": ("x1", 1)})
+    names = [s.name for s in g.slots]
+
+    def holds(h, cmap):
+        return all(ce._bracket_holds(h, image_of(h, cmap), u, v) for u in names for v in names)
+
     # [x1, y1] = z~ and [y1, x1] = -z~: the swap needs one sign flipped
-    assert ce._is_automorphism(g, {**fixed, "x1": ("y1", 1), "y1": ("x1", -1)})
-    assert ce._is_automorphism(g, {"e": ("e", 1), "z": ("z", -1),
-                                   "x1": ("y1", 1), "y1": ("x1", 1)})
-    # not a permutation, or not degree-preserving
-    assert not ce._is_automorphism(g, {**fixed, "x1": ("x1", 1), "y1": ("x1", 1)})
-    assert not ce._is_automorphism(g, {"e": ("z", 1), "z": ("e", 1),
-                                       "x1": ("x1", 1), "y1": ("y1", 1)})
+    assert not ce._bracket_holds(g, image_of(g, {**fixed, "x1": ("y1", 1), "y1": ("x1", 1)}),
+                                 "x1", "y1")
+    assert holds(g, {**fixed, "x1": ("y1", 1), "y1": ("x1", -1)})
+    assert holds(g, {"e": ("e", 1), "z": ("z", -1), "x1": ("y1", 1), "y1": ("x1", 1)})
     # the sign-flipped copy has the same automorphisms
     flipped = flip_bracket(g)
-    assert not ce._is_automorphism(flipped, {**fixed, "x1": ("y1", 1), "y1": ("x1", 1)})
-    assert ce._is_automorphism(flipped, {**fixed, "x1": ("y1", 1), "y1": ("x1", -1)})
+    assert not ce._bracket_holds(
+        flipped, image_of(flipped, {**fixed, "x1": ("y1", 1), "y1": ("x1", 1)}), "x1", "y1")
+    assert holds(flipped, {**fixed, "x1": ("y1", 1), "y1": ("x1", -1)})
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)

@@ -252,32 +252,13 @@ def test_action_matrix_is_multiplicative(k, n, seed):
     assert mq.matmul(mp) == mc
 
 
-def reference_action_matrix(perm, k, n, degree, basis, domain):
-    """The column loop action_matrix replaced: relabel the leaves of every
-    tree of basis[j], then rewrite the whole forest to the tall basis."""
-    table = dict(perm)
-
-    def relabel(t):
-        if forests.is_leaf(t):
-            return table[t]
-        return (relabel(t[0]), relabel(t[1]))
-
-    pos = {key: i for i, key in enumerate(basis)}
-    entries = {}
-    for j, key in enumerate(basis):
-        image = forests.rewrite_to_tall(tuple(relabel(t) for t in combs(key)), n)
-        for g, c in image.terms.items():
-            entries[(pos[g], j)] = c
-    return SparseMatrix(len(basis), len(basis), domain, entries)
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n", [2, 3])
 def test_action_matrix_matches_relabel_and_rewrite(k, n):
     rng = random.Random(k * 10 + n)
     perms = [{i: i % k + 1 for i in range(1, k + 1)}]
     for i in range(1, k):
-        perms.append(forests._adjacent_transposition(i, k))
+        perms.append({**{v: v for v in range(1, k + 1)}, i: i + 1, i + 1: i})
     for _ in range(3):
         image = list(range(1, k + 1))
         rng.shuffle(image)
@@ -291,8 +272,8 @@ def test_action_matrix_matches_relabel_and_rewrite(k, n):
         for perm in perms:
             for domain, b in cases:
                 got = forests.action_matrix(perm, k, n, degree, b, domain=domain)
-                want = reference_action_matrix(perm, k, n, degree,
-                                               basis if b is None else b, domain)
+                want = oracles.reference_action_matrix(perm, k, n, degree,
+                                                       basis if b is None else b, domain)
                 assert got.entries == want.entries, (perm, degree, domain)
                 assert all(type(v) is int for v in got.entries.values())
 
@@ -312,8 +293,9 @@ def test_transposition_matrices_match_action_matrix(k, n):
             for row in (row for m in got for row in m.rows.values() if len(row) == 1):
                 assert units.setdefault(tuple(row.items()), row) is row, (degree, row)
             for i, m in enumerate(got, start=1):
-                want = forests.action_matrix(forests._adjacent_transposition(i, k), k, n,
-                                             degree, b, domain=domain)
+                tau = {**{v: v for v in range(1, k + 1)}, i: i + 1, i + 1: i}
+                want = oracles.reference_action_matrix(tau, k, n, degree,
+                                                       basis if b is None else b, domain)
                 assert m.entries == want.entries, (i, degree, domain)
                 assert m.domain == domain
                 assert all(type(v) is int for v in m.entries.values())

@@ -40,14 +40,15 @@ def test_conf_module_dimensions_are_stirling():
 
 def test_conf_module_sigma_is_the_cycle_action_matrix():
     """sigma, formed as tau_1 ... tau_{p-1}, is the p-cycle i -> i+1 acting
-    by leaf relabeling and rewriting to the tall basis, entry for entry and
-    with int entries, on every module of p <= 7 and n <= 3."""
+    by leaf relabeling and rewriting to the tall basis (the test reference),
+    entry for entry and with int entries, on every module of p <= 7 and
+    n <= 3."""
     for p in (3, 5, 7):
         cycle = {i: i % p + 1 for i in range(1, p + 1)}
         for n in (2, 3):
             for t in all_t(p, n):
                 v = modp.conf_module(p, n, t)
-                want = forests.action_matrix(cycle, p, n, t, basis=v.basis, domain=GF(p))
+                want = oracles.reference_action_matrix(cycle, p, n, t, v.basis, GF(p))
                 got = v.sigma.entries
                 assert got == want.entries, (p, n, t)
                 assert all(type(x) is int for x in got.values()), (p, n, t)
@@ -375,7 +376,7 @@ def test_norm_coords_and_the_unchecked_chain_map_identity(p):
                 assert rank(m) == rn, case
                 y = kernel_basis(m)
                 assert y.ncols == w.dim - rn and full.matmul(y).is_zero(), case
-                g = modp._element_matrix(w, q)
+                g = forests._word_matrix(w.taus, q, w.dim, w.field)
                 assert full.matmul(g.matmul(right_sums(w, r))) == g.matmul(full).scale(r), case
 
 
@@ -403,11 +404,30 @@ def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     assert sorted(modp._conf_cache) == [(7, 3, t) for t in ts]
 
 
+class _Word:
+    """A stand-in for a tau in the free monoid on 1, 2, ...: matmul
+    concatenates, so _word_matrix returns the word it multiplies along."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def matmul(self, other):
+        return _Word(self.word + other.word)
+
+
+def _word(q):
+    """The word forests._word_matrix multiplies along for q, leftmost
+    factor first; () for the identity."""
+    if q == tuple(sorted(q)):
+        return ()
+    return forests._word_matrix([_Word((i,)) for i in range(1, len(q))], q, 0, None).word
+
+
 def test_transposition_word_recomposes_every_permutation():
     """q = tau_{w[0]} o tau_{w[1]} o ..., so applying the word's swaps to x
     from the right end reaches q(x), for every q of 1..5."""
     for q in itertools.permutations(range(1, 6)):
-        word = modp._transposition_word(q)
+        word = _word(q)
         got = []
         for x in range(1, 6):
             for i in reversed(word):
@@ -418,14 +438,15 @@ def test_transposition_word_recomposes_every_permutation():
 
 def test_element_matrix_starts_at_the_first_tau():
     v = modp.conf_module(5, 2, 2)
-    assert modp._element_matrix(v, (1, 2, 3, 4, 5)) == SparseMatrix.identity(v.dim, GF(5))
-    assert modp._element_matrix(v, (1, 3, 2, 4, 5)) is v.taus[1]
+    ident = SparseMatrix.identity(v.dim, GF(5))
+    assert forests._word_matrix(v.taus, (1, 2, 3, 4, 5), v.dim, v.field) == ident
+    assert forests._word_matrix(v.taus, (1, 3, 2, 4, 5), v.dim, v.field) is v.taus[1]
     q = (2, 3, 1, 5, 4)
-    word = modp._transposition_word(q)
-    want = SparseMatrix.identity(v.dim, GF(5))
+    word = _word(q)
+    want = ident
     for i in word:
         want = want.matmul(v.taus[i - 1])
-    assert len(word) == 3 and modp._element_matrix(v, q) == want
+    assert len(word) == 3 and forests._word_matrix(v.taus, q, v.dim, v.field) == want
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +581,7 @@ def _stable_reference(v, s_max):
     p = v.p
     r = modp._primitive_root(p)
     q = tuple((i - 1) * pow(r, -1, p) % p + 1 for i in range(1, p + 1))
-    g = modp._element_matrix(v, q)
+    g = forests._word_matrix(v.taus, q, v.dim, v.field)
     diffs = (v.aug(), right_sums(v, p))
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
     phis = (g, g.matmul(right_sums(v, r)))
@@ -674,8 +695,8 @@ def test_stable_route_on_sums_matches_stage_loop_at_p5():
 
 def test_stable_route_refuses_a_non_chain_map(monkeypatch):
     v = modp.conf_module(5, 2, 4)
-    monkeypatch.setattr(modp, "_element_matrix",
-                        lambda v, q: SparseMatrix.identity(v.dim, v.field))
+    monkeypatch.setattr(forests, "_word_matrix",
+                        lambda taus, q, dim, domain: SparseMatrix.identity(dim, domain))
     with pytest.raises(modp.ModpError, match="not a chain map"):
         modp.sigma_p_cohomology_stable(v, 1)
 
@@ -744,8 +765,8 @@ def test_bar_cohomology_refuses_large_groups():
 def test_bar_cohomology_checks_multiplicativity(monkeypatch):
     v = modp.trivial_module(3)
     # 2 * identity over F_3: its square is the identity, not itself
-    monkeypatch.setattr(modp, "_element_matrix",
-                        lambda v, q: SparseMatrix.identity(v.dim, v.field).scale(2))
+    monkeypatch.setattr(forests, "_word_matrix",
+                        lambda taus, q, dim, domain: SparseMatrix.identity(dim, domain).scale(2))
     with pytest.raises(modp.ModpError, match="element matrices are not multiplicative"):
         modp.bar_cohomology(v, 2)
 
