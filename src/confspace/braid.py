@@ -204,11 +204,6 @@ class CosetTable:
         t = self.action if letter > 0 else self.inverse
         return t[abs(letter) - 1][coset - 1]
 
-    def trace(self, coset, word):
-        for s in word:
-            coset = self.step(coset, s)
-        return coset
-
 
 def coset_table_from_hom(pres, images, kind, point=None):
     """Coset table of a subgroup given by generator images in a
@@ -353,9 +348,6 @@ class FreeAutomorphism:
                     "image of generator %d is not conjugate to a generator" % i)
             out[i] = w[0]
         return out
-
-    def is_pure(self):
-        return all(i == j for i, j in self.permutation().items())
 
     def __eq__(self, other):
         return (isinstance(other, FreeAutomorphism)

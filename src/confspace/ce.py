@@ -70,8 +70,9 @@ class CAlgebra:
 
     Products are stored as a total table (name, name) -> {name: coeff};
     omitted pairs are zero.  Validated where it is built: every degree lies
-    in [0, n], and the products are degree-additive, graded-commutative and
-    associative, or AlgebraError is raised.
+    in [0, n], every product names only basis elements, and the products
+    are degree-additive, graded-commutative and associative, or
+    AlgebraError is raised.
     """
 
     def __init__(self, name, n, degrees, prod):
@@ -81,6 +82,8 @@ class CAlgebra:
         self.degree = dict(degrees)
         self.prod = prod
         _validate_algebra(self)
+        # a pair with an empty result, its names checked, is stored as no entry
+        self.prod = {pair: res for pair, res in prod.items() if res}
 
     def product(self, x, y):
         return self.prod.get((x, y), {})
@@ -92,8 +95,12 @@ def _validate_algebra(a):
             raise AlgebraError("basis element %r has degree %d outside [0, %d]"
                                % (x, d, a.n))
     for (x, y), res in a.prod.items():
+        if x not in a.degree or y not in a.degree:
+            raise AlgebraError("product names unknown basis element (%r, %r)" % (x, y))
         dxy = a.degree[x] + a.degree[y]
         for z in res:
+            if z not in a.degree:
+                raise AlgebraError("product result names unknown basis %r" % z)
             if a.degree[z] != dxy:
                 raise AlgebraError(
                     "product %s*%s hits %r of degree %d, expected %d"
@@ -143,9 +150,9 @@ def _list(value, what):
 
 
 def load_algebra(document):
-    """Load an algebra document (the JSON schema of README): its shape,
-    names and product entries are checked here, its structure constants by
-    CAlgebra.
+    """Load an algebra document (the JSON schema of README): its shape and
+    duplicate entries are checked here, its names and structure constants
+    by CAlgebra.
 
     {"name": str, "ambient_dim": int,
      "basis": [{"name": str, "degree": int}],
@@ -169,19 +176,15 @@ def load_algebra(document):
     prod = {}
     for item in products:
         left, right = _fields(item, "product", left=str, right=str)
-        if left not in degrees or right not in degrees:
-            raise AlgebraError("product names unknown basis element (%r, %r)"
-                               % (left, right))
         if (left, right) in prod:
             raise AlgebraError("duplicate product entry (%r, %r)" % (left, right))
         res = {}
         for term in _list(item.get("result", []), "product result"):
             z, c = _fields(term, "product result term", basis=str, coeff=int)
-            if z not in degrees:
-                raise AlgebraError("product result names unknown basis %r" % z)
             res[z] = res.get(z, 0) + c
+        # an empty result is kept, so that CAlgebra checks its names
         prod[(left, right)] = {z: c for z, c in res.items() if c}
-    return CAlgebra(name, n, degrees, {pair: res for pair, res in prod.items() if res})
+    return CAlgebra(name, n, degrees, prod)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,22 @@ c(k, r) = c(k-1, r-1) + (k-1) c(k-1, r), and tall_basis builds them by that
 recurrence: k is a tree of its own, or goes right after one of the k-1
 smaller leaves.  Its leaf sequences, one tuple per tree in minimum order,
 determine it and are its key: tall_basis returns the sorted keys, and
-HomologyClass terms, action matrices and the pairing are all keyed by them.
-Nested trees appear only at parse and print time (parse_forest, key_str),
-and as the relabelled combs of transposition-matrix columns that leave the
-tall basis, which rewrite_to_tall expands.  Brackets obey shifted antisymmetry
+HomologyClass terms, the taus of forest_module and the pairing are all keyed
+by them.  Nested trees appear only at parse and print time (parse_forest,
+key_str), and as the relabelled combs of tau columns that leave the tall
+basis, which rewrite_to_tall expands.  Brackets obey shifted antisymmetry
 
     [x, y] = -(-1)^(||x|| ||y||) [y, x],
 
 and reordering forest components uses the unshifted Koszul rule
 (-1)^(|T_i| |T_j|).
+
+Sigma_k acts by relabelling leaves.  forest_module builds the matrices of
+the adjacent transpositions tau_i = (i, i+1) in one pass and returns one
+SymmetricModule, which holds the taus with their dimension, domain and
+basis keys.  Every other permutation's matrix is the product of the taus
+along its reduced word (element), and the coinvariants and each key's leaf
+partition are read off the same object.
 
 Arbitrary trees rewrite into the basis by reading words.  Expand a tree in
 the tensor algebra on its leaf labels, a bracket going to the graded
@@ -38,7 +45,7 @@ expansion of T.  Those words are read by walking up from m: at each vertex
 the sibling subtree contributes every word of its expansion as a suffix,
 with the antisymmetry sign -(-1)^(||x|| ||y||) when m came from the right.
 The words of one tree are distinct, so every coefficient is +-1.  The trees
-that transposition_matrices rewrites are relabelled combs l(x1 ... xm) with
+that forest_module rewrites are relabelled combs l(x1 ... xm) with
 the minimum m = x_q, q > 1, and their walk reads (m,) + u + (x_{q+1} ... xm)
 with coefficient s c, for each word u of the prefix comb l(x1 ... x_{q-1})
 with coefficient c and s the sign of the bracket that joins m.  The words
@@ -361,7 +368,7 @@ def rewrite_to_tall(f, n, seqs=None):
     The forest's labels must partition [1, k] for k = total leaf count; the
     given component order is part of the input and contributes the Koszul
     reordering sign.  A caller that passes seqs, the leaf sequences of f's
-    trees, vouches for f, and f is not validated: transposition_matrices
+    trees, vouches for f, and f is not validated: forest_module
     does so for the forests it builds itself.
     """
     if n < 2:
@@ -386,10 +393,6 @@ def rewrite_to_tall(f, n, seqs=None):
 
 # ---------------------------------------------------------------------------
 # pairing with the cohomology basis
-
-
-def _forest_partition(key):
-    return tuple(sorted(tuple(sorted(seq)) for seq in key))
 
 
 def pairing_matrix(k, n, degree):
@@ -422,57 +425,124 @@ def pairing_matrix(k, n, degree):
 
 
 # ---------------------------------------------------------------------------
-# symmetric-group action matrices and coinvariants
+# the symmetric-group action and its coinvariants
 
 
-def action_matrix(perm, k, n, degree, basis=None, domain=ZZ):
-    """Matrix of a permutation of [1, k] on the tall basis: column j is the
-    image of basis[j] with its leaves relabelled, in the basis.  basis is a
-    list of keys in any order, tall_basis's by default.  It is the product
-    of transposition_matrices along the permutation's reduced word
-    (_word_matrix), the one route from a permutation to its matrix.
-    """
-    table = arnold._perm_table(perm, k)
-    if basis is None:
-        basis = tall_basis(k, n, degree)
-    taus = transposition_matrices(k, n, degree, basis, domain)
-    return _word_matrix(taus, tuple(map(table.get, range(1, k + 1))), len(basis), domain)
+class SymmetricModule:
+    """Sigma_k acting on domain^dim through its Coxeter generators: taus[i-1]
+    is the matrix of tau_i = (i, i+1).  basis, when given, holds the tall
+    forest keys that index the rows and columns (forest_module's)."""
+
+    def __init__(self, taus, dim, domain, basis=None):
+        self.taus = taus
+        self.dim = dim
+        self.domain = domain
+        self.basis = basis
+
+    def element(self, q):
+        """The matrix of the permutation q of [1, k], in one-line form (q[i-1]
+        is the image of i).
+
+        Bubble-sorting q swaps adjacent entries s_1, s_2, ..., s_m, one per
+        inversion, so the word is reduced and q = tau_(s_m) o ... o tau_(s_1).
+        The product tau_(s_m) ... tau_(s_1) is formed from the right, so that
+        each left factor is one tau; it is the identity when q is, and well
+        defined because the taus satisfy the Coxeter relators.
+        """
+        line = list(q)
+        swaps = []
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(line) - 1):
+                if line[i] > line[i + 1]:
+                    line[i], line[i + 1] = line[i + 1], line[i]
+                    swaps.append(i + 1)
+                    changed = True
+        if not swaps:
+            return SparseMatrix.identity(self.dim, self.domain)
+        m = self.taus[swaps[0] - 1]
+        for i in swaps[1:]:
+            m = self.taus[i - 1].matmul(m)
+        return m
+
+    def coinvariants_dim(self):
+        """dim V - rank [tau_1 - 1 | ... ]: the dimension of the coinvariants
+        of V = domain^dim, domain a field.
+
+        A column c where some tau is monomial, tau e_c = s e_c' with s = +-1,
+        gives the relation e_c = s e_c'.  A union-find with signs joins such
+        columns into classes, e_c = w_c e_root.  A relation that closes a loop
+        with product -1 gives 2 e_root = 0, so the class dies (in
+        characteristic 2, -1 = 1 and no loop has product -1).  The other
+        columns of the tau_i - 1 are projected onto the live classes and
+        ranked.
+        """
+        dim, field = self.dim, self.domain
+        one, minus_one = field.coerce(1), field.coerce(-1)
+        parent = list(range(dim))
+        weight = [1] * dim  # e_c = weight[c] e_parent[c]
+        dead = [False] * dim
+
+        def find(c):
+            path = []
+            while parent[c] != c:
+                path.append(c)
+                c = parent[c]
+            for x in reversed(path):
+                if parent[x] != c:
+                    weight[x] *= weight[parent[x]]
+                    parent[x] = c
+            return c
+
+        rest = []
+        for t in self.taus:
+            cols = t.transpose().rows
+            for c in range(dim):
+                col = cols.get(c, {})
+                if len(col) == 1:
+                    [(r, v)] = col.items()
+                    s = 1 if v == one else -1 if v == minus_one else 0
+                    if s:
+                        rc, rr = find(c), find(r)
+                        # e_rc = w_c s w_r e_rr
+                        w = weight[c] * s * weight[r]
+                        if rc == rr:
+                            dead[rc] = dead[rc] or w != 1
+                        else:
+                            parent[rc], weight[rc] = rr, w
+                            dead[rr] = dead[rr] or dead[rc]
+                        continue
+                rest.append((c, col))
+        live = {}
+        for c in range(dim):
+            root = find(c)
+            if not dead[root] and root not in live:
+                live[root] = len(live)
+        if not rest or not live:
+            return len(live)
+
+        # (tau - 1) e_c, with each e_r replaced by weight[r] e_root, or 0 if dead
+        entries = {}
+        for j, (c, col) in enumerate(rest):
+            for r, v in [*col.items(), (c, -1)]:
+                root = find(r)
+                if not dead[root]:
+                    key = (live[root], j)
+                    entries[key] = entries.get(key, 0) + weight[r] * v
+        return len(live) - rank(SparseMatrix(len(live), len(rest), field, entries))
+
+    def partitions(self):
+        """The leaf partition of each basis key, in basis order: the sorted
+        label sets of its trees."""
+        return [tuple(sorted(tuple(sorted(seq)) for seq in key)) for key in self.basis]
 
 
-def _word_matrix(taus, q, dim, domain):
-    """The matrix of the permutation q of [1, k], in one-line form (q[i-1]
-    is the image of i), from taus, taus[i-1] the matrix of (i, i+1) on a
-    space of dimension dim over domain.
-
-    Bubble-sorting q swaps adjacent entries s_1, s_2, ..., s_m, one per
-    inversion, so the word is reduced and q = tau_(s_m) o ... o tau_(s_1).
-    The product tau_(s_m) ... tau_(s_1) is formed from the right, so that
-    each left factor is one tau; it is the identity when q is, and well
-    defined because the taus satisfy the Coxeter relators.
-    """
-    line = list(q)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(line) - 1):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                swaps.append(i + 1)
-                changed = True
-    if not swaps:
-        return SparseMatrix.identity(dim, domain)
-    m = taus[swaps[0] - 1]
-    for i in swaps[1:]:
-        m = taus[i - 1].matmul(m)
-    return m
-
-
-def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
-    """The matrices of tau_1 ... tau_(k-1), tau_i the transposition (i, i+1)
-    acting by relabelling leaves, built in one pass over the basis (keys in
-    any order, tall_basis's by default).  Every other permutation's matrix
-    is a product of these (action_matrix).
+def forest_module(k, n, degree, domain=ZZ):
+    """H_degree(Conf_k(R^n)) over domain on the tall basis, as the matrices
+    of tau_1 ... tau_(k-1), tau_i the transposition (i, i+1) acting by
+    relabelling leaves, built in one pass over the basis.  Every other
+    permutation's matrix is a product of these (SymmetricModule.element).
 
     Per column, i and i+1 are found once.  In different trees they swap,
     and both trees stay tall: a head i becomes i+1 among larger leaves, a
@@ -487,8 +557,7 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
     tau that has it, taken from one table per call: linalg writes to no
     row of an existing matrix, so the taus may share rows.
     """
-    if basis is None:
-        basis = tall_basis(k, n, degree)
+    basis = tall_basis(k, n, degree)
     row = {key: i for i, key in enumerate(basis)}
     coerce = domain.coerce
     one, minus_one = coerce(1), coerce(-1)
@@ -528,73 +597,18 @@ def transposition_matrices(k, n, degree, basis=None, domain=ZZ):
         for r, row in rows.items():
             if len(row) == 1:
                 rows[r] = units.setdefault(next(iter(row.items())), row)
-    return [SparseMatrix._trusted(len(basis), len(basis), domain, rows) for rows in mats]
+    dim = len(basis)
+    taus = [SparseMatrix._trusted(dim, dim, domain, rows) for rows in mats]
+    return SymmetricModule(taus, dim, domain, basis)
 
 
-def _coinvariants_dim(dim, taus, field):
-    """dim V - rank [tau_1 - 1 | ... ]: the dimension of the coinvariants
-    of the group that the square matrices taus generate on V = field^dim.
-
-    A column c where some tau is monomial, tau e_c = s e_c' with s = +-1,
-    gives the relation e_c = s e_c'.  A union-find with signs joins such
-    columns into classes, e_c = w_c e_root.  A relation that closes a loop
-    with product -1 gives 2 e_root = 0, so the class dies (in
-    characteristic 2, -1 = 1 and no loop has product -1).  The other
-    columns of the tau_i - 1 are projected onto the live classes and
-    ranked.
-    """
-    one, minus_one = field.coerce(1), field.coerce(-1)
-    parent = list(range(dim))
-    weight = [1] * dim  # e_c = weight[c] e_parent[c]
-    dead = [False] * dim
-
-    def find(c):
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        for x in reversed(path):
-            if parent[x] != c:
-                weight[x] *= weight[parent[x]]
-                parent[x] = c
-        return c
-
-    rest = []
-    for t in taus:
-        cols = t.transpose().rows
-        for c in range(dim):
-            col = cols.get(c, {})
-            if len(col) == 1:
-                [(r, v)] = col.items()
-                s = 1 if v == one else -1 if v == minus_one else 0
-                if s:
-                    rc, rr = find(c), find(r)
-                    # e_rc = w_c s w_r e_rr
-                    w = weight[c] * s * weight[r]
-                    if rc == rr:
-                        dead[rc] = dead[rc] or w != 1
-                    else:
-                        parent[rc], weight[rc] = rr, w
-                        dead[rr] = dead[rr] or dead[rc]
-                    continue
-            rest.append((c, col))
-    live = {}
-    for c in range(dim):
-        root = find(c)
-        if not dead[root] and root not in live:
-            live[root] = len(live)
-    if not rest or not live:
-        return len(live)
-
-    # (tau - 1) e_c, with each e_r replaced by weight[r] e_root, or 0 if dead
-    entries = {}
-    for j, (c, col) in enumerate(rest):
-        for r, v in [*col.items(), (c, -1)]:
-            root = find(r)
-            if not dead[root]:
-                key = (live[root], j)
-                entries[key] = entries.get(key, 0) + weight[r] * v
-    return len(live) - rank(SparseMatrix(len(live), len(rest), field, entries))
+def action_matrix(perm, k, n, degree, domain=ZZ):
+    """Matrix of a permutation of [1, k] on the tall basis: column j is the
+    image of the j-th key with its leaves relabelled, in the basis.  It is
+    forest_module's element, the one route from a permutation to its
+    matrix."""
+    table = arnold._perm_table(perm, k)
+    return forest_module(k, n, degree, domain).element(tuple(map(table.get, range(1, k + 1))))
 
 
 def coinvariants_dims(k, n, field):
@@ -610,13 +624,8 @@ def coinvariants_dims(k, n, field):
     if 0 < field.characteristic <= k:
         raise ValueError("field characteristic %d <= k = %d: transfer fails"
                          % (field.characteristic, k))
-    out = {}
-    for j in range(0, k):
-        degree = j * (n - 1)
-        basis = tall_basis(k, n, degree)
-        taus = transposition_matrices(k, n, degree, basis=basis, domain=field)
-        out[degree] = _coinvariants_dim(len(basis), taus, field)
-    return GradedDims(out)
+    return GradedDims({j * (n - 1): forest_module(k, n, j * (n - 1), field).coinvariants_dim()
+                       for j in range(k)})
 
 
 def unordered_betti_rational(k, n):

@@ -13,7 +13,7 @@ transposes and the eliminator read and build rows directly; the flat
 between matrices: a row of a product with a single entry on the left is a
 scaled row of the right factor, or, at an int 1, that row itself, and
 matrices built together may hold one dict for equal rows (the
-single-entry rows of forests.transposition_matrices).  Nothing writes to
+single-entry rows of the taus of forests.forest_module).  Nothing writes to
 a row of an existing matrix: the eliminator starts from the input's rows
 as they are (over Q from the rows that already are primitive integer
 vectors), copies each one on its first update, and from then on updates

@@ -35,12 +35,12 @@ homological algebra over F_p:
   * A normalized bar-resolution computation over the full symmetric group
     is kept as a brute-force oracle for tiny groups.
 
-A module is given either by sigma alone (a C_p-module) or by the Coxeter
-generators tau_1 .. tau_{p-1} alone (a Sigma_p-module), in which case
-sigma is their product tau_1 ... tau_{p-1}, formed once.  Every
-permutation matrix used here, sigma, the normalizer element g and the bar
-oracle's elements, is the product of the taus along the permutation's
-reduced word, formed by forests._word_matrix; modp keeps no
+A module is given either by sigma alone (a C_p-module) or by a
+forests.SymmetricModule alone (a Sigma_p-module, through its Coxeter
+generators tau_1 .. tau_{p-1}), in which case sigma is their product
+tau_1 ... tau_{p-1}, formed once.  Every permutation matrix used here,
+sigma, the normalizer element g and the bar oracle's elements, is the
+module's element along the permutation's reduced word; modp keeps no
 permutation-word code.  Every module is validated on construction by full
 matrix equations for the group relations, at every dimension.  With the
 taus, sigma^p = 1 is not checked separately: it follows from the Coxeter
@@ -65,9 +65,9 @@ class GModule:
     """F_p vector space with an action of C_p = <sigma>, or of Sigma_p
     through its Coxeter generators tau_1 .. tau_{p-1}.
 
-    Exactly one of sigma and taus is given.  With taus, sigma is the
-    product tau_1 tau_2 ... tau_{p-1}, the image of the p-cycle
-    (1 2 ... p) along its word (forests._word_matrix), and is never
+    Exactly one of sigma and module, a forests.SymmetricModule, is given.
+    With module, sigma is the product tau_1 tau_2 ... tau_{p-1} of its
+    taus, the module's element at the p-cycle (1 2 ... p), and is never
     compared with a second copy.  Validated on construction, every check
     a full matrix equation: with taus, tau_i^2 = 1, (tau_i tau_{i+1})^3 =
     1 and (tau_i tau_j)^2 = 1 for j > i+1, which imply sigma^p = 1;
@@ -77,37 +77,35 @@ class GModule:
     int periodic_dim().
     """
 
-    def __init__(self, p, sigma=None, taus=None, basis=None):
+    def __init__(self, p, sigma=None, module=None):
         if not is_prime(p):
             raise ModpError("p = %d is not prime" % p)
-        if (sigma is None) == (taus is None):
+        if (sigma is None) == (module is None):
             raise ModpError("give exactly one of sigma and the Coxeter generators")
         field = GF(p)
         self.p = p
         self.field = field
         self.sigma = sigma
-        self.taus = taus
-        self.basis = basis
+        self.module = module
         self._h = None
-        if taus is None:
+        if module is None:
             if sigma.nrows != sigma.ncols:
                 raise ModpError("sigma must be square, got %dx%d" % (sigma.nrows, sigma.ncols))
             if sigma.domain != field:
                 raise ModpError("sigma must have GF(%d) coefficients" % p)
             self.dim = sigma.nrows
         else:
-            self.taus = taus = list(taus)
-            if len(taus) != p - 1:
-                raise ModpError("expected %d Coxeter generators, got %d" % (p - 1, len(taus)))
-            self.dim = taus[0].nrows
-            for m in taus:
-                if (m.nrows, m.ncols) != (self.dim, self.dim) or m.domain != field:
-                    raise ModpError("Coxeter generator shape or domain mismatch")
+            if len(module.taus) != p - 1:
+                raise ModpError("expected %d Coxeter generators, got %d"
+                                % (p - 1, len(module.taus)))
+            self.dim = module.dim
+            if module.domain != field or any((m.nrows, m.ncols) != (self.dim, self.dim)
+                                             or m.domain != field for m in module.taus):
+                raise ModpError("Coxeter generator shape or domain mismatch")
         self._validate()
-        if taus is not None:
+        if module is not None:
             # the p-cycle (2, 3, ..., p, 1) has the word (1, 2, ..., p-1)
-            self.sigma = forests._word_matrix(taus, tuple(range(2, p + 1)) + (1,),
-                                              self.dim, field)
+            self.sigma = module.element(tuple(range(2, p + 1)) + (1,))
 
     # -- lazy matrix data ---------------------------------------------------
 
@@ -145,19 +143,19 @@ class GModule:
     def _validate(self):
         """The group relations as full matrix equations.
 
-        Without taus, sigma^p = 1 is checked on run(sigma, p).  With
-        taus it is implied by the checks below: once tau_i^2 = 1 and the
+        Without a module, sigma^p = 1 is checked on run(sigma, p).  With
+        its taus it is implied by the checks below: once tau_i^2 = 1 and the
         braid and commutation relators hold, the taus define a homomorphism
         from Sigma_p (Moore's Coxeter presentation), and sigma, formed
         after these checks as tau_1 ... tau_{p-1}, is the image of a
         p-cycle, which has order p."""
         p = self.p
         ident = SparseMatrix.identity(self.dim, self.field)
-        if self.taus is None:
+        if self.module is None:
             if self.run(self.sigma, p)[1] != ident:
                 raise ModpError("sigma^%d is not the identity" % p)
             return
-        ts = self.taus
+        ts = self.module.taus
         for i, t in enumerate(ts, start=1):
             if t.matmul(t) != ident:
                 raise ModpError("tau_%d^2 is not the identity" % i)
@@ -174,31 +172,16 @@ class GModule:
                     raise ModpError("tau_%d and tau_%d do not commute" % (i, j))
 
 
-def trivial_module(p):
-    """F_p with trivial sigma and trivial Sigma_p action."""
-    if not is_prime(p):
-        raise ModpError("p = %d is not prime" % p)
-    return GModule(p, taus=[SparseMatrix.identity(1, GF(p))] * (p - 1))
-
-
-def regular_module(p):
-    """The free module F_p[C_p] (no Sigma_p structure)."""
-    field = GF(p)
-    sigma = SparseMatrix(p, p, field, {((i + 1) % p, i): 1 for i in range(p)})
-    return GModule(p, sigma)
-
-
 _conf_cache = {}
 
 
 def conf_module(p, n, t):
     """Degree-t piece of H_*(Conf_p(R^n); F_p) on the tall-forest basis.
 
-    tau_i acts by the transposition (i, i+1), through
-    forests.transposition_matrices, and sigma, the p-cycle i -> i+1, is
-    their product tau_1 ... tau_{p-1}, formed by GModule.  t must be a
-    multiple of n-1 inside [0, (n-1)(p-1)].  Results are memoized: the
-    matrices are never mutated downstream.
+    tau_i acts by the transposition (i, i+1), through forests.forest_module,
+    and sigma, the p-cycle i -> i+1, is their product tau_1 ... tau_{p-1},
+    formed by GModule.  t must be a multiple of n-1 inside [0, (n-1)(p-1)].
+    Results are memoized: the matrices are never mutated downstream.
     """
     key = (p, n, t)
     if key in _conf_cache:
@@ -210,9 +193,7 @@ def conf_module(p, n, t):
     top = (n - 1) * (p - 1)
     if t < 0 or t > top or t % (n - 1) != 0:
         raise ModpError("degree %d is not a multiple of %d inside [0, %d]" % (t, n - 1, top))
-    basis = forests.tall_basis(p, n, t)
-    taus = forests.transposition_matrices(p, n, t, basis=basis, domain=GF(p))
-    v = GModule(p, taus=taus, basis=basis)
+    v = GModule(p, module=forests.forest_module(p, n, t, GF(p)))
     _conf_cache[key] = v
     return v
 
@@ -247,10 +228,10 @@ def _freeness_certificate(v):
     size exactly p), and every sigma-image of a basis vector is supported in
     the block of the rotated partition.  Together these exhibit V as a sum
     of modules induced from the trivial subgroup, i.e. free ones.  v is a
-    conf_module result, which carries its tall-forest basis.
+    conf_module result, whose module carries its tall-forest basis.
     """
     p = v.p
-    parts = [forests._forest_partition(f) for f in v.basis]
+    parts = v.module.partitions()
     shifted = []
     for pi in parts:
         moved = tuple(sorted(tuple(sorted(x % p + 1 for x in comp)) for comp in pi))
@@ -295,12 +276,8 @@ def invariants_sigma_p(p, n):
     Computed as the coinvariants dimension of the homology module, which is
     its dual: dim V - rank [tau_1 - 1 | ... | tau_{p-1} - 1].
     """
-    out = {}
-    for j in range(p):
-        t = j * (n - 1)
-        v = conf_module(p, n, t)
-        out[t] = forests._coinvariants_dim(v.dim, v.taus, v.field)
-    return GradedDims(out)
+    return GradedDims({j * (n - 1): conf_module(p, n, j * (n - 1)).module.coinvariants_dim()
+                       for j in range(p)})
 
 
 def _primitive_root(p):
@@ -379,7 +356,7 @@ def sigma_p_cohomology_stable(v, s_max):
     full N is formed.  dim H^s = h - rank(r^(s//2) G_(s mod 2) - 1) for
     every s >= 1.
     """
-    if v.taus is None:
+    if v.module is None:
         raise ModpError("full Sigma_p action required")
     if s_max < 0:
         raise ModpError("negative cohomological window")
@@ -388,7 +365,7 @@ def sigma_p_cohomology_stable(v, s_max):
     rinv = pow(r, -1, p)
     # g realizes q: i -> (i-1) r^{-1} + 1, which conjugates sigma to sigma^r
     q = tuple((i - 1) * rinv % p + 1 for i in range(1, p + 1))
-    g = forests._word_matrix(v.taus, q, v.dim, v.field)
+    g = v.module.element(q)
     aug = v.aug()
     z = kernel_basis(aug)
     dims = {0: z.ncols - rank(g.matmul(z).sub(z))}
@@ -415,7 +392,7 @@ def bar_cohomology(v, s_max):
     Element matrices come from reduced transposition words, multiplicativity
     is asserted on every pair.
     """
-    if v.taus is None:
+    if v.module is None:
         raise ModpError("full Sigma_p action required")
     p = v.p
     order = factorial(p)
@@ -427,7 +404,7 @@ def bar_cohomology(v, s_max):
         raise ModpError("negative cohomological window")
     ident_el = tuple(range(1, p + 1))
     elements = sorted(permutations(range(1, p + 1)))
-    mats = {el: forests._word_matrix(v.taus, el, v.dim, v.field) for el in elements}
+    mats = {el: v.module.element(el) for el in elements}
 
     def compose(f, g):
         return tuple(f[g[x - 1] - 1] for x in range(1, p + 1))

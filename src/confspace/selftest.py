@@ -157,10 +157,10 @@ def _admissible_action(perm, k, n, degree):
 def assert_pairing_invariant(p, k, n, degree):
     """Assert A(tau)^T P B(tau) = P for the pairing matrix P and each
     adjacent transposition tau, with A and B the actions of tau on the two
-    bases, A from forests.transposition_matrices, the taus modp uses;
+    bases, A from forests.forest_module's taus, the ones modp uses;
     return the number of transpositions checked.  Unimodularity cannot see
     a sign error; invariance can."""
-    for i, a in enumerate(forests.transposition_matrices(k, n, degree), start=1):
+    for i, a in enumerate(forests.forest_module(k, n, degree).taus, start=1):
         tau = {**{v: v for v in range(1, k + 1)}, i: i + 1, i + 1: i}
         b = _admissible_action(tau, k, n, degree)
         assert a.transpose().matmul(p).matmul(b) == p, \

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, combinations, permutations, product
 
-from confspace import arnold, forests
-from confspace.linalg import QQ, ZZ, SparseMatrix, invert, rank
+from confspace import arnold, forests, modp
+from confspace.linalg import GF, QQ, ZZ, SparseMatrix, invert, rank
 
 
 def dense_rank_qq(rows):
@@ -218,7 +218,8 @@ def pairing_by_partition(k, n, degree):
     monos = arnold.admissible_basis(k, n, degree)
     row_blocks = {}
     for i, f in enumerate(trees):
-        row_blocks.setdefault(forests._forest_partition(f), []).append(i)
+        part = tuple(sorted(tuple(sorted(seq)) for seq in f))
+        row_blocks.setdefault(part, []).append(i)
     col_blocks = {}
     for j, m in enumerate(monos):
         col_blocks.setdefault(_monomial_partition(m, k), []).append(j)
@@ -250,6 +251,18 @@ def coinvariants_dim_stacked(dim, taus, field):
         return dim
     ident = SparseMatrix.identity(dim, field)
     return dim - rank(SparseMatrix.hstack([t.sub(ident) for t in taus]))
+
+
+def trivial_module(p):
+    """F_p with trivial sigma and trivial Sigma_p action."""
+    one = SparseMatrix.identity(1, GF(p))
+    return modp.GModule(p, module=forests.SymmetricModule([one] * (p - 1), 1, GF(p)))
+
+
+def regular_module(p):
+    """The free module F_p[C_p] (no Sigma_p structure)."""
+    sigma = SparseMatrix(p, p, GF(p), {((i + 1) % p, i): 1 for i in range(p)})
+    return modp.GModule(p, sigma)
 
 
 def reference_action_matrix(perm, k, n, degree, basis, domain):

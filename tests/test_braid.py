@@ -10,6 +10,18 @@ from hypothesis import given, settings, strategies as st
 from confspace import braid, cli
 
 
+def trace(table, coset, word):
+    """The coset that word leads to from coset, one table step per letter."""
+    for s in word:
+        coset = table.step(coset, s)
+    return coset
+
+
+def is_pure(auto):
+    """True iff the automorphism fixes every generator's conjugacy class."""
+    return all(i == j for i, j in auto.permutation().items())
+
+
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=8).map(tuple)
 
@@ -46,8 +58,8 @@ def test_artin_action_frozen_images():
     a = braid.artin_action((1,), 3)
     assert a.images == [(1, 2, -1), (1,), (3,)]
     assert a.permutation() == {1: 2, 2: 1, 3: 3}
-    assert not a.is_pure()
-    assert braid.artin_action((1, 1), 3).is_pure()
+    assert not is_pure(a)
+    assert is_pure(braid.artin_action((1, 1), 3))
 
 
 def test_artin_action_is_faithful_on_relations():
@@ -73,7 +85,7 @@ def test_winding_generators_are_pure():
         for i in range(1, k):
             for j in range(i + 1, k + 1):
                 w = braid.winding_generator(i, j)
-                assert braid.artin_action(w, k).is_pure(), (i, j)
+                assert is_pure(braid.artin_action(w, k)), (i, j)
 
 
 def test_coset_table_kernel_index():
@@ -197,11 +209,11 @@ def test_transversal_is_the_second_bfs_and_the_table_is_an_action():
         assert len(reps) == table.n
         cosets = range(1, table.n + 1)
         for c in cosets:
-            assert table.trace(1, reps[c]) == c
+            assert trace(table, 1, reps[c]) == c
             for g in range(1, len(pres.gens) + 1):
                 assert table.step(table.step(c, g), -g) == c
         for r in pres.relators:
-            assert all(table.trace(c, r) == c for c in cosets)
+            assert all(trace(table, c, r) == c for c in cosets)
         cases += 1
     assert cases == 81
 
@@ -267,7 +279,7 @@ def test_pure_braid_subgroup_of_b3():
     # every subgroup generator's ambient word really lies in the kernel
     assert sub.ambient_words is not None
     for w in sub.ambient_words.values():
-        assert table.trace(1, w) == 1
+        assert trace(table, 1, w) == 1
 
 
 def test_pure_braid_subgroup_of_b6_abelianization():
@@ -296,7 +308,7 @@ def test_strand_stabilizer_presentation_is_consistent():
     sub = braid.subgroup_presentation(pres, table,
                                       braid.schreier_transversal(table))
     for w in sub.ambient_words.values():
-        assert table.trace(1, w) == 1
+        assert trace(table, 1, w) == 1
     for rel in sub.relators:
         # relators written back in ambient letters must act trivially
         ambient = []

@@ -256,7 +256,10 @@ def test_euler_series_checks_the_chain_sum(monkeypatch):
     # (e e) a = a a = 0, e (e a) = e e = a
     ({"e": 0, "a": 0}, {("e", "e"): {"a": 1}, ("e", "a"): {"e": 1}, ("a", "e"): {"e": 1}},
      "associativity fails on (e, e, a)"),
-], ids=["degree", "product-degree", "commutativity", "associativity"])
+    ({"a": 1}, {("a", "b"): {"a": 1}}, "product names unknown basis element ('a', 'b')"),
+    ({"a": 1}, {("a", "a"): {"q": 1}}, "product result names unknown basis 'q'"),
+], ids=["degree", "product-degree", "commutativity", "associativity", "unknown-name",
+        "unknown-result-name"])
 def test_calgebra_is_validated_where_it_is_built(degrees, prod, message):
     with pytest.raises(ce.AlgebraError, match=re.escape(message)):
         ce.CAlgebra("bad", 2, degrees, prod)

@@ -22,6 +22,11 @@ def all_t(p, n):
     return [j * (n - 1) for j in range(p)]
 
 
+def coxeter(p, taus):
+    """The GModule whose Sigma_p-action has these Coxeter generators."""
+    return modp.GModule(p, module=forests.SymmetricModule(taus, taus[0].nrows, taus[0].domain))
+
+
 def norm(v):
     """N = 1 + sigma + ... + sigma^(p-1), the first term of the run from 1."""
     return v.run(SparseMatrix.identity(v.dim, v.field), v.p)[0]
@@ -48,15 +53,15 @@ def test_conf_module_sigma_is_the_cycle_action_matrix():
         for n in (2, 3):
             for t in all_t(p, n):
                 v = modp.conf_module(p, n, t)
-                want = oracles.reference_action_matrix(cycle, p, n, t, v.basis, GF(p))
+                want = oracles.reference_action_matrix(cycle, p, n, t, v.module.basis, GF(p))
                 got = v.sigma.entries
                 assert got == want.entries, (p, n, t)
                 assert all(type(x) is int for x in got.values()), (p, n, t)
 
 
 def test_gmodule_rejects_non_prime_and_bad_shapes():
-    with pytest.raises(modp.ModpError):
-        modp.trivial_module(4)
+    with pytest.raises(modp.ModpError, match="p = 4 is not prime"):
+        modp.GModule(4, module=forests.forest_module(4, 2, 0, GF(2)))
     sigma = SparseMatrix.from_rows([[1, 0]], GF(3))
     with pytest.raises(modp.ModpError):
         modp.GModule(3, sigma)
@@ -65,10 +70,9 @@ def test_gmodule_rejects_non_prime_and_bad_shapes():
 @pytest.mark.parametrize("call, message", [
     (lambda: modp.GModule(3, SparseMatrix.identity(2, GF(5))),
      "sigma must have GF(3) coefficients"),
-    (lambda: modp.GModule(3, taus=[SparseMatrix.identity(2, GF(3))]),
+    (lambda: coxeter(3, [SparseMatrix.identity(2, GF(3))]),
      "expected 2 Coxeter generators, got 1"),
-    (lambda: modp.GModule(3, taus=[SparseMatrix.identity(2, GF(3)),
-                                   SparseMatrix.identity(1, GF(3))]),
+    (lambda: coxeter(3, [SparseMatrix.identity(2, GF(3)), SparseMatrix.identity(1, GF(3))]),
      "Coxeter generator shape or domain mismatch"),
     (lambda: modp.conf_module(3, 1, 0), "need n >= 2"),
     (lambda: modp.conf_module(3, 2, 5), "degree 5 is not a multiple of 1 inside [0, 2]"),
@@ -80,8 +84,8 @@ def test_gmodule_rejects_non_prime_and_bad_shapes():
     (lambda: modp.verify_vanishing(5, 1), "need n >= 2"),
     (lambda: modp.invariants_sigma_p(5, 1), "need n >= 2"),
     (lambda: modp.cohen_series(5, 1, 8), "need n >= 2"),
-    (lambda: modp.bar_cohomology(modp.trivial_module(3), -1), "negative cohomological window"),
-    (lambda: modp.bar_cohomology(modp.regular_module(3), 2), "full Sigma_p action required"),
+    (lambda: modp.bar_cohomology(oracles.trivial_module(3), -1), "negative cohomological window"),
+    (lambda: modp.bar_cohomology(oracles.regular_module(3), 2), "full Sigma_p action required"),
     (lambda: modp.nakaoka_series(2, 8), "p = 2 is not an odd prime"),
     (lambda: modp.nakaoka_series(5, -1), "negative degree bound"),
     (lambda: modp.cohen_series(5, 2, -1), "negative degree bound"),
@@ -103,20 +107,20 @@ def test_gmodule_validation_catches_broken_sigma():
     i, j = next(iter(entries))
     entries[(i, j)] = (entries[(i, j)] + 1) % 3
     bad = SparseMatrix(v.dim, v.dim, GF(3), entries)
-    for call in (lambda: modp.GModule(3, bad, v.taus), lambda: modp.GModule(3)):
+    for call in (lambda: modp.GModule(3, bad, v.module), lambda: modp.GModule(3)):
         with pytest.raises(modp.ModpError, match="exactly one of sigma"):
             call()
 
 
 def test_gmodule_validation_catches_broken_tau():
     v = modp.conf_module(3, 2, 2)
-    taus = list(v.taus)
+    taus = list(v.module.taus)
     entries = dict(taus[0].entries)
     i, j = next(iter(entries))
     entries[(i, j)] = (entries[(i, j)] + 1) % 3
     taus[0] = SparseMatrix(v.dim, v.dim, GF(3), entries)
     with pytest.raises(Exception):
-        modp.GModule(3, taus=taus)
+        coxeter(3, taus)
 
 
 def test_sigma_without_taus_must_have_order_p():
@@ -153,13 +157,13 @@ def test_gmodule_validation_is_exact_at_every_dimension():
     # 2040 columns; the broken entry sits in column 6, the first column of
     # the second copy, which a strided column sample would skip
     t1, t2 = regular_sigma3_taus(340)
-    assert modp.GModule(3, taus=[t1, t2]).dim == 2040
+    assert coxeter(3, [t1, t2]).dim == 2040
     entries = dict(t1.entries)
     (i, j), = [key for key in entries if key[1] == 6]
     entries[(i, j)] = 2
     bad = SparseMatrix(2040, 2040, GF(3), entries)
     with pytest.raises(modp.ModpError, match="tau_1"):
-        modp.GModule(3, taus=[bad, t2])
+        coxeter(3, [bad, t2])
 
 
 def test_gmodule_validation_names_the_failed_relator():
@@ -167,10 +171,10 @@ def test_gmodule_validation_names_the_failed_relator():
     _, r2 = regular_sigma3_taus(1, right=(2,))
     # left and right multiplications commute, so (tau_1 tau_2)^3 = tau_1 tau_2
     with pytest.raises(modp.ModpError, match="braid relator"):
-        modp.GModule(3, taus=[t1, r2])
+        coxeter(3, [t1, r2])
     # sigma is the product of the taus, never a second input to compare
     with pytest.raises(modp.ModpError, match="exactly one of sigma"):
-        modp.GModule(3, t2.matmul(t1), taus=[t1, t2])
+        modp.GModule(3, t2.matmul(t1), forests.SymmetricModule([t1, t2], 6, GF(3)))
     # transpositions (12), (23), (31) and their product in S_3, acting on
     # F_5^3: adjacent pairs braid and the product is 1, but tau_1 and tau_3
     # do not commute
@@ -180,9 +184,9 @@ def test_gmodule_validation_names_the_failed_relator():
         swaps.append(SparseMatrix(3, 3, GF(5), {(img[x], x): 1 for x in range(3)}))
     swaps.append(swaps[0].matmul(swaps[1]).matmul(swaps[2]))
     with pytest.raises(modp.ModpError, match="tau_1 and tau_3 do not commute"):
-        modp.GModule(5, taus=swaps)
+        coxeter(5, swaps)
     empty = SparseMatrix(0, 0, GF(3), {})
-    assert modp.GModule(3, taus=[empty, empty]).dim == 0
+    assert coxeter(3, [empty, empty]).dim == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,7 +253,7 @@ def test_cyclic_cohomology_matches_dense_oracle():
 
 def test_trivial_module_cohomology_all_ones():
     for p in (3, 5):
-        v = modp.trivial_module(p)
+        v = oracles.trivial_module(p)
         assert all(h == 1 for h in cyclic_cohomology(v, 6).values())
         # Tate groups at s <= -2 are the homology H_(-s-1)
         assert modp.tate(v, (-7, 6)).items() == [(s, 1) for s in range(-7, 7)]
@@ -257,7 +261,7 @@ def test_trivial_module_cohomology_all_ones():
 
 def test_regular_module_is_cohomologically_trivial():
     for p in (3, 5, 7):
-        v = modp.regular_module(p)
+        v = oracles.regular_module(p)
         assert cyclic_cohomology(v, 6) == {0: 1, **{s: 0 for s in range(1, 7)}}
         td = modp.tate(v, (-4, 4))
         assert all(td.get(s) == 0 for s in range(-4, 5))
@@ -311,7 +315,8 @@ def test_component_dense_rank_is_dense_rank():
 def sign_twist(v):
     """V tensor the sign character: every tau_i changes sign, so sigma, a
     product of p - 1 of them, picks up (-1)^(p-1)."""
-    return modp.GModule(v.p, taus=[m.scale(-1) for m in v.taus], basis=v.basis)
+    taus = [m.scale(-1) for m in v.module.taus]
+    return modp.GModule(v.p, module=forests.SymmetricModule(taus, v.dim, v.field, v.module.basis))
 
 
 @pytest.mark.parametrize("p,twist", [(3, 0), (5, 0), (5, 1), (7, 0)])
@@ -376,7 +381,7 @@ def test_norm_coords_and_the_unchecked_chain_map_identity(p):
                 assert rank(m) == rn, case
                 y = kernel_basis(m)
                 assert y.ncols == w.dim - rn and full.matmul(y).is_zero(), case
-                g = forests._word_matrix(w.taus, q, w.dim, w.field)
+                g = w.module.element(q)
                 assert full.matmul(g.matmul(right_sums(w, r))) == g.matmul(full).scale(r), case
 
 
@@ -406,7 +411,8 @@ def test_cp_route_forms_no_power_of_sigma(monkeypatch):
 
 class _Word:
     """A stand-in for a tau in the free monoid on 1, 2, ...: matmul
-    concatenates, so _word_matrix returns the word it multiplies along."""
+    concatenates, so SymmetricModule.element returns the word it
+    multiplies along."""
 
     def __init__(self, word):
         self.word = word
@@ -416,11 +422,11 @@ class _Word:
 
 
 def _word(q):
-    """The word forests._word_matrix multiplies along for q, leftmost
+    """The word SymmetricModule.element multiplies along for q, leftmost
     factor first; () for the identity."""
     if q == tuple(sorted(q)):
         return ()
-    return forests._word_matrix([_Word((i,)) for i in range(1, len(q))], q, 0, None).word
+    return forests.SymmetricModule([_Word((i,)) for i in range(1, len(q))], 0, None).element(q).word
 
 
 def test_transposition_word_recomposes_every_permutation():
@@ -439,14 +445,14 @@ def test_transposition_word_recomposes_every_permutation():
 def test_element_matrix_starts_at_the_first_tau():
     v = modp.conf_module(5, 2, 2)
     ident = SparseMatrix.identity(v.dim, GF(5))
-    assert forests._word_matrix(v.taus, (1, 2, 3, 4, 5), v.dim, v.field) == ident
-    assert forests._word_matrix(v.taus, (1, 3, 2, 4, 5), v.dim, v.field) is v.taus[1]
+    assert v.module.element((1, 2, 3, 4, 5)) == ident
+    assert v.module.element((1, 3, 2, 4, 5)) is v.module.taus[1]
     q = (2, 3, 1, 5, 4)
     word = _word(q)
     want = ident
     for i in word:
-        want = want.matmul(v.taus[i - 1])
-    assert len(word) == 3 and forests._word_matrix(v.taus, q, v.dim, v.field) == want
+        want = want.matmul(v.module.taus[i - 1])
+    assert len(word) == 3 and v.module.element(q) == want
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +486,7 @@ def test_tate_splices_cohomology_and_homology():
 
 
 def test_tate_window_guards():
-    v = modp.trivial_module(3)
+    v = oracles.trivial_module(3)
     td = modp.tate(v, (-3, 3))
     assert all(td.get(s) == 1 for s in range(-3, 4))
     with pytest.raises(modp.ModpError):
@@ -536,7 +542,7 @@ def test_stable_route_matches_bar_on_twisted_modules():
 
 
 def test_stable_route_matches_bar_on_sign_module():
-    v = sign_twist(modp.trivial_module(3))
+    v = sign_twist(oracles.trivial_module(3))
     a = modp.sigma_p_cohomology_stable(v, 4)
     b = modp.bar_cohomology(v, 4)
     assert all(a.get(s) == b.get(s) for s in range(5))
@@ -581,7 +587,7 @@ def _stable_reference(v, s_max):
     p = v.p
     r = modp._primitive_root(p)
     q = tuple((i - 1) * pow(r, -1, p) % p + 1 for i in range(1, p + 1))
-    g = forests._word_matrix(v.taus, q, v.dim, v.field)
+    g = v.module.element(q)
     diffs = (v.aug(), right_sums(v, p))
     kernels = [kernel_basis(m) for m in diffs[:s_max + 1]]
     phis = (g, g.matmul(right_sums(v, r)))
@@ -605,7 +611,7 @@ def test_stable_route_matches_full_stage_loop():
     cases = [(modp.conf_module(p, n, t), 2 * p - 2)
              for p in (3, 5) for n in (2, 3) for t in all_t(p, n)]
     cases += [(sign_twist(modp.conf_module(3, n, t)), 4) for n in (2, 3) for t in all_t(3, n)]
-    cases += [(sign_twist(modp.trivial_module(3)), 4)]
+    cases += [(sign_twist(oracles.trivial_module(3)), 4)]
     cases += [(modp.conf_module(7, 2, t), 4) for t in range(3)]
     for v, s_max in cases:
         assert modp.sigma_p_cohomology_stable(v, s_max) == _stable_reference(v, s_max), \
@@ -668,7 +674,7 @@ def direct_sum(*mods):
             offset += m.nrows
         return SparseMatrix(offset, offset, mats[0].domain, entries)
 
-    return modp.GModule(mods[0].p, taus=[blocks(ts) for ts in zip(*(v.taus for v in mods))])
+    return coxeter(mods[0].p, [blocks(ts) for ts in zip(*(v.module.taus for v in mods))])
 
 
 def sum_cases(p, n):
@@ -695,8 +701,8 @@ def test_stable_route_on_sums_matches_stage_loop_at_p5():
 
 def test_stable_route_refuses_a_non_chain_map(monkeypatch):
     v = modp.conf_module(5, 2, 4)
-    monkeypatch.setattr(forests, "_word_matrix",
-                        lambda taus, q, dim, domain: SparseMatrix.identity(dim, domain))
+    monkeypatch.setattr(forests.SymmetricModule, "element",
+                        lambda m, q: SparseMatrix.identity(m.dim, m.domain))
     with pytest.raises(modp.ModpError, match="not a chain map"):
         modp.sigma_p_cohomology_stable(v, 1)
 
@@ -718,9 +724,9 @@ def test_module_rows_are_never_written(monkeypatch):
     monkeypatch.setattr(modp, "_conf_cache", {})
     p, n = 5, 2
     mods = [modp.conf_module(p, n, t) for t in all_t(p, n)]
-    before = [copy.deepcopy([m.rows for m in (v.sigma, *v.taus)]) for v in mods]
+    before = [copy.deepcopy([m.rows for m in (v.sigma, *v.module.taus)]) for v in mods]
     for v in mods:
-        modp.GModule(p, taus=v.taus, basis=v.basis)
+        modp.GModule(p, module=v.module)
         modp.tate(v, (-2, 2))
         modp.sigma_p_cohomology_stable(v, 8)
         kernel_basis(v.aug())
@@ -728,7 +734,7 @@ def test_module_rows_are_never_written(monkeypatch):
     assert modp.verify_vanishing(p, n)
     modp.invariants_sigma_p(p, n)
     for v, rows in zip(mods, before):
-        assert [m.rows for m in (v.sigma, *v.taus)] == rows, v.dim
+        assert [m.rows for m in (v.sigma, *v.module.taus)] == rows, v.dim
 
 
 def test_stable_route_dims_are_pinned():
@@ -739,34 +745,34 @@ def test_stable_route_dims_are_pinned():
 
 def test_stable_route_refusals_and_p_two():
     with pytest.raises(modp.ModpError, match="Sigma_p action"):
-        modp.sigma_p_cohomology_stable(modp.regular_module(3), 2)
+        modp.sigma_p_cohomology_stable(oracles.regular_module(3), 2)
     with pytest.raises(modp.ModpError, match="negative"):
-        modp.sigma_p_cohomology_stable(modp.trivial_module(3), -1)
+        modp.sigma_p_cohomology_stable(oracles.trivial_module(3), -1)
     # Sigma_2 = C_2, so H^s(Sigma_2; F_2) = F_2 in every degree
-    dims = modp.sigma_p_cohomology_stable(modp.trivial_module(2), 3)
+    dims = modp.sigma_p_cohomology_stable(oracles.trivial_module(2), 3)
     assert [dims.get(s) for s in range(4)] == [1, 1, 1, 1]
     # p = 2 takes the general route, with r = 1 and g = 1
     assert modp._primitive_root(2) == 1
     swap = SparseMatrix(2, 2, GF(2), {(0, 1): 1, (1, 0): 1})
-    for v in (modp.trivial_module(2), modp.GModule(2, taus=[swap])):
+    for v in (oracles.trivial_module(2), coxeter(2, [swap])):
         a = modp.sigma_p_cohomology_stable(v, 4)
         assert a == modp.bar_cohomology(v, 4), v.dim
         assert [a.get(s) for s in range(5)] == list(cyclic_cohomology(v, 4).values()), v.dim
 
 
 def test_bar_cohomology_refuses_large_groups():
-    v = modp.trivial_module(5)
+    v = oracles.trivial_module(5)
     with pytest.raises(modp.ModpError):
         modp.bar_cohomology(v, 2)
     with pytest.raises(modp.ModpError):
-        modp.bar_cohomology(modp.trivial_module(3), 9)
+        modp.bar_cohomology(oracles.trivial_module(3), 9)
 
 
 def test_bar_cohomology_checks_multiplicativity(monkeypatch):
-    v = modp.trivial_module(3)
+    v = oracles.trivial_module(3)
     # 2 * identity over F_3: its square is the identity, not itself
-    monkeypatch.setattr(forests, "_word_matrix",
-                        lambda taus, q, dim, domain: SparseMatrix.identity(dim, domain).scale(2))
+    monkeypatch.setattr(forests.SymmetricModule, "element",
+                        lambda m, q: SparseMatrix.identity(m.dim, m.domain).scale(2))
     with pytest.raises(modp.ModpError, match="element matrices are not multiplicative"):
         modp.bar_cohomology(v, 2)
 
@@ -815,7 +821,7 @@ def test_swan_period_closed_form_beyond_brute_force():
 
 def test_stable_cohomology_of_trivial_module_is_nakaoka():
     for p in (3, 5):
-        v = modp.trivial_module(p)
+        v = oracles.trivial_module(p)
         dims = modp.sigma_p_cohomology_stable(v, 2 * p - 2)
         series = modp.nakaoka_series(p, 2 * p - 2)
         for s in range(2 * p - 1):
