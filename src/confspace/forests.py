@@ -17,8 +17,10 @@ smaller leaves.  Its leaf sequences, one tuple per tree in minimum order,
 determine it and are its key: tall_basis returns the sorted keys, and
 HomologyClass terms, the taus of forest_module and the pairing are all keyed
 by them.  Nested trees appear only at parse and print time (parse_forest,
-key_str), and as the relabelled combs of tau columns that leave the tall
-basis, which rewrite_to_tall expands.  Brackets obey shifted antisymmetry
+key_str), and as the input of rewrite_to_tall.  forest_module builds no
+tree: a tau column that leaves the tall basis moves one comb, whose leaf
+sequence _comb_terms expands, and its terms are spliced into the key.
+Brackets obey shifted antisymmetry
 
     [x, y] = -(-1)^(||x|| ||y||) [y, x],
 
@@ -44,8 +46,8 @@ word m.w, and its coefficient in T is the coefficient of m.w in the
 expansion of T.  Those words are read by walking up from m: at each vertex
 the sibling subtree contributes every word of its expansion as a suffix,
 with the antisymmetry sign -(-1)^(||x|| ||y||) when m came from the right.
-The words of one tree are distinct, so every coefficient is +-1.  The trees
-that forest_module rewrites are relabelled combs l(x1 ... xm) with
+The words of one tree are distinct, so every coefficient is +-1.  The combs
+that forest_module expands are relabelled combs l(x1 ... xm) with
 the minimum m = x_q, q > 1, and their walk reads (m,) + u + (x_{q+1} ... xm)
 with coefficient s c, for each word u of the prefix comb l(x1 ... x_{q-1})
 with coefficient c and s the sign of the bracket that joins m.  The words
@@ -308,27 +310,34 @@ def _comb_words(length, step):
     return _words(tall_from_seq(range(length)), step)
 
 
+def _comb_terms(seq, step):
+    """Expand the left comb with leaf sequence seq in the tall basis: (leaf
+    sequence, coeff) pairs, with the minimum m = seq[q] read in front of
+    each word of the prefix comb seq[:q] (see the module docstring)."""
+    m = min(seq)
+    q = seq.index(m)
+    if not q:
+        return ((seq, 1),)
+    # -(-1)^(||m|| ||prefix||): m is one leaf, the prefix q of them
+    s = 1 if step and q % 2 else -1
+    pick, rest = seq.__getitem__, seq[q + 1:]
+    return tuple(((m,) + tuple(map(pick, u)) + rest, s * c)
+                 for u, c in _comb_words(q, step))
+
+
 def _tall_terms(t, seq, step):
     """Expand one tree with leaf sequence seq in the tall basis: (leaf
     sequence, coeff) pairs, read off the words of its expansion that start
     with its minimum m (see the module docstring).  One walk down the left
-    spine tells whether t is a left comb, whose words are read through
-    _comb_words.  In any other tree, walking up from m, each sibling subtree
-    appends its words, with the antisymmetry sign when m came from the
-    right."""
-    m = min(seq)
+    spine tells whether t is a left comb, expanded by _comb_terms.  In any
+    other tree, walking up from m, each sibling subtree appends its words,
+    with the antisymmetry sign when m came from the right."""
     node = t
     while not is_leaf(node) and is_leaf(node[1]):
         node = node[0]
     if is_leaf(node):
-        q = seq.index(m)
-        if not q:
-            return ((seq, 1),)
-        # -(-1)^(||m|| ||prefix||): m is one leaf, the prefix q of them
-        s = 1 if step and q % 2 else -1
-        pick, rest = seq.__getitem__, seq[q + 1:]
-        return tuple(((m,) + tuple(map(pick, u)) + rest, s * c)
-                     for u, c in _comb_words(q, step))
+        return _comb_terms(seq, step)
+    m = min(seq)
     siblings = []
     while not is_leaf(t):
         left, right = t
@@ -361,25 +370,22 @@ def _reorder_sign(seqs, n):
     return -1 if swaps % 2 else 1
 
 
-def rewrite_to_tall(f, n, seqs=None):
+def rewrite_to_tall(f, n):
     """Expand a forest in the tall basis, as a HomologyClass keyed by leaf
     sequences.
 
     The forest's labels must partition [1, k] for k = total leaf count; the
     given component order is part of the input and contributes the Koszul
-    reordering sign.  A caller that passes seqs, the leaf sequences of f's
-    trees, vouches for f, and f is not validated: forest_module
-    does so for the forests it builds itself.
+    reordering sign.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     f = tuple(f)
-    if seqs is None:
-        seqs = [_validate_tree(t) for t in f]
-        labels = sorted(x for s in seqs for x in s)
-        if labels != list(range(1, len(labels) + 1)):
-            raise ForestError("leaf labels must partition 1..%d, got %r"
-                              % (len(labels), labels))
+    seqs = [_validate_tree(t) for t in f]
+    labels = sorted(x for s in seqs for x in s)
+    if labels != list(range(1, len(labels) + 1)):
+        raise ForestError("leaf labels must partition 1..%d, got %r"
+                          % (len(labels), labels))
     step = (n - 1) % 2
     sign = _reorder_sign(seqs, n)
     order = sorted(range(len(f)), key=lambda i: min(seqs[i]))
@@ -550,8 +556,11 @@ def forest_module(k, n, degree, domain=ZZ):
     when both head their trees, with the Koszul sign of that swap, -1 iff
     n is even and both have an even leaf count.  In one tree with i not its
     head, neither heads it, and they swap in place with sign +1.  Only when
-    i heads a tree that holds i+1 does the column go through
-    rewrite_to_tall.
+    i heads a tree that holds i+1 does the column leave the tall basis:
+    that one comb, now headed by i+1, is expanded by _comb_terms, and each
+    term is spliced into the key in the comb's place.  Its leaf set, and so
+    the minimum order of the trees and the Koszul sign, is unchanged; no
+    other tree is rebuilt.
 
     A row with one entry c at column j is the same dict {j: c} in every
     tau that has it, taken from one table per call: linalg writes to no
@@ -559,15 +568,15 @@ def forest_module(k, n, degree, domain=ZZ):
     """
     basis = tall_basis(k, n, degree)
     row = {key: i for i, key in enumerate(basis)}
-    coerce = domain.coerce
-    one, minus_one = coerce(1), coerce(-1)
+    one, minus_one = domain.coerce(1), domain.coerce(-1)
+    step = (n - 1) % 2
     mats = [{} for _ in range(1, k)]
     for j, key in enumerate(basis):
         where = {x: (a, pos) for a, seq in enumerate(key) for pos, x in enumerate(seq)}
         for i in range(1, k):
             (a, pa), (b, pb) = where[i], where[i + 1]
-            seqs = list(key)
             if a != b:
+                seqs = list(key)
                 sa, sb = key[a], key[b]
                 seqs[a] = sa[:pa] + (i + 1,) + sa[pa + 1:]
                 seqs[b] = sb[:pb] + (i,) + sb[pb + 1:]
@@ -581,13 +590,12 @@ def forest_module(k, n, degree, domain=ZZ):
             else:
                 seq = list(key[a])
                 seq[pa], seq[pb] = i + 1, i
-                seqs[a] = tuple(seq)
+                head, tail = key[:a], key[a + 1:]
                 if pa:
-                    terms = [(row[tuple(seqs)], one)]
+                    terms = [(row[head + (tuple(seq),) + tail], one)]
                 else:
-                    moved = tuple(tall_from_seq(s) for s in seqs)
-                    terms = [(row[g], coerce(c))
-                             for g, c in rewrite_to_tall(moved, n, seqs).terms.items()]
+                    terms = [(row[head + (u,) + tail], one if c == 1 else minus_one)
+                             for u, c in _comb_terms(tuple(seq), step)]
             # every coefficient is +-1, nonzero in every domain
             rows = mats[i - 1]
             for r, c in terms:

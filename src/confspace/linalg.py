@@ -37,12 +37,13 @@ count is skipped when it comes up, so a pick costs O(log n) amortised and
 makes the choice a scan would.
 Over Q row signs are not normalised.  A row with no admissible column is
 set aside until an update changes it; the rows still set aside at the end
-are returned.  rank counts the pivots.  For kernel_basis and invert a
-back-substitution pass then clears every pivot column outside its own row;
-kernel_basis returns one matrix whose columns are indexed by the non-pivot
-columns, with the identity in its rows there, so the unit vectors at the
-non-pivot columns span a complement of the row space; the inverse is read
-off the reduced [A | I] with pivots restricted to the columns of A.
+are returned.  rank counts the pivots, and pivot_columns lists their
+columns.  For kernel_basis and invert a back-substitution pass then
+clears every pivot column outside its own row; kernel_basis returns one
+matrix whose columns are indexed by the non-pivot columns, with the
+identity in its rows there, so the unit vectors at the non-pivot columns
+span a complement of the row space; the inverse is read off the reduced
+[A | I] with pivots restricted to the columns of A.
 smith_normal_form counts a factor 1 per unit pivot and runs a short gcd
 loop, with row and column operations, on the rows set aside.
 """
@@ -178,16 +179,6 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows, domain):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                entries[(i, j)] = v
-        return cls(nrows, ncols, domain, entries)
-
-    @classmethod
     def identity(cls, n, domain):
         one = domain.coerce(1)
         return cls._trusted(n, n, domain, {i: {i: one} for i in range(n)})
@@ -210,14 +201,6 @@ class SparseMatrix:
             for j, v in row.items():
                 cols.setdefault(j, {})[i] = v
         return SparseMatrix._trusted(self.ncols, self.nrows, self.domain, cols)
-
-    def to_dense(self):
-        z = self.domain.coerce(0)
-        dense = [[z] * self.ncols for _ in range(self.nrows)]
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                dense[i][j] = v
-        return dense
 
     def matmul(self, other):
         """self * other row by row; over F_p every entry is reduced mod p,
@@ -495,6 +478,14 @@ def rank(m):
     """Exact rank of a matrix over a field (Q or F_p): its number of pivots."""
     _require_field(m)
     return len(_eliminate(m)[0])
+
+
+def pivot_columns(m):
+    """The pivot columns of m over a field, in pivot order, from the forward
+    pass alone: rank(m) of them, and kernel_basis(m) has its unit rows at
+    the others."""
+    _require_field(m)
+    return [j for j, _ in _eliminate(m)[0]]
 
 
 def kernel_basis(m):

@@ -12,14 +12,20 @@ homological algebra over F_p:
     quotients, ker N / im(sigma-1) and ker(sigma-1) / im N, have the one
     dimension dim V - rank(sigma-1) - rank(N); so does every Tate group,
     which makes the Tate dimensions constant in s (Herbrand quotient 1).
-    sigma-1 is reduced only by kernel_basis: Z = kernel_basis(sigma-1)
-    has dim V - rank(sigma-1) columns, and a unit row e_c of Z at index
-    f reads off coordinate c of col Z = ker(sigma-1).  Reading those
-    coordinates is one-to-one on ker(sigma-1), which holds im N, so
-    M = E^T N, the rows of N at Z's unit rows, is N in the basis Z:
-    rank M = rank N and ker M = ker N.  M is the first term of
-    GModule.run(E^T, p), which multiplies by sigma on the right, so only
-    those rows are formed, 1/p of V for a free module.  Every run of
+    That dimension, h, is read off one forward pass of the eliminator on
+    sigma-1, with no back-substitution and no kernel.  As sigma^p = 1,
+    (sigma-1)^p = 0 over F_p, so V splits into b = dim V - rank(sigma-1)
+    Jordan blocks of sigma-1, each of size at most p, and
+    N = (sigma-1)^(p-1) has rank the number of blocks of size p.  So h = 0
+    exactly when p b = dim V, every block free (Brown, Cohomology of
+    Groups, ch. VI), and this settles every interior degree t.  Otherwise
+    rank N is rank M, M = E^T N the rows of N at the b non-pivot columns:
+    a vector of ker(sigma-1), which holds im N, is fixed by its
+    coordinates there, so rank M = rank N and ker M = ker N.  M is the
+    first term of GModule.run(E^T, p), which multiplies by sigma on the
+    right, so only those rows are formed.  The stable route reads the same
+    coordinates as the unit rows of Z = kernel_basis(sigma-1), the one
+    reducer it runs, and then M is N in the basis Z.  Every run of
     sigma-products is GModule.run: M, the partial norm
     1 + ... + sigma^(r-1) of the stable route, and sigma^p in validation;
     no power of sigma is stored.
@@ -54,7 +60,7 @@ from math import factorial
 
 from . import forests
 from .graded import GradedDims, PoincareSeries
-from .linalg import GF, SparseMatrix, is_prime, kernel_basis, rank
+from .linalg import GF, SparseMatrix, is_prime, kernel_basis, pivot_columns, rank
 
 
 class ModpError(Exception):
@@ -74,7 +80,7 @@ class GModule:
     without them, sigma^p = 1 itself, the last term of run(sigma, p).  No
     power of sigma is stored: run forms each run of sigma-products, with
     sigma on the right, and keeps nothing.  The one cached datum is the
-    int periodic_dim().
+    int periodic_dim(); no kernel of sigma-1 is kept.
     """
 
     def __init__(self, p, sigma=None, module=None):
@@ -130,12 +136,19 @@ class GModule:
 
         ker N / im(sigma-1) and ker(sigma-1) / im N, the two quotients the
         periodic resolution alternates between, both have this dimension.
-        Z = kernel_basis(sigma-1) has dim V - rank(sigma-1) columns, and
-        rank N is the rank of N in the basis Z (_norm_coords).  Z itself is
-        not kept."""
+        One forward pass over sigma-1 gives its rank and pivot columns.
+        With b = dim V - rank(sigma-1) Jordan blocks, each of size at most
+        p since sigma^p = 1 holds on every validated module, h = 0 when
+        p b = dim V, and nothing else is formed.  Otherwise rank N is the
+        rank of M = _norm_coords at the b non-pivot columns, the unit rows
+        of kernel_basis(sigma-1), which is not formed."""
         if self._h is None:
-            z = kernel_basis(self.aug())
-            self._h = z.ncols - rank(_norm_coords(self, z))
+            pivots = set(pivot_columns(self.aug()))
+            free = [f for f in range(self.dim) if f not in pivots]
+            if self.p * len(free) == self.dim:
+                self._h = 0
+            else:
+                self._h = len(free) - rank(_norm_coords(self, dict(enumerate(free))))
         return self._h
 
     # -- construction-time checks -------------------------------------------
@@ -208,7 +221,9 @@ def tate(v, window):
 
     Every Tate group has dimension v.periodic_dim(): for s > 0 it is H^s,
     for s < -1 the homology H_(-s-1), and in the middle coker(N) on
-    invariants at s = 0, ker(N)/im(sigma-1) at s = -1.
+    invariants at s = 0, ker(N)/im(sigma-1) at s = -1.  It is read off
+    one forward pass over sigma-1, and rows of N only off free modules;
+    no kernel is formed.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
@@ -246,8 +261,12 @@ def verify_vanishing(p, n):
 
     Interior means 0 < t < (n-1)(p-1), i.e. t = j(n-1) for 0 < j < p-1;
     an empty interior (p = 2) is vacuously true.  Every degree is decided
-    by two independent routes, the block certificate and linear algebra,
-    and a disagreement raises AssertionError.
+    by two independent routes, and a disagreement raises AssertionError:
+    the block certificate, read off the basis partitions and the support
+    of sigma, and linear algebra, h = 0 from periodic_dim.  The latter is
+    the Jordan count p (dim V - rank(sigma-1)) = dim V of one forward
+    pass, with rank M formed only off free modules; it never reads the
+    basis.
     """
     if not is_prime(p):
         raise ModpError("p = %d is not prime" % p)
@@ -307,13 +326,16 @@ def _coords(units, x):
                                  {c: x.rows[f] for c, f in units.items() if f in x.rows})
 
 
-def _norm_coords(v, z):
-    """M = E^T N, N in the basis z = kernel_basis(sigma-1): the rows of N at
-    z's unit rows, taken as the first term of run(E^T, p), where E^T holds
-    the unit rows e_f.  im N lies in ker(sigma-1) = col z, on which reading
-    these coordinates is one-to-one, so rank M = rank N and ker M = ker N."""
-    e = {c: {f: 1} for c, f in _unit_rows(z).items()}
-    return v.run(SparseMatrix._trusted(z.ncols, v.dim, v.field, e), v.p)[0]
+def _norm_coords(v, units):
+    """M = E^T N for the coordinate map units = {c: f}: row c of M is row f
+    of N, taken as the first term of run(E^T, p), where E^T holds the unit
+    rows e_f.  im N lies in ker(sigma-1); when reading these coordinates is
+    one-to-one there, rank M = rank N and ker M = ker N.  With units the
+    non-pivot columns of sigma-1, or _unit_rows(z) for z =
+    kernel_basis(sigma-1), it is, and in the latter case M is N in the
+    basis z."""
+    e = {c: {f: 1} for c, f in units.items()}
+    return v.run(SparseMatrix._trusted(len(units), v.dim, v.field, e), v.p)[0]
 
 
 def _quotient_matrix(z, b, phi, h):
@@ -349,8 +371,8 @@ def sigma_p_cohomology_stable(v, s_max):
     checked once; it is sigma g = g sigma^r, as P (sigma-1) = sigma^r - 1,
     and with sigma^p = 1 it gives the second: g^-1 N g is the sum of the
     sigma^(ri), which is N, so g N = N g, and N sigma^i = N gives N P = r N.
-    With Z = kernel_basis(sigma-1) and M = _norm_coords(v, Z), im N is col M
-    in the basis Z and ker N = ker M.  G_0, the h x h matrix of g on
+    With Z = kernel_basis(sigma-1) and M = _norm_coords(v, _unit_rows(Z)),
+    im N is col M in the basis Z and ker N = ker M.  G_0, the h x h matrix of g on
     ker(sigma-1)/im N, comes from Z and M, and G_1, that of g P on
     ker N/im(sigma-1), from kernel_basis(M) and sigma-1 in its basis; no
     full N is formed.  dim H^s = h - rank(r^(s//2) G_(s mod 2) - 1) for
@@ -376,7 +398,7 @@ def sigma_p_cohomology_stable(v, s_max):
     gp = g.matmul(v.run(SparseMatrix.identity(v.dim, v.field), r)[0])
     if aug.matmul(g) != gp.matmul(aug):
         raise ModpError("comparison map is not a chain map")
-    m = _norm_coords(v, z)
+    m = _norm_coords(v, _unit_rows(z))
     y = kernel_basis(m)
     mats = (_quotient_matrix(z, m, g, h), _quotient_matrix(y, _coords(_unit_rows(y), aug), gp, h))
     one = SparseMatrix.identity(h, v.field)

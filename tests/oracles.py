@@ -16,6 +16,24 @@ from confspace import arnold, forests, modp
 from confspace.linalg import GF, QQ, ZZ, SparseMatrix, invert, rank
 
 
+def from_rows(rows, domain):
+    """The SparseMatrix of a dense matrix given as a list of rows."""
+    ncols = len(rows[0]) if rows else 0
+    return SparseMatrix(len(rows), ncols, domain,
+                        {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+def to_dense(m):
+    """The dense list of rows of a SparseMatrix, with the domain's zero
+    where no entry is stored."""
+    z = m.domain.coerce(0)
+    dense = [[z] * m.ncols for _ in range(m.nrows)]
+    for i, row in m.rows.items():
+        for j, v in row.items():
+            dense[i][j] = v
+    return dense
+
+
 def dense_rank_qq(rows):
     """Rank of a dense matrix (list of rows) by fraction-free Gauss."""
     m = [[Fraction(x) for x in row] for row in rows]

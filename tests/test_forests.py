@@ -297,6 +297,21 @@ def test_transposition_matrices_match_action_matrix(k, n):
                 assert all(type(v) is int for v in m.entries.values())
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_transposition_matrices_match_relabel_and_rewrite_at_k7(n):
+    """The bench's size: every tau of forest_module(7, n, t) over GF(7), in
+    every degree, against relabelling each tree and rewriting the whole
+    forest, which checks the splice of a moved comb's terms into its key."""
+    k, domain = 7, GF(7)
+    for j in range(k):
+        degree = j * (n - 1)
+        module = forests.forest_module(k, n, degree, domain)
+        for i, m in enumerate(module.taus, start=1):
+            tau = {**{v: v for v in range(1, k + 1)}, i: i + 1, i + 1: i}
+            want = oracles.reference_action_matrix(tau, k, n, degree, module.basis, domain)
+            assert m.entries == want.entries, (i, degree)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("n", [2, 3])
 def test_orbit_coinvariants_match_stacked_rank(p, n):

@@ -62,7 +62,7 @@ def test_conf_module_sigma_is_the_cycle_action_matrix():
 def test_gmodule_rejects_non_prime_and_bad_shapes():
     with pytest.raises(modp.ModpError, match="p = 4 is not prime"):
         modp.GModule(4, module=forests.forest_module(4, 2, 0, GF(2)))
-    sigma = SparseMatrix.from_rows([[1, 0]], GF(3))
+    sigma = oracles.from_rows([[1, 0]], GF(3))
     with pytest.raises(modp.ModpError):
         modp.GModule(3, sigma)
 
@@ -218,8 +218,8 @@ def test_norm_is_aug_power():
 
 def dense_cyclic_cohomology(v, s_max):
     d = v.dim
-    a_rows = v.aug().to_dense()
-    n_rows = norm(v).to_dense()
+    a_rows = oracles.to_dense(v.aug())
+    n_rows = oracles.to_dense(norm(v))
     ra = oracles.dense_rank_mod(a_rows, v.p)
     rn = oracles.dense_rank_mod(n_rows, v.p)
     out = {}
@@ -309,7 +309,7 @@ def assert_ranks_match_dense(v):
 def test_component_dense_rank_is_dense_rank():
     v = modp.conf_module(5, 2, 2)
     for m in (v.aug(), norm(v)):
-        assert component_dense_rank(m, 5) == oracles.dense_rank_mod(m.to_dense(), 5)
+        assert component_dense_rank(m, 5) == oracles.dense_rank_mod(oracles.to_dense(m), 5)
 
 
 def sign_twist(v):
@@ -347,11 +347,14 @@ def test_rank_route_matches_dense_on_jordan_blocks(p, data):
     # rank(sigma-1) is dim - len(sizes), and N = (sigma-1)^(p-1) is nonzero
     # exactly on a block of size p, so rank N is sizes.count(p)
     assert v.periodic_dim() == len(sizes) - sizes.count(p)
+    # the Jordan count: h = 0 iff every block is free, p len(sizes) = dim
+    assert (v.periodic_dim() == 0) == all(m == p for m in sizes)
 
 
 def norm_coords(v):
-    """M, N in the basis kernel_basis(sigma-1), as the library forms it."""
-    return modp._norm_coords(v, kernel_basis(v.aug()))
+    """M, N in the basis kernel_basis(sigma-1), as the stable route forms
+    it."""
+    return modp._norm_coords(v, modp._unit_rows(kernel_basis(v.aug())))
 
 
 def test_rank_norm_equals_dense_rank_of_full_norm():
@@ -359,7 +362,7 @@ def test_rank_norm_equals_dense_rank_of_full_norm():
         for n in (2, 3, 4):
             for t in all_t(p, n):
                 v = modp.conf_module(p, n, t)
-                assert rank(norm_coords(v)) == oracles.dense_rank_mod(norm(v).to_dense(), p), \
+                assert rank(norm_coords(v)) == oracles.dense_rank_mod(oracles.to_dense(norm(v)), p), \
                     (p, n, t)
 
 
@@ -388,10 +391,9 @@ def test_norm_coords_and_the_unchecked_chain_map_identity(p):
 def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     """Tate groups, vanishing and fixed spaces need rank(sigma-1), rank N
     and the taus only: sigma^p = 1 follows from the Coxeter relators, and
-    rank N is taken on the rows of N at the unit rows of
-    kernel_basis(sigma-1), so no module runs sigma-products, which multiply
-    on the right, from a full-height matrix, which would form its powers
-    or N."""
+    rank N is taken on the rows of N at the non-pivot columns of sigma-1,
+    so no module runs sigma-products, which multiply on the right, from a
+    full-height matrix, which would form its powers or N."""
     run = modp.GModule.run
 
     def narrow_run(v, x, m):
@@ -407,6 +409,47 @@ def test_cp_route_forms_no_power_of_sigma(monkeypatch):
     assert modp.verify_vanishing(7, 3)
     assert dict(modp.invariants_sigma_p(7, 3).items()) == {0: 1}
     assert sorted(modp._conf_cache) == [(7, 3, t) for t in ts]
+
+
+def test_periodic_dim_runs_no_sigma_products_on_free_modules(monkeypatch):
+    """Every interior module is free, and its h = 0 is read off the Jordan
+    count p (dim V - rank(sigma-1)) = dim V, so not even the rows of N are
+    formed."""
+    def no_run(v, x, m):
+        raise AssertionError("a run of sigma-products was formed")
+
+    monkeypatch.setattr(modp.GModule, "run", no_run)
+    monkeypatch.setattr(modp, "_conf_cache", {})
+    for p in (5, 7):
+        for n in (2, 3):
+            for j in range(1, p - 1):
+                assert modp.conf_module(p, n, j * (n - 1)).periodic_dim() == 0, (p, n, j)
+
+
+def test_tate_and_vanishing_form_no_kernel(monkeypatch):
+    """Tate groups and vanishing read h off the forward pass over sigma-1,
+    with no kernel_basis, on every module; each h equals the kernel route's
+    dim Z - rank M, taken afterwards with Z = kernel_basis(sigma-1)."""
+    def no_kernel(m):
+        raise AssertionError("kernel_basis was called")
+
+    monkeypatch.setattr(modp, "kernel_basis", no_kernel)
+    monkeypatch.setattr(modp, "_conf_cache", {})
+    cases = ((5, 2), (5, 3), (7, 2))
+    got = {}
+    for p, n in cases:
+        for t in all_t(p, n):
+            dims = modp.tate(modp.conf_module(p, n, t), (-3, 3))
+            got[(p, n, t)] = [dims.get(s) for s in range(-3, 4)]
+        assert modp.verify_vanishing(p, n)
+    cache = modp._conf_cache
+    monkeypatch.undo()
+    for (p, n, t), dims in got.items():
+        v = cache[(p, n, t)]
+        z = kernel_basis(v.aug())
+        h = z.ncols - rank(modp._norm_coords(v, modp._unit_rows(z)))
+        assert dims == [h] * 7, (p, n, t)
+        assert (h == 0) == (0 < t < (n - 1) * (p - 1)), (p, n, t)
 
 
 class _Word:
@@ -467,8 +510,8 @@ def dense_tate(v, s):
     if s >= 1:
         return dense_cyclic_cohomology(v, s).get(s, 0)
     d = v.dim
-    ra = oracles.dense_rank_mod(v.aug().to_dense(), v.p)
-    rn = oracles.dense_rank_mod(norm(v).to_dense(), v.p)
+    ra = oracles.dense_rank_mod(oracles.to_dense(v.aug()), v.p)
+    rn = oracles.dense_rank_mod(oracles.to_dense(norm(v)), v.p)
     if s == 0:
         return dense_cyclic_cohomology(v, 0).get(0, 0) - rn
     if s == -1 or (-s - 1) % 2 == 0:
