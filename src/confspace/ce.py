@@ -28,8 +28,12 @@ direct sum of its pieces of fixed phi.  The symmetry search returns
 signed permutations of the classes that are Lie automorphisms by the way
 it builds them, and each carries every piece isomorphically onto a piece;
 only one piece per orbit of the automorphisms found is built and ranked.
-ce_block and GMLie.block build whole blocks, as an oracle for betti;
-euler_series counts the chains and builds no block, and chain_dims reads
+A dynamic program over the slots counts the chains by degree, grading key
+and the keys of their images, so the pieces, their sizes and their orbits
+are known before any monomial is listed; then a search pruned on those
+counts lists the monomials of the ranked pieces only.  ce_block and
+GMLie.block list and build whole blocks, as an oracle for betti;
+euler_series lists the chains and builds no block, and chain_dims reads
 the chain counts off the symmetric-algebra series.
 
 The stabilization map (adding a point near infinity) is the formal
@@ -307,43 +311,47 @@ class CEComplexBlock:
         return sorted(self.bases)
 
 
-def _enumerate_monomials(slots, sdeg, key, k):
-    """(degree, grading key, exponent vector) of every monomial of total
-    weight k, in increasing order of the vectors; exterior (odd shifted
-    degree) slots capped at exponent 1.  A monomial's key is the sum of
-    key[i] over its factors, carried like its degree.
+def _exponent_tops(slots, sdeg, k):
+    """tops[i][rem]: the number of exponents slot i can take, 0 included,
+    in a monomial with weight rem left for slots i, i+1, ...; exterior (odd
+    shifted degree) slots are capped at exponent 1."""
+    return [[min(1 if d % 2 else k, rem // s.weight) + 1 for rem in range(k + 1)]
+            for s, d in zip(slots, sdeg)]
+
+
+def _enumerate_monomials(slots, sdeg, k):
+    """(degree, exponent vector) of every monomial of total weight k, in
+    increasing order of the vectors: the whole block, for ce_block and
+    euler_series.  betti lists only the pieces it ranks (_ChainTable).
 
     Bit w of reach[i] says weight w <= k is a sum over slots i, i+1, ...;
     the search enters a slot only with a remaining weight it can reach."""
-    caps = [1 if d % 2 else k for d in sdeg]
+    tops = _exponent_tops(slots, sdeg, k)
     reach = [1] * (len(slots) + 1)
     for i in range(len(slots) - 1, -1, -1):
         w, r = slots[i].weight, reach[i + 1]
-        for e in range(1, min(caps[i], k // w) + 1):
+        for e in range(1, tops[i][k]):
             r |= reach[i + 1] << (e * w)
         reach[i] = r & ((1 << (k + 1)) - 1)
-    # exponent bounds per slot and remaining weight, tabulated once: the
-    # enumeration reads them once per partial monomial
-    tops = [[min(c, rem // s.weight) + 1 for rem in range(k + 1)] for c, s in zip(caps, slots)]
     out = []
     exps = [0] * len(slots)
 
-    def rec(i, rem, deg, kk):
+    def rec(i, rem, deg):
         w, nxt = slots[i].weight, reach[i + 1]
         for e in range(tops[i][rem]):
             left = rem - e * w
             if nxt >> left & 1:
                 exps[i] = e
                 if left:
-                    rec(i + 1, left, deg + e * sdeg[i], kk + e * key[i])
+                    rec(i + 1, left, deg + e * sdeg[i])
                 else:
-                    out.append((deg + e * sdeg[i], kk + e * key[i], tuple(exps)))
+                    out.append((deg + e * sdeg[i], tuple(exps)))
         exps[i] = 0
 
     if k == 0:
-        out.append((0, 0, tuple(exps)))
+        out.append((0, tuple(exps)))
     elif reach[0] >> k & 1:
-        rec(0, k, 0, 0)
+        rec(0, k, 0)
     return out
 
 
@@ -410,17 +418,16 @@ def _assemble(g, k, bases):
     return block
 
 
-def _monomials(g, k, key=None):
+def _monomials(g, k):
     if k < 0:
         raise ValueError("weight must be nonnegative")
-    return _enumerate_monomials(g.slots, [s.sdeg for s in g.slots],
-                                key or [0] * len(g.slots), k)
+    return _enumerate_monomials(g.slots, [s.sdeg for s in g.slots], k)
 
 
 def ce_block(g, k):
     """Build the weight-k complex; verifies d has square zero."""
     bases = {}
-    for deg, _, m in _monomials(g, k):
+    for deg, m in _monomials(g, k):
         bases.setdefault(deg, []).append(m)
     return _assemble(g, k, bases)
 
@@ -496,9 +503,10 @@ def _slot_image(g, cmap):
 
 
 def _root(parent, x):
-    """Union-find root of x; parent maps each element to its parent."""
+    """Union-find root of x; parent maps each element to its parent.  Each
+    step points x at its grandparent (path halving)."""
     while parent[x] != x:
-        x = parent[x]
+        parent[x] = x = parent[parent[x]]
     return x
 
 
@@ -572,37 +580,190 @@ def _symmetries(g):
     return perms
 
 
+class _ChainTable:
+    """Counts of monomials by weight and packed key, and a search that
+    lists the monomials of one packed key.
+
+    rows[i][rem] maps each sum of packed[j] * e_j over a monomial on slots
+    i, i+1, ... of weight rem to the number of such monomials.  The rows
+    are counted from the last slot to the first: x_i^e m, for m on slots
+    i+1, ..., adds e * packed[i] to the key of m.  Only the rows that row k
+    of slot 0 reads are built, and a row with no exponent e > 0 is the row
+    below it, shared.  Each row lists its keys in the order that the
+    monomials, in increasing order of their exponent vectors, first reach
+    them."""
+
+    def __init__(self, slots, sdeg, k, packed):
+        self.slots, self.k, self.packed = slots, k, packed
+        self.tops = tops = _exponent_tops(slots, sdeg, k)
+        need = [{k}]
+        for s, top in zip(slots, tops):
+            need.append({rem - e * s.weight for rem in need[-1] for e in range(top[rem])})
+        rows = [None] * len(slots) + [{rem: {} if rem else {0: 1} for rem in need[-1]}]
+        for i in range(len(slots) - 1, -1, -1):
+            w, f, top, nxt = slots[i].weight, packed[i], tops[i], rows[i + 1]
+            row = rows[i] = {}
+            for rem in need[i]:
+                if top[rem] == 1:
+                    row[rem] = nxt[rem]
+                    continue
+                cur = row[rem] = dict(nxt[rem])
+                for e in range(1, top[rem]):
+                    shift = e * f
+                    for key, c in nxt[rem - e * w].items():
+                        key += shift
+                        cur[key] = cur.get(key, 0) + c
+        self.rows = rows
+        # (slot, weight left, key left) -> its branches, for each state that
+        # a search has entered
+        self.branches = {}
+
+    def _branch(self, i, rem, t):
+        """The branches of the search at slot i with weight rem and key t
+        left, one per exponent e of slot i that leaves weight rem - e w_i
+        and key t - e packed[i] to a monomial of the next row.  A branch is
+        the nonzero (slot, exponent) pairs it sets, at slot i and at each
+        next slot with one branch only, and then the branches of the first
+        slot with two or more, or None where the monomial is complete.
+        Each state stores its branches, not its completions."""
+        key = (i, rem, t)
+        out = self.branches.get(key)
+        if out is None:
+            out = self.branches[key] = []
+            w, f, nxt = self.slots[i].weight, self.packed[i], self.rows[i + 1]
+            for e in range(self.tops[i][rem]):
+                left, u = rem - e * w, t - e * f
+                if u not in nxt[left]:
+                    continue
+                sets = [(i, e)] if e else []
+                if not left:
+                    out.append((sets, None))
+                    continue
+                child = self._branch(i + 1, left, u)
+                if len(child) == 1:
+                    more, child = child[0]
+                    sets = sets + more if e else more
+                out.append((sets, child))
+        return out
+
+    def monomials(self, target):
+        """The exponent vectors of weight k with packed key target, in
+        increasing order.  The search sets x_i^e only when the next row
+        holds the weight and key that are left."""
+        exps = [0] * len(self.slots)
+        if not self.k:
+            return [tuple(exps)] if target in self.rows[0][0] else []
+        out = []
+
+        def walk(branches):
+            for sets, child in branches:
+                for j, e in sets:
+                    exps[j] = e
+                if child is None:
+                    out.append(tuple(exps))
+                else:
+                    walk(child)
+                for j, _ in sets:
+                    exps[j] = 0
+
+        walk(self._branch(0, self.k, target))
+        return out
+
+
+def _balanced_digits(value, radix, count):
+    """The lowest count digits of value in balanced radix (radix odd)."""
+    out = []
+    for _ in range(count):
+        digit = (value + radix // 2) % radix - radix // 2
+        out.append(digit)
+        value = (value - digit) // radix
+    return out
+
+
+def _orbits(g, k):
+    """The weight-k pieces, counted and joined into orbits of the
+    symmetries, with no monomial listed.
+
+    A slot's packed key is its shifted degree plus D times its grading key
+    and the grading keys of its images under the symmetries, in balanced
+    radix R.  Shifted degrees are nonnegative and D exceeds every degree of
+    weight k; R = 2kM + 1, M the largest |grading key| of a slot, so a
+    monomial's packed key holds its degree, its grading key and the
+    grading key of each of its images.  A Lie automorphism carries
+    a grading to a grading, so each image key is a function of the grading
+    key; a key with two images raises AssertionError.  The pieces, their
+    chain counts per degree and their images are read off row k of slot 0
+    of a _ChainTable; the counts per degree must sum to chain_dims, and
+    the pieces of one orbit must have equal counts.
+
+    Returns the table and, per orbit in the order of first monomials, its
+    number of pieces and, per degree, the packed key and chain count of its
+    first piece."""
+    chains = chain_dims(g, k)
+    key = _grading(g, k)
+    perms = _symmetries(g)
+    sdeg = [s.sdeg for s in g.slots]
+    radix = 2 * k * max(map(abs, key), default=0) + 1
+    degrees = k * max(sdeg, default=0) + 1
+    packed = [d + degrees * sum(key[j] * radix ** t for t, j in enumerate([i] + [p[i] for p in perms]))
+              for i, d in enumerate(sdeg)]
+    table = _ChainTable(g.slots, sdeg, k, packed)
+    pieces = {}  # packed key less degree -> {degree: chains}
+    totals = Counter()
+    for f, c in table.rows[0][k].items():
+        rest, deg = divmod(f, degrees)
+        pieces.setdefault(rest, {})[deg] = c
+        totals[deg] += c
+    if totals != chains:
+        raise AssertionError("weight-%d chains per degree %r, but the series gives %r"
+                             % (k, sorted(totals.items()), sorted(chains.items())))
+    packed_of = {}  # grading key -> packed key less degree
+    parent = {}
+    for rest in pieces:
+        p, *images = _balanced_digits(rest, radix, 1 + len(perms))
+        if packed_of.setdefault(p, rest) != rest:
+            raise AssertionError("weight-%d piece %d has two image keys under one symmetry"
+                                 % (k, p))
+        for q in [p] + images:
+            parent.setdefault(q, q)
+            parent[_root(parent, q)] = _root(parent, p)
+    orbits = {}
+    for p in packed_of:
+        orbits.setdefault(_root(parent, p), []).append(p)
+    out = []
+    for rep, *others in orbits.values():
+        counts = pieces[packed_of[rep]]
+        for p in others:
+            if pieces[packed_of[p]] != counts:
+                raise AssertionError("weight-%d pieces %d and %d of one orbit differ in size"
+                                     % (k, rep, p))
+        out.append((1 + len(others), {deg: (deg + degrees * packed_of[rep], c)
+                                      for deg, c in counts.items()}))
+    return table, out
+
+
 def betti(g, k):
     """Homology dimensions of the weight-k block over Q, piece by piece.
 
     d preserves the grading key of _grading, so the block is the direct sum
     of its pieces, one per key.  A symmetry of _symmetries is a Lie
-    automorphism, so it carries each piece isomorphically onto a piece; the
-    pieces are joined into orbits with union-find, and only the first
-    piece of each orbit is built and ranked, counted once per member."""
-    key = _grading(g, k)
-    pieces = {}
-    for deg, kk, m in _monomials(g, k, key):
-        pieces.setdefault(kk, {}).setdefault(deg, []).append(m)
-    parent = {p: p for p in pieces}
-    for perm in _symmetries(g):
-        for p, bases in pieces.items():
-            mono = next(iter(bases.values()))[0]
-            q = sum(e * key[perm[i]] for i, e in enumerate(mono))
-            parent[_root(parent, p)] = _root(parent, q)
-    orbits = {}
-    for p in pieces:
-        orbits.setdefault(_root(parent, p), []).append(p)
+    automorphism, so it carries each piece isomorphically onto a piece.
+    _orbits counts the pieces and joins them into orbits; only the first
+    piece of each orbit is listed, built and ranked, counted once per
+    member.  Its listing must match its count in every degree.  No
+    monomial outside those pieces is listed."""
+    table, orbits = _orbits(g, k)
     out = {}
-    for rep, *others in orbits.values():
-        counts = {deg: len(ms) for deg, ms in pieces[rep].items()}
-        for p in others:
-            if {deg: len(ms) for deg, ms in pieces[p].items()} != counts:
-                raise AssertionError("weight-%d pieces %d and %d of one orbit differ in size"
-                                     % (k, rep, p))
-        block = _assemble(g, k, pieces[rep])
+    for size, targets in orbits:
+        bases = {}
+        for deg, (target, count) in targets.items():
+            bases[deg] = table.monomials(target)
+            if len(bases[deg]) != count:
+                raise AssertionError("weight-%d piece lists %d chains in degree %d, counted %d"
+                                     % (k, len(bases[deg]), deg, count))
+        block = _assemble(g, k, bases)
         for i in block.degrees():
-            out[i] = out.get(i, 0) + (1 + len(others)) * block.homology(i)
+            out[i] = out.get(i, 0) + size * block.homology(i)
     return GradedDims(out)
 
 
@@ -648,7 +809,7 @@ def euler_series(g, weight_bound):
     by_weight = _sym_series(g, weight_bound).euler_by_weight()
     coeffs = {}
     for k in range(weight_bound + 1):
-        chi = sum((-1) ** deg for deg, _, _ in _monomials(g, k))
+        chi = sum((-1) ** deg for deg, _ in _monomials(g, k))
         if chi != by_weight.get(k, 0):
             raise AssertionError(
                 "Euler mismatch at weight %d: chain sum %d vs series %d"

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +145,16 @@ def test_closed_surface_two_points():
     assert sum(((-1) ** i) * d for i, d in b.items()) == 3
 
 
+def test_closed_surface_genus_4_twelve_points():
+    # a weight-12 block of 502,996 chains; chi(B_12(S)) = C(chi(S), 12)
+    # with chi(S) = -6, and C(-6, 12) = C(17, 12) = 6188
+    b = ce.betti(ce.build_gm(ce.load_algebra(presets.closed_surface_doc(4))), 12)
+    assert [b.get(i) for i in range(14)] == [
+        1, 8, 28, 85, 218, 532, 1098, 2289, 4187, 7748, 13034, 22079, 29735, 9372]
+    assert dict(b.items()).keys() == set(range(14))
+    assert sum((-1) ** i * d for i, d in b.items()) == 6188 == comb(17, 12)
+
+
 @pytest.mark.parametrize("name", ["punctured-torus", "closed-surface-1"])
 def test_betti_invariant_under_bracket_sign(name):
     g = gm(name)
@@ -230,6 +241,63 @@ def test_betti_checks_orbit_piece_sizes(monkeypatch):
     monkeypatch.setattr(ce, "_symmetries", lambda g: [[1, 0, 2, 3, 4, 5]])
     with pytest.raises(AssertionError, match="weight-1 pieces 1 and 4 of one orbit differ in size"):
         ce.betti(g, 1)
+
+
+def test_betti_checks_chain_counts_against_the_series(monkeypatch):
+    monkeypatch.setattr(ce, "_sym_series", lambda g, wb: PoincareSeries.one(None, wb))
+    with pytest.raises(AssertionError, match=re.escape(
+            "weight-1 chains per degree [(0, 1), (1, 2)], but the series gives []")):
+        ce.betti(gm("punctured-torus"), 1)
+
+
+def test_betti_checks_listed_chains_against_counts(monkeypatch):
+    monomials = ce._ChainTable.monomials
+    monkeypatch.setattr(ce._ChainTable, "monomials", lambda self, t: monomials(self, t)[1:])
+    with pytest.raises(AssertionError, match="weight-2 piece lists 0 chains in degree 2, counted 1"):
+        ce.betti(gm("punctured-torus"), 2)
+
+
+def test_betti_checks_image_keys_are_functions_of_the_key(monkeypatch):
+    # swapping z and x1 is no symmetry: z~ and x1 y1 share a grading key,
+    # but their images z~ and z y1 do not
+    g = gm("punctured-torus")
+    monkeypatch.setattr(ce, "_symmetries", lambda g: [[1, 0, 2, 3, 4, 5]])
+    with pytest.raises(AssertionError, match="weight-2 piece -?[0-9]+ has two image keys"):
+        ce.betti(g, 2)
+
+
+def test_betti_lists_no_whole_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a whole block was listed")
+
+    g = gm("closed-surface-2")
+    want = whole_block_betti(g, 4)
+    monkeypatch.setattr(ce, "_enumerate_monomials", refuse)
+    assert ce.betti(g, 4) == want
+
+
+def test_betti_hands_only_representative_pieces_to_assemble(monkeypatch):
+    g = ce.build_gm(ce.load_algebra(presets.closed_surface_doc(3)))
+    _, orbits = ce._orbits(g, 6)
+    counted = sum(c for _, targets in orbits for _, c in targets.values())
+    key = ce._grading(g, 6)
+    whole = {}
+    for deg, m in ce._monomials(g, 6):
+        whole.setdefault(sum(e * kk for e, kk in zip(m, key)), {}).setdefault(deg, []).append(m)
+    assemble = ce._assemble
+    handed = []
+
+    def record(g, k, bases):
+        handed.append(bases)
+        return assemble(g, k, bases)
+
+    monkeypatch.setattr(ce, "_assemble", record)
+    ce.betti(g, 6)
+    # each basis handed over is one whole piece, in increasing order
+    pieces = list(whole.values())
+    assert all(bases in pieces for bases in handed)
+    assert sum(len(ms) for bases in handed for ms in bases.values()) == counted
+    assert counted < sum(ce.chain_dims(g, 6).values())
 
 
 def test_assemble_checks_d_squared(monkeypatch):
@@ -353,7 +421,8 @@ def test_differential_preserves_grading_key(name):
     sdeg = [s.sdeg for s in g.slots]
     for k in range(7):
         key = ce._grading(g, k)
-        keys = {m: kk for _, kk, m in ce._enumerate_monomials(g.slots, sdeg, key, k)}
+        keys = {m: sum(e * kk for e, kk in zip(m, key))
+                for _, m in ce._enumerate_monomials(g.slots, sdeg, k)}
         block = ce.ce_block(g, k)
         for i, d in block.diffs.items():
             for r, row in d.rows.items():
@@ -521,12 +590,14 @@ def test_chain_dims_equal_enumerated_counts():
     for a in algebras:
         g = ce.build_gm(a)
         for k in range(8):
-            enumerated = Counter(deg for deg, _, _ in ce._monomials(g, k))
+            enumerated = Counter(deg for deg, _ in ce._monomials(g, k))
             assert ce.chain_dims(g, k) == enumerated, (a.name, k)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         ce.chain_dims(g, -1)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         ce.ce_block(g, -1)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        ce.betti(g, -1)
 
 
 def test_labeled_series_identity_and_guards():
