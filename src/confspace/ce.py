@@ -31,10 +31,13 @@ only one piece per orbit of the automorphisms found is built and ranked.
 A dynamic program over the slots counts the chains by degree, grading key
 and the keys of their images, so the pieces, their sizes and their orbits
 are known before any monomial is listed; then a search pruned on those
-counts lists the monomials of the ranked pieces only.  ce_block and
-GMLie.block list and build whole blocks, as an oracle for betti;
-euler_series lists the chains and builds no block, and chain_dims reads
-the chain counts off the symmetric-algebra series.
+counts lists the monomials of the ranked pieces only.  That search is
+the one lister of chains: ce_block (and GMLie.block) is its case of no
+grading and no symmetry, one piece per weight keyed by degree alone,
+built whole for the tests and the selftest.  euler_series reads the
+counts of a table keyed by degree and lists nothing, and chain_dims reads
+the chain counts off the symmetric-algebra series, which every listing
+is checked against.
 
 The stabilization map (adding a point near infinity) is the formal
 derivative d/dx by the slot x dual to the point class.  On an open M the
@@ -311,50 +314,6 @@ class CEComplexBlock:
         return sorted(self.bases)
 
 
-def _exponent_tops(slots, sdeg, k):
-    """tops[i][rem]: the number of exponents slot i can take, 0 included,
-    in a monomial with weight rem left for slots i, i+1, ...; exterior (odd
-    shifted degree) slots are capped at exponent 1."""
-    return [[min(1 if d % 2 else k, rem // s.weight) + 1 for rem in range(k + 1)]
-            for s, d in zip(slots, sdeg)]
-
-
-def _enumerate_monomials(slots, sdeg, k):
-    """(degree, exponent vector) of every monomial of total weight k, in
-    increasing order of the vectors: the whole block, for ce_block and
-    euler_series.  betti lists only the pieces it ranks (_ChainTable).
-
-    Bit w of reach[i] says weight w <= k is a sum over slots i, i+1, ...;
-    the search enters a slot only with a remaining weight it can reach."""
-    tops = _exponent_tops(slots, sdeg, k)
-    reach = [1] * (len(slots) + 1)
-    for i in range(len(slots) - 1, -1, -1):
-        w, r = slots[i].weight, reach[i + 1]
-        for e in range(1, tops[i][k]):
-            r |= reach[i + 1] << (e * w)
-        reach[i] = r & ((1 << (k + 1)) - 1)
-    out = []
-    exps = [0] * len(slots)
-
-    def rec(i, rem, deg):
-        w, nxt = slots[i].weight, reach[i + 1]
-        for e in range(tops[i][rem]):
-            left = rem - e * w
-            if nxt >> left & 1:
-                exps[i] = e
-                if left:
-                    rec(i + 1, left, deg + e * sdeg[i])
-                else:
-                    out.append((deg + e * sdeg[i], tuple(exps)))
-        exps[i] = 0
-
-    if k == 0:
-        out.append((0, tuple(exps)))
-    elif reach[0] >> k & 1:
-        rec(0, k, 0)
-    return out
-
-
 def _d_monomial(g, mono, sdeg):
     """Image of one monomial under the CE differential, as {monomial: coeff}.
 
@@ -416,20 +375,6 @@ def _assemble(g, k, bases):
         if d_up is not None and d_here.nrows and not d_here.matmul(d_up).is_zero():
             raise AssertionError("d^2 != 0 in weight %d at degree %d" % (k, deg + 1))
     return block
-
-
-def _monomials(g, k):
-    if k < 0:
-        raise ValueError("weight must be nonnegative")
-    return _enumerate_monomials(g.slots, [s.sdeg for s in g.slots], k)
-
-
-def ce_block(g, k):
-    """Build the weight-k complex; verifies d has square zero."""
-    bases = {}
-    for deg, m in _monomials(g, k):
-        bases.setdefault(deg, []).append(m)
-    return _assemble(g, k, bases)
 
 
 def _sym_series(g, weight_bound):
@@ -582,7 +527,7 @@ def _symmetries(g):
 
 class _ChainTable:
     """Counts of monomials by weight and packed key, and a search that
-    lists the monomials of one packed key.
+    lists the monomials of one packed key: the one lister of chains.
 
     rows[i][rem] maps each sum of packed[j] * e_j over a monomial on slots
     i, i+1, ... of weight rem to the number of such monomials.  The rows
@@ -595,7 +540,10 @@ class _ChainTable:
 
     def __init__(self, slots, sdeg, k, packed):
         self.slots, self.k, self.packed = slots, k, packed
-        self.tops = tops = _exponent_tops(slots, sdeg, k)
+        # tops[i][rem]: the exponents slot i can take, 0 included, with weight
+        # rem left; exterior (odd shifted degree) slots are capped at 1
+        self.tops = tops = [[min(1 if d % 2 else k, rem // s.weight) + 1 for rem in range(k + 1)]
+                            for s, d in zip(slots, sdeg)]
         need = [{k}]
         for s, top in zip(slots, tops):
             need.append({rem - e * s.weight for rem in need[-1] for e in range(top[rem])})
@@ -680,13 +628,13 @@ def _balanced_digits(value, radix, count):
     return out
 
 
-def _orbits(g, k):
-    """The weight-k pieces, counted and joined into orbits of the
-    symmetries, with no monomial listed.
+def _orbits(g, k, key, perms):
+    """The weight-k pieces of the grading key, counted and joined into
+    orbits of the slot permutations perms, with no monomial listed.
 
     A slot's packed key is its shifted degree plus D times its grading key
-    and the grading keys of its images under the symmetries, in balanced
-    radix R.  Shifted degrees are nonnegative and D exceeds every degree of
+    and the grading keys of its images under perms, in balanced radix R.
+    Shifted degrees are nonnegative and D exceeds every degree of
     weight k; R = 2kM + 1, M the largest |grading key| of a slot, so a
     monomial's packed key holds its degree, its grading key and the
     grading key of each of its images.  A Lie automorphism carries
@@ -694,14 +642,13 @@ def _orbits(g, k):
     key; a key with two images raises AssertionError.  The pieces, their
     chain counts per degree and their images are read off row k of slot 0
     of a _ChainTable; the counts per degree must sum to chain_dims, and
-    the pieces of one orbit must have equal counts.
+    the pieces of one orbit must have equal counts.  With every key zero
+    and no perms, the one piece is the whole block, keyed by degree alone.
 
     Returns the table and, per orbit in the order of first monomials, its
     number of pieces and, per degree, the packed key and chain count of its
     first piece."""
     chains = chain_dims(g, k)
-    key = _grading(g, k)
-    perms = _symmetries(g)
     sdeg = [s.sdeg for s in g.slots]
     radix = 2 * k * max(map(abs, key), default=0) + 1
     degrees = k * max(sdeg, default=0) + 1
@@ -742,6 +689,21 @@ def _orbits(g, k):
     return table, out
 
 
+def _pieces(g, k, key, perms):
+    """(orbit size, complex) for the first piece of each orbit of _orbits:
+    each degree is listed by the table's search, in increasing order, and
+    must match its count, then _assemble builds the piece."""
+    table, orbits = _orbits(g, k, key, perms)
+    for size, targets in orbits:
+        bases = {}
+        for deg, (target, count) in targets.items():
+            bases[deg] = table.monomials(target)
+            if len(bases[deg]) != count:
+                raise AssertionError("weight-%d piece lists %d chains in degree %d, counted %d"
+                                     % (k, len(bases[deg]), deg, count))
+        yield size, _assemble(g, k, bases)
+
+
 def betti(g, k):
     """Homology dimensions of the weight-k block over Q, piece by piece.
 
@@ -750,21 +712,20 @@ def betti(g, k):
     automorphism, so it carries each piece isomorphically onto a piece.
     _orbits counts the pieces and joins them into orbits; only the first
     piece of each orbit is listed, built and ranked, counted once per
-    member.  Its listing must match its count in every degree.  No
-    monomial outside those pieces is listed."""
-    table, orbits = _orbits(g, k)
+    member.  No monomial outside those pieces is listed."""
     out = {}
-    for size, targets in orbits:
-        bases = {}
-        for deg, (target, count) in targets.items():
-            bases[deg] = table.monomials(target)
-            if len(bases[deg]) != count:
-                raise AssertionError("weight-%d piece lists %d chains in degree %d, counted %d"
-                                     % (k, len(bases[deg]), deg, count))
-        block = _assemble(g, k, bases)
+    for size, block in _pieces(g, k, _grading(g, k), _symmetries(g)):
         for i in block.degrees():
             out[i] = out.get(i, 0) + size * block.homology(i)
     return GradedDims(out)
+
+
+def ce_block(g, k):
+    """The whole weight-k complex, the one piece of _pieces with every key
+    zero and no symmetry: each degree in increasing order of the exponent
+    vectors, checked against chain_dims.  Verifies d has square zero."""
+    pieces = list(_pieces(g, k, [0] * len(g.slots), []))
+    return pieces[0][1] if pieces else CEComplexBlock(k, {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +745,8 @@ def stability_report(g, k_max):
     there phi_* need not be onto; such an algebra is refused.
 
     Requires ambient dimension > 2; the stable range is i <= k there."""
+    if k_max < 0:
+        raise ValueError("weight must be nonnegative")
     if g.n <= 2:
         raise StabilityError(
             "stability range is only guaranteed for ambient dimension > 2; "
@@ -803,13 +766,17 @@ def stability_report(g, k_max):
 
 
 def euler_series(g, weight_bound):
-    """sum_k chi(weight-k block) s^k, computed from the enumerated chains
+    """sum_k chi(weight-k block) s^k, computed from the chain counts per
+    degree in row k of slot 0 of a _ChainTable keyed by shifted degree
     and, independently, from the symmetric-algebra series at t -> -1; the
-    two must agree.  No block is built."""
+    two must agree.  No chain is listed and no block is built."""
+    if weight_bound < 0:
+        raise ValueError("weight must be nonnegative")
     by_weight = _sym_series(g, weight_bound).euler_by_weight()
+    sdeg = [s.sdeg for s in g.slots]
     coeffs = {}
     for k in range(weight_bound + 1):
-        chi = sum((-1) ** deg for deg, _ in _monomials(g, k))
+        chi = sum((-1) ** deg * c for deg, c in _ChainTable(g.slots, sdeg, k, sdeg).rows[0][k].items())
         if chi != by_weight.get(k, 0):
             raise AssertionError(
                 "Euler mismatch at weight %d: chain sum %d vs series %d"
@@ -824,6 +791,8 @@ def sym_homology_odd(h, k):
 
     For an odd-dimensional manifold with finite homology h this equals the
     homology of its k-point unordered configuration space."""
+    if k < 0:
+        raise ValueError("weight must be nonnegative")
     dims = dict(h.items()) if hasattr(h, "items") else dict(h)
     gens = {}
     max_d = 0

@@ -235,7 +235,10 @@ def check_coinvariants():
 def check_surfaces():
     """Two-point degree-2 Betti numbers of punctured surfaces; the Betti
     numbers of closed surfaces from symmetry orbits of pieces against the
-    homology of the whole blocks."""
+    homology of the whole blocks.  Both list their chains from one table,
+    keyed by grading and symmetry or by degree alone; what stays
+    independent is the sym_series count each listing is checked against,
+    d^2 = 0 on each complex, and the tests' reference lister."""
     g = ce.build_gm(presets.load_preset("punctured-torus"))
     b = ce.betti(g, 2)
     assert b.get(2) == 2, "punctured torus: H_2 of the 2-point space is %d" % b.get(2)

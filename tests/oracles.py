@@ -186,6 +186,28 @@ def sym_monomial_count(gens, degree, weight):
     return total
 
 
+def ce_chains(g, k):
+    """degree -> the exponent vectors of weight k on the slots of g, each
+    list in increasing order, by a plain recursion over the slots with the
+    weight left: every exponent up to the weight left, exterior (odd
+    shifted degree) slots capped at 1, and no pruning."""
+    slots = g.slots
+    out = {}
+
+    def rec(i, rem, exps):
+        if i == len(slots):
+            if not rem:
+                out.setdefault(sum(e * s.sdeg for e, s in zip(exps, slots)), []).append(exps)
+            return
+        w = slots[i].weight
+        top = min(rem // w, 1) if slots[i].sdeg % 2 else rem // w
+        for e in range(top + 1):
+            rec(i + 1, rem - e * w, exps + (e,))
+
+    rec(0, k, ())
+    return out
+
+
 def perm_compose(p, q):
     """(p then q) in one-line notation on 1..k."""
     return tuple(q[p[i] - 1] for i in range(len(p)))

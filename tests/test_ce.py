@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from confspace import ce, cli, presets
 from confspace.graded import GradedDims, PoincareSeries
 
+import oracles
+
 
 ALL_PRESETS = presets.list_presets()
 
@@ -257,6 +259,13 @@ def test_betti_checks_listed_chains_against_counts(monkeypatch):
         ce.betti(gm("punctured-torus"), 2)
 
 
+def test_ce_block_checks_listed_chains_against_counts(monkeypatch):
+    monomials = ce._ChainTable.monomials
+    monkeypatch.setattr(ce._ChainTable, "monomials", lambda self, t: monomials(self, t)[1:])
+    with pytest.raises(AssertionError, match="weight-2 piece lists 2 chains in degree 2, counted 3"):
+        ce.ce_block(gm("punctured-torus"), 2)
+
+
 def test_betti_checks_image_keys_are_functions_of_the_key(monkeypatch):
     # swapping z and x1 is no symmetry: z~ and x1 y1 share a grading key,
     # but their images z~ and z y1 do not
@@ -267,23 +276,29 @@ def test_betti_checks_image_keys_are_functions_of_the_key(monkeypatch):
 
 
 def test_betti_lists_no_whole_block(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a whole block was listed")
-
     g = gm("closed-surface-2")
     want = whole_block_betti(g, 4)
-    monkeypatch.setattr(ce, "_enumerate_monomials", refuse)
+    monomials = ce._ChainTable.monomials
+    listed = []
+
+    def record(self, target):
+        listed.append(monomials(self, target))
+        return listed[-1]
+
+    monkeypatch.setattr(ce._ChainTable, "monomials", record)
     assert ce.betti(g, 4) == want
+    assert sum(map(len, listed)) < sum(ce.chain_dims(g, 4).values())
 
 
 def test_betti_hands_only_representative_pieces_to_assemble(monkeypatch):
     g = ce.build_gm(ce.load_algebra(presets.closed_surface_doc(3)))
-    _, orbits = ce._orbits(g, 6)
-    counted = sum(c for _, targets in orbits for _, c in targets.values())
     key = ce._grading(g, 6)
+    _, orbits = ce._orbits(g, 6, key, ce._symmetries(g))
+    counted = sum(c for _, targets in orbits for _, c in targets.values())
     whole = {}
-    for deg, m in ce._monomials(g, 6):
-        whole.setdefault(sum(e * kk for e, kk in zip(m, key)), {}).setdefault(deg, []).append(m)
+    for deg, ms in oracles.ce_chains(g, 6).items():
+        for m in ms:
+            whole.setdefault(sum(e * kk for e, kk in zip(m, key)), {}).setdefault(deg, []).append(m)
     assemble = ce._assemble
     handed = []
 
@@ -418,11 +433,10 @@ def test_signed_permutation_with_one_wrong_sign_is_refused():
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_differential_preserves_grading_key(name):
     g = gm(name)
-    sdeg = [s.sdeg for s in g.slots]
     for k in range(7):
         key = ce._grading(g, k)
         keys = {m: sum(e * kk for e, kk in zip(m, key))
-                for _, m in ce._enumerate_monomials(g.slots, sdeg, k)}
+                for ms in oracles.ce_chains(g, k).values() for m in ms}
         block = ce.ce_block(g, k)
         for i, d in block.diffs.items():
             for r, row in d.rows.items():
@@ -579,6 +593,7 @@ def test_euler_series_builds_no_block(monkeypatch):
 
     monkeypatch.setattr(ce, "ce_block", refuse)
     monkeypatch.setattr(ce, "_assemble", refuse)
+    monkeypatch.setattr(ce._ChainTable, "monomials", refuse)
     series = ce.euler_series(gm("closed-surface-1"), 6)
     # chi(B_k(T^2)) = binomial(chi(T^2), k) = 0 for k >= 1
     assert series.coeffs == {(0, 0): 1}
@@ -590,7 +605,7 @@ def test_chain_dims_equal_enumerated_counts():
     for a in algebras:
         g = ce.build_gm(a)
         for k in range(8):
-            enumerated = Counter(deg for deg, _ in ce._monomials(g, k))
+            enumerated = Counter({deg: len(ms) for deg, ms in oracles.ce_chains(g, k).items()})
             assert ce.chain_dims(g, k) == enumerated, (a.name, k)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         ce.chain_dims(g, -1)
@@ -598,6 +613,21 @@ def test_chain_dims_equal_enumerated_counts():
         ce.ce_block(g, -1)
     with pytest.raises(ValueError, match="weight must be nonnegative"):
         ce.betti(g, -1)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        ce.euler_series(g, -1)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        ce.stability_report(g, -1)
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        ce.sym_homology_odd({0: 1}, -1)
+
+
+def test_ce_block_bases_equal_the_reference_lister():
+    algebras = [(presets.load_preset(name), 8) for name in ALL_PRESETS]
+    algebras += [(ce.load_algebra(presets.closed_surface_doc(genus)), 7) for genus in range(5)]
+    for a, bound in algebras:
+        g = ce.build_gm(a)
+        for k in range(bound):
+            assert ce.ce_block(g, k).bases == oracles.ce_chains(g, k), (a.name, k)
 
 
 def test_labeled_series_identity_and_guards():
